@@ -1,5 +1,7 @@
 type entry = { data : string; mutable last_used : int }
 
+module Ticks = Map.Make (Int)
+
 type metrics = {
   m_hits : Obs.Counter.t;
   m_misses : Obs.Counter.t;
@@ -13,6 +15,9 @@ type t = {
   capacity : int;
   write_allocate : bool;
   pages : (int * int, entry) Hashtbl.t;  (* (extent, page index) -> content *)
+  mutable lru : (int * int) Ticks.t;
+      (* last_used -> (extent, page index), one binding per resident page.
+         Ticks are unique, so the minimum binding is the LRU victim. *)
   states : (int * int, Conc.Cache_sm.state) Hashtbl.t;  (* absent = Empty *)
   audit : Conc.Cache_sm.audit;
   lock : Conc.Rwlock.t;
@@ -30,6 +35,7 @@ let create ?(capacity_pages = 64) ?(write_allocate = false) ?obs sched =
     capacity = max 1 capacity_pages;
     write_allocate;
     pages = Hashtbl.create 128;
+    lru = Ticks.empty;
     states = Hashtbl.create 128;
     audit = Conc.Cache_sm.auditor ();
     lock = Conc.Rwlock.create ();
@@ -64,30 +70,36 @@ let transition t key new_s =
   else Hashtbl.replace t.states key new_s
 let sync_resident t = Obs.Gauge.set_int t.m.m_resident (Hashtbl.length t.pages)
 
-let touch t entry =
+let next_tick t key =
   t.tick <- t.tick + 1;
-  entry.last_used <- t.tick
+  t.lru <- Ticks.add t.tick key t.lru;
+  t.tick
+
+let touch t key entry =
+  t.lru <- Ticks.remove entry.last_used t.lru;
+  entry.last_used <- next_tick t key
+
+let remove_page t key entry =
+  Hashtbl.remove t.pages key;
+  t.lru <- Ticks.remove entry.last_used t.lru
+
+(* Install [data] as the most recently used copy of [key], replacing any
+   older (shorter) copy. *)
+let insert t key data =
+  Option.iter (remove_page t key) (Hashtbl.find_opt t.pages key);
+  Hashtbl.replace t.pages key { data; last_used = next_tick t key }
 
 let evict_if_needed t =
-  if Hashtbl.length t.pages > t.capacity then begin
-    let victim = ref None in
-    (* Sorted iteration makes the last_used tie-break deterministic. *)
-    Util.Tbl.iter_sorted
-      (fun key entry ->
-        match !victim with
-        | Some (_, e) when e.last_used <= entry.last_used -> ()
-        | _ -> victim := Some (key, entry))
-      t.pages;
-    match !victim with
-    | Some ((extent, page), _) ->
-      Hashtbl.remove t.pages (extent, page);
-      transition t (extent, page) Conc.Cache_sm.Empty;
+  if Hashtbl.length t.pages > t.capacity then
+    match Ticks.min_binding_opt t.lru with
+    | Some (_, ((extent, page) as key)) ->
+      remove_page t key (Hashtbl.find t.pages key);
+      transition t key Conc.Cache_sm.Empty;
       Obs.Counter.incr t.m.m_evictions;
       if Obs.tracing t.obs then
         Obs.emit t.obs ~layer:"cache" "evict"
           [ ("extent", string_of_int extent); ("page", string_of_int page) ]
     | None -> ()
-  end
 
 (* Fetch one page's currently-readable prefix through the scheduler. *)
 let fetch_page t ~extent ~page =
@@ -120,9 +132,7 @@ let fetch_page t ~extent ~page =
         end
         else data
       in
-      let entry = { data; last_used = 0 } in
-      touch t entry;
-      Hashtbl.replace t.pages (extent, page) entry;
+      insert t (extent, page) data;
       transition t (extent, page) Conc.Cache_sm.Clean;
       evict_if_needed t;
       sync_resident t;
@@ -147,7 +157,7 @@ let read_locked t ~extent ~off ~len =
           match Hashtbl.find_opt t.pages (extent, page) with
           | Some entry when String.length entry.data >= min ps (off + len - (page * ps)) ->
             Obs.Counter.incr t.m.m_hits;
-            touch t entry;
+            touch t (extent, page) entry;
             Ok entry.data
           | Some _ | None ->
             Obs.Counter.incr t.m.m_misses;
@@ -180,11 +190,9 @@ let fill_locked t ~extent ~off data =
       if page_start >= off then begin
         let avail = off + len - page_start in
         let data = String.sub data (page_start - off) (min ps avail) in
-        let entry = { data; last_used = 0 } in
-        touch t entry;
-        Hashtbl.replace t.pages (extent, page) entry;
         (* A replaced entry stays Clean (no self-loop edges); a fresh one
            fills without an IO window: Empty -> Clean. *)
+        insert t (extent, page) data;
         if page_state t (extent, page) <> Conc.Cache_sm.Clean then
           transition t (extent, page) Conc.Cache_sm.Clean;
         evict_if_needed t
@@ -194,32 +202,27 @@ let fill_locked t ~extent ~off data =
   end
 
 let drop_page t key =
-  if Hashtbl.mem t.pages key then begin
-    Hashtbl.remove t.pages key;
+  match Hashtbl.find_opt t.pages key with
+  | Some entry ->
+    remove_page t key entry;
     transition t key Conc.Cache_sm.Empty
-  end
-
-let note_write_locked t ~extent ~off ~len =
-  if len > 0 then begin
-    let ps = Io_sched.page_size t.sched in
-    for page = off / ps to (off + len - 1) / ps do
-      drop_page t (extent, page)
-    done;
-    sync_resident t
-  end
+  | None -> ()
 
 let note_reset_locked t ~extent =
   (* Fault #2: cache was not correctly drained after resetting an extent. *)
   if Faults.enabled Faults.F2_cache_not_drained then Faults.record_fired Faults.F2_cache_not_drained
   else begin
-    let stale = Util.Tbl.fold_sorted (fun (e, p) _ acc -> if e = extent then (e, p) :: acc else acc) t.pages [] in
-    List.iter (drop_page t) stale;
+    let ps = Io_sched.page_size t.sched in
+    for page = ((Io_sched.extent_size t.sched + ps - 1) / ps) - 1 downto 0 do
+      drop_page t (extent, page)
+    done;
     sync_resident t
   end
 
 let invalidate_all_locked t =
   Util.Tbl.iter_sorted (fun key _ -> transition t key Conc.Cache_sm.Empty) t.pages;
   Hashtbl.reset t.pages;
+  t.lru <- Ticks.empty;
   sync_resident t
 
 (* Public entry points take the cache's rwlock in write mode: even [read]
@@ -231,9 +234,6 @@ let invalidate_all_locked t =
    cannot participate in a cycle. *)
 let read t ~extent ~off ~len = Conc.Rwlock.with_write t.lock (fun () -> read_locked t ~extent ~off ~len)
 let fill t ~extent ~off data = Conc.Rwlock.with_write t.lock (fun () -> fill_locked t ~extent ~off data)
-
-let note_write t ~extent ~off ~len =
-  Conc.Rwlock.with_write t.lock (fun () -> note_write_locked t ~extent ~off ~len)
 
 let note_reset t ~extent = Conc.Rwlock.with_write t.lock (fun () -> note_reset_locked t ~extent)
 let invalidate_all t = Conc.Rwlock.with_write t.lock (fun () -> invalidate_all_locked t)

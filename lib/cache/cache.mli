@@ -3,8 +3,17 @@
     Reads assemble from cached pages, fetching misses through
     {!Io_sched.read} (where injected IO failures fire — cache hits
     deliberately bypass injection, as a real cache bypasses the disk).
-    Mutators must invalidate: {!note_write} after staging an append and
-    {!note_reset} after staging an extent reset.
+    Appends need no invalidation: extents are append-only, so a cached
+    page is a prefix of the current content, and a read longer than a
+    cached partial page re-fetches it. Mutators must call {!note_reset}
+    after staging an extent reset.
+
+    {b Replacement.} Strict LRU over pages. Every hit and insert takes a
+    fresh, unique tick; a tick-ordered map beside the page table makes the
+    least recently used page its minimum binding. A hit, an insert and an
+    eviction each cost O(log n) in the [n] resident pages; {!note_reset}
+    costs one table probe per page of the extent, and {!invalidate_all}
+    sorts the table once.
 
     Fault site #2: the injected defect skips invalidation on reset, so a
     recycled extent can serve stale pre-reset pages from the cache.
@@ -50,11 +59,6 @@ val fill : t -> extent:int -> off:int -> string -> unit
 (** [read t ~extent ~off ~len] — semantics of {!Io_sched.read} plus
     caching. *)
 val read : t -> extent:int -> off:int -> len:int -> (string, Io_sched.error) result
-
-(** [note_write t ~extent ~off ~len] invalidates cached pages overlapping
-    the written range (a cached partial tail page goes stale when an append
-    extends it). *)
-val note_write : t -> extent:int -> off:int -> len:int -> unit
 
 (** [note_reset t ~extent] drops every cached page of the extent. *)
 val note_reset : t -> extent:int -> unit

@@ -8,7 +8,7 @@ type write = {
   id : int;
   extent : int;
   kind : kind;
-  input : t;
+  mutable input : t;
   mutable status : status;
 }
 
@@ -103,4 +103,9 @@ end
 
 let make_write ~id ~extent ~kind ~input = { id; extent; kind; input; status = Pending }
 let of_write w = Of_write w
-let set_status w s = w.status <- s
+(* A settled write's input is never read again ([eval] stops at a write's
+   own status; issue and crash selection read only pending writes), so it
+   is dropped: a durable write must not pin every write behind it. *)
+let set_status w s =
+  w.status <- s;
+  if s <> Pending then w.input <- Trivial

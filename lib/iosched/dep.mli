@@ -29,7 +29,10 @@ type write = private {
   id : int;
   extent : int;
   kind : kind;
-  input : t;  (** must persist before this write may be issued *)
+  mutable input : t;
+      (** must persist before this write may be issued; dropped to
+          {!trivial} once the write settles (any status but [Pending]), so
+          a settled write no longer keeps the writes behind it alive *)
   mutable status : status;
 }
 
@@ -86,4 +89,7 @@ end
 val make_write : id:int -> extent:int -> kind:kind -> input:t -> write
 
 val of_write : write -> t
+
+(** [set_status w s] — a status other than [Pending] also drops [w]'s
+    input. *)
 val set_status : write -> status -> unit

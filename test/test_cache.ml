@@ -1,5 +1,6 @@
-(* Tests for the buffer cache: hit/miss behaviour, invalidation on write
-   and reset, LRU eviction, and the fault #2 site. *)
+(* Tests for the buffer cache: hit/miss behaviour, re-fetch of outgrown
+   pages, invalidation on reset, LRU eviction against a reference model,
+   and the fault #2 site. *)
 
 
 let config = { Disk.extent_count = 4; pages_per_extent = 4; page_size = 16 }
@@ -37,13 +38,15 @@ let test_read_beyond_pointer () =
   | Error (Io_sched.Io (Disk.Out_of_bounds _)) -> ()
   | _ -> Alcotest.fail "read beyond soft pointer must fail"
 
-let test_note_write_invalidates_tail () =
+(* Appends need no invalidation: a read longer than a cached partial page
+   misses and re-fetches it. *)
+let test_short_page_refetched () =
   let _, sched, cache = make () in
   append sched ~extent:0 "abc";
   Alcotest.(check string) "partial page" "abc" (ok (Cache.read cache ~extent:0 ~off:0 ~len:3));
   append sched ~extent:0 "def";
-  Cache.note_write cache ~extent:0 ~off:3 ~len:3;
-  Alcotest.(check string) "extended" "abcdef" (ok (Cache.read cache ~extent:0 ~off:0 ~len:6))
+  Alcotest.(check string) "extended" "abcdef" (ok (Cache.read cache ~extent:0 ~off:0 ~len:6));
+  Alcotest.(check int) "re-fetched" 2 (Cache.stats cache).Cache.misses
 
 let test_note_reset_invalidates () =
   let _, sched, cache = make () in
@@ -69,17 +72,158 @@ let test_f2_serves_stale_after_reset () =
     (ok (Cache.read cache ~extent:0 ~off:0 ~len:16));
   Alcotest.(check bool) "fired" true (Faults.fired Faults.F2_cache_not_drained > 0)
 
-let test_eviction () =
-  let _, sched, cache = make ~capacity_pages:2 () in
-  append sched ~extent:0 (String.make 64 'a');
-  append sched ~extent:1 (String.make 64 'b');
-  (* Touch 6 distinct pages with capacity 2. *)
-  for page = 0 to 2 do
-    ignore (ok (Cache.read cache ~extent:0 ~off:(page * 16) ~len:16));
-    ignore (ok (Cache.read cache ~extent:1 ~off:(page * 16) ~len:16))
+(* {2 Reference model for replacement}
+
+   The cache as a plain table whose victim is found the slow, obvious way:
+   a key-sorted scan for the smallest [last_used]. Each operation mirrors
+   the real cache's accounting; the random driver below checks the real
+   cache's hit, miss and eviction counters against it after every step. *)
+module Lru_model = struct
+  type t = {
+    capacity : int;
+    write_allocate : bool;
+    page_size : int;
+    pages : (int * int, int * int) Hashtbl.t;  (* key -> (cached length, last_used) *)
+    mutable tick : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+  }
+
+  let create ~capacity ~write_allocate ~page_size =
+    {
+      capacity;
+      write_allocate;
+      page_size;
+      pages = Hashtbl.create 16;
+      tick = 0;
+      hits = 0;
+      misses = 0;
+      evictions = 0;
+    }
+
+  let evict_if_needed m =
+    if Hashtbl.length m.pages > m.capacity then begin
+      let victim = ref None in
+      Util.Tbl.iter_sorted
+        (fun key (_, used) ->
+          match !victim with
+          | Some (_, u) when u <= used -> ()
+          | _ -> victim := Some (key, used))
+        m.pages;
+      Option.iter
+        (fun (key, _) ->
+          Hashtbl.remove m.pages key;
+          m.evictions <- m.evictions + 1)
+        !victim
+    end
+
+  let insert m key len =
+    m.tick <- m.tick + 1;
+    Hashtbl.replace m.pages key (len, m.tick);
+    evict_if_needed m
+
+  (* [soft] is the extent's soft pointer; the read is within it. *)
+  let read m ~extent ~off ~len ~soft =
+    let ps = m.page_size in
+    for page = off / ps to (off + len - 1) / ps do
+      match Hashtbl.find_opt m.pages (extent, page) with
+      | Some (cached, _) when cached >= min ps (off + len - (page * ps)) ->
+        m.hits <- m.hits + 1;
+        m.tick <- m.tick + 1;
+        Hashtbl.replace m.pages (extent, page) (cached, m.tick)
+      | Some _ | None ->
+        m.misses <- m.misses + 1;
+        insert m (extent, page) (min ps (soft - (page * ps)))
+    done
+
+  let fill m ~extent ~off ~len =
+    if m.write_allocate then begin
+      let ps = m.page_size in
+      for page = off / ps to (off + len - 1) / ps do
+        if page * ps >= off then insert m (extent, page) (min ps (off + len - (page * ps)))
+      done
+    end
+
+  let note_reset m ~extent =
+    List.iter
+      (fun (e, p) -> if e = extent then Hashtbl.remove m.pages (e, p))
+      (Util.Tbl.sorted_keys m.pages)
+
+  let invalidate_all m = Hashtbl.reset m.pages
+end
+
+let run_model_sequence ~capacity ~write_allocate ~seed =
+  let sched = Io_sched.create ~seed:6L (Disk.create config) in
+  let cache = Cache.create ~capacity_pages:capacity ~write_allocate sched in
+  let ps = config.Disk.page_size in
+  let extent_size = Disk.extent_size config in
+  let model = Lru_model.create ~capacity ~write_allocate ~page_size:ps in
+  let rng = Util.Rng.of_int seed in
+  let extents = 3 in
+  let step i =
+    let extent = Util.Rng.int rng extents in
+    let soft = Io_sched.soft_ptr sched ~extent in
+    let what =
+      Util.Rng.weighted rng [ (10, `Read); (5, `Append); (1, `Reset); (1, `Invalidate) ]
+    in
+    (match what with
+    | `Read when soft > 0 ->
+      let off = Util.Rng.int rng soft in
+      let len = Util.Rng.int_in rng 1 (min (soft - off) (3 * ps)) in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d step %d: read" seed i)
+        (ok (Io_sched.read sched ~extent ~off ~len))
+        (ok (Cache.read cache ~extent ~off ~len));
+      Lru_model.read model ~extent ~off ~len ~soft
+    | `Read -> ()
+    | `Append when soft < extent_size ->
+      (* Lengths that start and end mid-page leave partial pages cached. *)
+      let len = Util.Rng.int_in rng 1 (min (extent_size - soft) (2 * ps)) in
+      let data = String.init len (fun j -> Char.chr (97 + ((i + j) mod 26))) in
+      append sched ~extent data;
+      if Util.Rng.bool rng then begin
+        Cache.fill cache ~extent ~off:soft data;
+        Lru_model.fill model ~extent ~off:soft ~len
+      end
+    | `Append -> ()
+    | `Reset ->
+      ignore (ok (Io_sched.reset sched ~extent ~input:Dep.trivial));
+      Cache.note_reset cache ~extent;
+      Lru_model.note_reset model ~extent
+    | `Invalidate ->
+      Cache.invalidate_all cache;
+      Lru_model.invalidate_all model);
+    let st = Cache.stats cache in
+    let label what = Printf.sprintf "capacity %d seed %d step %d: %s" capacity seed i what in
+    Alcotest.(check int) (label "hits") model.Lru_model.hits st.Cache.hits;
+    Alcotest.(check int) (label "misses") model.Lru_model.misses st.Cache.misses;
+    Alcotest.(check int) (label "evictions") model.Lru_model.evictions st.Cache.evictions
+  in
+  for i = 1 to 300 do
+    step i
   done;
-  let st = Cache.stats cache in
-  Alcotest.(check bool) "evictions happened" true (st.Cache.evictions > 0)
+  Alcotest.(check int) "no illegal transitions" 0 (List.length (Cache.transition_violations cache));
+  model.Lru_model.evictions
+
+(* Seeded random sequences at three capacities, with and without
+   write-allocate. The three extents hold 12 pages, so capacity 16 never
+   evicts and checks the hit/miss accounting alone. *)
+let test_eviction () =
+  Faults.disable_all ();
+  List.iter
+    (fun capacity ->
+      let evictions = ref 0 in
+      List.iter
+        (fun write_allocate ->
+          for seed = 0 to 19 do
+            evictions := !evictions + run_model_sequence ~capacity ~write_allocate ~seed
+          done)
+        [ false; true ];
+      Alcotest.(check bool)
+        (Printf.sprintf "capacity %d evicts" capacity)
+        (capacity < 12) (!evictions > 0))
+    [ 1; 2; 16 ]
 
 let test_miss_hits_injected_fault () =
   let disk, sched, cache = make () in
@@ -191,7 +335,6 @@ let test_lifecycle_audit_clean () =
   ignore (ok (Cache.read cache ~extent:0 ~off:32 ~len:16));
   ignore (ok (Cache.read cache ~extent:1 ~off:0 ~len:16));
   append sched ~extent:1 "xx";
-  Cache.note_write cache ~extent:1 ~off:32 ~len:2;
   Cache.invalidate_all cache;
   ignore (ok (Cache.read cache ~extent:0 ~off:0 ~len:16));
   Alcotest.(check bool) "transitions audited" true (Cache.transitions_checked cache > 0);
@@ -208,7 +351,7 @@ let () =
           Alcotest.test_case "read through" `Quick test_read_through;
           Alcotest.test_case "cross page read" `Quick test_cross_page_read;
           Alcotest.test_case "read beyond pointer" `Quick test_read_beyond_pointer;
-          Alcotest.test_case "write invalidates tail" `Quick test_note_write_invalidates_tail;
+          Alcotest.test_case "short page re-fetched after append" `Quick test_short_page_refetched;
           Alcotest.test_case "reset invalidates" `Quick test_note_reset_invalidates;
           Alcotest.test_case "eviction" `Quick test_eviction;
           Alcotest.test_case "invalidate all" `Quick test_invalidate_all;

@@ -71,6 +71,31 @@ let test_promise () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "double bind must raise"
 
+(* Stage a chain of appends, each depending on the previous one, and keep
+   only the last dependency. Never inlined, so no frame of the caller still
+   holds a payload. *)
+let[@inline never] stage_chain s first =
+  let dep = ref Dep.trivial in
+  for i = 0 to 7 do
+    let data = String.make 4 (Char.chr (97 + i)) in
+    if i = 0 then Weak.set first 0 (Some data);
+    dep := ok (Io_sched.append s ~extent:(i mod 4) ~data ~input:!dep)
+  done;
+  !dep
+
+(* A settled write drops its input: a durable chain's last dependency must
+   not pin the payloads written before it. *)
+let test_settled_chain_releases_payloads () =
+  let _, s = make () in
+  let first = Weak.create 1 in
+  let last = stage_chain s first in
+  Alcotest.(check bool) "first payload live while pending" true (Weak.check first 0);
+  ok (Io_sched.flush s);
+  Alcotest.(check bool) "chain durable" true (Dep.is_persistent last);
+  Gc.full_major ();
+  Alcotest.(check bool) "first payload collected" false (Weak.check first 0);
+  Alcotest.(check bool) "last dep still persistent" true (Dep.is_persistent last)
+
 let test_promise_cycle_terminates () =
   (* A promise accidentally bound into a dependency containing itself must
      not send the traversals into a loop. *)
@@ -379,6 +404,8 @@ let () =
           Alcotest.test_case "reset epoch volatile" `Quick test_reset_epoch_volatile;
           Alcotest.test_case "extent full" `Quick test_extent_full;
           Alcotest.test_case "stats" `Quick test_stats;
+          Alcotest.test_case "settled chain releases payloads" `Quick
+            test_settled_chain_releases_payloads;
         ] );
       ( "group commit",
         [
