@@ -26,6 +26,7 @@ let find t key =
   go 0 (Array.length t)
 
 let to_list = Array.to_list
+let iter f t = Array.iter (fun (k, e) -> f k e) t
 
 let merge ~drop_tombstones runs =
   (* Head shadows tail: fold oldest-first so newer bindings overwrite. *)

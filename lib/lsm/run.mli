@@ -20,6 +20,9 @@ val find : t -> string -> Entry.t option
 (** All pairs in key order. *)
 val to_list : t -> (string * Entry.t) list
 
+(** [iter f t] calls [f key entry] on every pair in key order. *)
+val iter : (string -> Entry.t -> unit) -> t -> unit
+
 (** [merge ~drop_tombstones newest_first] merges runs (head shadows tail).
     [drop_tombstones:true] is valid only when no older entry for any merged
     key can survive elsewhere — i.e. when merging into the {e deepest}

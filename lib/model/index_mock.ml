@@ -27,6 +27,9 @@ let get t ~key =
 let keys t =
   Ok (Util.Tbl.sorted_keys ~compare:String.compare t.table)
 
+let live_locators t =
+  Ok (Util.Tbl.fold_sorted (fun _ (locs, _) acc -> List.rev_append locs acc) t.table [])
+
 type cursor = { mutable remaining : (string * Chunk.Locator.t list) list }
 
 let scan t ~lo ~hi =

@@ -334,16 +334,8 @@ module Make (Index : Store_intf.INDEX) = struct
         Hashtbl.replace live loc.Chunk.Locator.extent (prev + footprint t loc)
       end
     in
-    let* keys = index_err (Index.keys t.index) in
-    let* () =
-      List.fold_left
-        (fun acc key ->
-          let* () = acc in
-          let* locs = index_err (Index.get t.index ~key) in
-          List.iter add (Option.value ~default:[] locs);
-          Ok ())
-        (Ok ()) keys
-    in
+    let* locs = index_err (Index.live_locators t.index) in
+    List.iter add locs;
     List.iter (fun (_, loc) -> add loc) (Index.run_locators t.index);
     Ok live
 

@@ -27,6 +27,11 @@ module type INDEX = sig
   val get : t -> key:string -> (Chunk.Locator.t list option, error) result
   val keys : t -> (string list, error) result
 
+  (** The locators of every live key, in no particular order: what [keys]
+      and a [get] per key return, in one pass. Reclamation's liveness scan
+      runs it once per extent it reclaims. *)
+  val live_locators : t -> (Chunk.Locator.t list, error) result
+
   (** A snapshot-at-open range cursor over live entries ([lo <= key <= hi],
       [None] = unbounded); all IO happens at open, so [cursor_next] is
       total. *)
