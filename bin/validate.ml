@@ -173,10 +173,10 @@ let chaos_expected_coverage =
 
 let chaos_run ~domains ~campaigns ~length ~seed =
   Faults.disable_all ();
-  Util.Coverage.reset ();
+  Obs.Coverage.reset ();
   let summary = Experiments.Chaos.run ~domains ~campaigns ~length ~seed () in
   Experiments.Chaos.print summary;
-  let blind = Util.Coverage.blind_spots ~expected:chaos_expected_coverage () in
+  let blind = Obs.Coverage.blind_spots ~expected:chaos_expected_coverage () in
   (match blind with
   | [] ->
     Printf.printf "\ncoverage: all %d request-plane paths exercised\n"
@@ -204,8 +204,9 @@ let chaos_run ~domains ~campaigns ~length ~seed =
    zero findings required; (3) the real Atomic rwlock hammered by racing
    domains, with its transition trace audited against the protocol spec
    and the protected-register history checked linearizable; (4) N domains
-   driving one shared store, every per-key history checked linearizable
-   against the sequential register model. *)
+   driving one shared store with a wire-trace recorder attached, the
+   recorded history audited offline against the per-key model; then the
+   maintenance-racing gate below. *)
 (* [--lint-graph FILE]: dump the named lock-class edges the hot-path model
    observed, one "held acquired" pair per line. lib/lint cross-checks this
    against its static acquisition graph: every dynamic edge must appear
@@ -230,33 +231,20 @@ let export_lint_graph path reports =
   close_out oc;
   Printf.printf "  lint-graph: %d class edge(s) -> %s\n" (List.length edges) path
 
-(* The maintenance-racing gates, appended to --shared and also runnable
-   on their own as --maint (the CI maint-smoke job): (a) per-key
-   linearizability must hold while a dedicated maintenance domain races
-   the foreground with narrowed shard flushes, compactions and reclaims;
-   (b) a wire-traced run of the same shape (maintenance flushes leaving
-   Flush markers) must audit Valid offline. The model-side half — the
-   Conc_shared maintenance harnesses under FastTrack — rides in the
-   hot-path model gate, which --maint re-runs for its lint-graph
+(* The maintenance-racing gate, appended to --shared and also runnable
+   on its own as --maint (the CI maint-smoke job): the recorded racing
+   store run with a dedicated maintenance domain racing the foreground
+   (narrowed shard flushes, compactions and reclaims, each flush leaving
+   a marker in the trace) must audit Valid offline, with zero
+   maintenance errors and at least one maintenance flush. The model-side
+   half — the Conc_shared maintenance harnesses under FastTrack — rides
+   in the hot-path model gate, which --maint re-runs for its lint-graph
    export. *)
-let maint_gates ~gate ~n ~shared_ops ~seed =
-  Printf.printf "shared: %d foreground domains + 1 maintenance domain (linearizability)\n" n;
-  let lin =
-    Experiments.Shared_lin.run ~domains:n ~ops_per_domain:shared_ops ~seed ~maint:true ()
-  in
-  Format.printf "  %a@." Experiments.Shared_lin.pp_report lin;
-  gate "maintenance-racing linearizability" (Experiments.Shared_lin.ok lin);
-  Printf.printf "shared: traced maintenance-racing run (offline wire-trace audit)\n";
-  let audit, stats = Experiments.Shared_lin.traced_maint ~domains:n ~seed () in
-  Format.printf "  %a@." Tracecheck.Audit.pp_report audit;
-  Printf.printf "  maint domain: %d steps, %d flushes draining %d, %d compacts, %d reclaims, %d errors\n"
-    stats.Store.Shared.Maint.steps stats.Store.Shared.Maint.flushes
-    stats.Store.Shared.Maint.drained stats.Store.Shared.Maint.compacts
-    stats.Store.Shared.Maint.reclaims stats.Store.Shared.Maint.errors;
-  gate "maintenance trace audit"
-    (Tracecheck.Audit.ok audit
-    && stats.Store.Shared.Maint.errors = 0
-    && stats.Store.Shared.Maint.flushes > 0)
+let maint_gate ~gate ~n ~shared_ops ~seed =
+  Printf.printf "shared: %d foreground domains + 1 maintenance domain (audited)\n" n;
+  let r = Experiments.Shared_lin.run ~domains:n ~ops_per_domain:shared_ops ~seed ~maint:true () in
+  Format.printf "  %a@." Experiments.Shared_lin.pp_report r;
+  gate "maintenance-racing audit" (Experiments.Shared_lin.ok r)
 
 let shared_run ~domains ~shared_ops ~seed ~lint_graph =
   Faults.disable_all ();
@@ -283,11 +271,11 @@ let shared_run ~domains ~shared_ops ~seed ~lint_graph =
   let impl_report = Conc.Rwlock.Check.impl ~domains:n ~seed () in
   Format.printf "  %a@." Conc.Rwlock.Check.pp_impl_report impl_report;
   gate "rwlock impl" (Conc.Rwlock.Check.impl_ok impl_report);
-  Printf.printf "shared: %d domains x %d ops against one shared store\n" n shared_ops;
+  Printf.printf "shared: %d domains x %d ops against one shared store (audited)\n" n shared_ops;
   let lin_report = Experiments.Shared_lin.run ~domains:n ~ops_per_domain:shared_ops ~seed () in
   Format.printf "  %a@." Experiments.Shared_lin.pp_report lin_report;
   gate "store linearizability" (Experiments.Shared_lin.ok lin_report);
-  maint_gates ~gate ~n ~shared_ops ~seed;
+  maint_gate ~gate ~n ~shared_ops ~seed;
   if !failures = 0 then begin
     Printf.printf "shared-state conformance clean\n";
     0
@@ -300,7 +288,7 @@ let shared_run ~domains ~shared_ops ~seed ~lint_graph =
 (* [--maint]: the maintenance-plane subset of --shared, small enough for
    a dedicated CI job: the hot-path model (maintenance harnesses
    included, FastTrack attached, dynamic lock-graph export for the
-   lint cross-check) plus the two maintenance-racing gates. *)
+   lint cross-check) plus the maintenance-racing gate. *)
 let maint_run ~domains ~shared_ops ~seed ~lint_graph =
   Faults.disable_all ();
   let n = if domains > 1 then domains else 3 in
@@ -318,7 +306,7 @@ let maint_run ~domains ~shared_ops ~seed ~lint_graph =
   (match lint_graph with
   | Some path -> export_lint_graph path shared_reports
   | None -> ());
-  maint_gates ~gate ~n ~shared_ops ~seed;
+  maint_gate ~gate ~n ~shared_ops ~seed;
   if !failures = 0 then begin
     Printf.printf "maintenance-plane conformance clean\n";
     0
@@ -342,7 +330,7 @@ let trace_audit_run ~domains ~campaigns ~length ~seed ~shared_ops =
 
 let run_conformance sequences length seed metrics_out batch_weight scan_weight domains =
   Faults.disable_all ();
-  Util.Coverage.reset ();
+  Obs.Coverage.reset ();
   let config = Lfm.Harness.default_config in
   (* batch_weight / scan_weight = 0 (the defaults) keep the seed-for-seed
      op streams of a plain sweep; positive weights mix PutBatch/DeleteBatch
@@ -379,12 +367,12 @@ let run_conformance sequences length seed metrics_out batch_weight scan_weight d
   Printf.printf "\ncoverage:\n";
   List.iter
     (fun (name, n) -> Printf.printf "  %-40s %d\n" name n)
-    (Util.Coverage.snapshot ());
+    (Obs.Coverage.snapshot ());
   (* Scan coverage is only expected when scans are actually generated. *)
   let expected_coverage =
     if scan_weight > 0 then expected_coverage @ [ "index.scan" ] else expected_coverage
   in
-  (match Util.Coverage.blind_spots ~expected:expected_coverage () with
+  (match Obs.Coverage.blind_spots ~expected:expected_coverage () with
   | [] -> Printf.printf "  no blind spots among %d expected paths\n" (List.length expected_coverage)
   | spots -> Printf.printf "  BLIND SPOTS: %s\n" (String.concat ", " spots));
   let metrics_ok = metrics_summary config ~bias ~length ~seed metrics_out in
@@ -484,14 +472,16 @@ let shared =
            model checked exhaustively under SMC, the sharded hot-path model (maintenance \
            harnesses included) under the FastTrack race detector and lock-order analysis, \
            the real Atomic rwlock audited on racing domains, N domains driving one shared \
-           store with every per-key history checked linearizable — then the \
-           maintenance-racing gates (see --maint). Exit 1 on any finding.")
+           store with the recorded history audited against the per-key model — then the \
+           maintenance-racing gate (see --maint). Exit 1 on any finding.")
 
 let shared_ops =
   Arg.(
     value & opt int 64
     & info [ "shared-ops" ]
-        ~doc:"Operations per racing domain in the --shared store workload.")
+        ~doc:
+          "Operations per racing domain in the recorded shared-store workload of --shared, \
+           --maint and --trace-audit.")
 
 let lint_graph =
   Arg.(
@@ -525,9 +515,9 @@ let maint =
           "Run the maintenance-plane conformance gate on its own (it also runs as part of \
            --shared): the sharded hot-path model with the maintenance-vs-foreground \
            harnesses under the FastTrack race detector and lock-order analysis (exporting \
-           --lint-graph when asked), N foreground domains racing a dedicated maintenance \
-           domain with every per-key history checked linearizable, and a wire-traced run of \
-           the same shape audited offline. Exit 1 on any finding.")
+           --lint-graph when asked), and N foreground domains racing a dedicated \
+           maintenance domain on one shared store, the recorded history audited offline \
+           against the per-key model. Exit 1 on any finding.")
 
 let cmd =
   Cmd.v

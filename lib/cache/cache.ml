@@ -26,8 +26,6 @@ type t = {
   mutable tick : int;
 }
 
-type stats = { hits : int; misses : int; evictions : int }
-
 let create ?(capacity_pages = 64) ?(write_allocate = false) ?obs sched =
   let obs = match obs with Some o -> o | None -> Io_sched.obs sched in
   {
@@ -244,11 +242,3 @@ let transitions_checked t = Conc.Rwlock.with_read t.lock (fun () -> Conc.Cache_s
 
 let transition_violations t =
   Conc.Rwlock.with_read t.lock (fun () -> Conc.Cache_sm.violations t.audit)
-
-(* A thin view over the registry counters; parity is by construction. *)
-let stats (t : t) =
-  {
-    hits = Obs.Counter.value t.m.m_hits;
-    misses = Obs.Counter.value t.m.m_misses;
-    evictions = Obs.Counter.value t.m.m_evictions;
-  }

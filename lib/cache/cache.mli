@@ -66,12 +66,6 @@ val note_reset : t -> extent:int -> unit
 (** Drop everything (used on reboot). *)
 val invalidate_all : t -> unit
 
-type stats = { hits : int; misses : int; evictions : int }
-
-(** A legacy view over the registry counters; always equal to the
-    corresponding {!Obs} values. *)
-val stats : t -> stats
-
 (** {2 Lifecycle audit} *)
 
 (** Entry transitions taken (and checked against {!Conc.Cache_sm.legal})

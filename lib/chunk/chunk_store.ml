@@ -21,14 +21,6 @@ let error_class = function
   | Stale_locator _ -> `Fatal
   | Superblock e -> Superblock.error_class e
 
-type stats = {
-  puts : int;
-  gets : int;
-  evacuated : int;
-  dropped : int;
-  reclamations : int;
-}
-
 type metrics = {
   m_puts : Obs.Counter.t;
   m_gets : Obs.Counter.t;
@@ -91,16 +83,6 @@ let obs t = t.obs
 let set_uuid_bias t p = t.uuid_bias <- p
 let open_extent t = t.open_ext
 let close_open_extent t = t.open_ext <- None
-
-(* A thin view over the registry counters; parity is by construction. *)
-let stats t =
-  {
-    puts = Obs.Counter.value t.m.m_puts;
-    gets = Obs.Counter.value t.m.m_gets;
-    evacuated = Obs.Counter.value t.m.m_evacuated;
-    dropped = Obs.Counter.value t.m.m_dropped;
-    reclamations = Obs.Counter.value t.m.m_reclamations;
-  }
 
 let fresh_uuid t =
   let u = Uuid.generate t.rng in

@@ -106,14 +106,3 @@ val open_extent : t -> int option
 (** Forget the open extent (used on reboot: volatile allocation state). *)
 val close_open_extent : t -> unit
 
-type stats = {
-  puts : int;
-  gets : int;
-  evacuated : int;
-  dropped : int;
-  reclamations : int;
-}
-
-(** A legacy view over the registry counters; always equal to the
-    corresponding {!Obs} values. *)
-val stats : t -> stats

@@ -371,8 +371,10 @@ module Check = struct
       (if r.linearizable then "linearizable" else "NOT LINEARIZABLE");
     List.iter (fun v -> Format.fprintf fmt "@.  %a" Trace.pp_violation v) r.trace_violations
 
-  type reg_op = W of int | R
-  type reg_res = Wrote | Read_back of int
+  (* A register event: a write of the value, or a read that saw it. *)
+  type reg_act = Write of int | Read of int
+
+  let reg_step s = function Write v -> Some v | Read v -> if v = s then Some s else None
 
   (* Real domains hammer one lock-protected register. The register is a
      plain ref on purpose: the lock is the only thing making this
@@ -382,39 +384,35 @@ module Check = struct
     let lock = create ~trace_capacity:((8 * domains * ops_per_domain) + 64) () in
     let reg = ref 0 in
     let clock = Atomic.make 0 in
+    let timed f =
+      let invoked = Atomic.fetch_and_add clock 1 in
+      let act = f () in
+      let returned = Atomic.fetch_and_add clock 1 in
+      { Lincheck.invoked; returned; act }
+    in
     let run d =
       let rng = Util.Rng.of_int (seed + (31 * d)) in
       List.init ops_per_domain (fun i ->
           if Util.Rng.bool rng then begin
             let v = ((d + 1) * 1000) + i in
-            let invoked = Atomic.fetch_and_add clock 1 in
-            with_write lock (fun () -> reg := v);
-            let returned = Atomic.fetch_and_add clock 1 in
-            { Linearize.thread = d; op = W v; result = Wrote; invoked; returned }
+            timed (fun () ->
+                with_write lock (fun () -> reg := v);
+                Write v)
           end
-          else begin
-            let invoked = Atomic.fetch_and_add clock 1 in
-            let v = with_read lock (fun () -> !reg) in
-            let returned = Atomic.fetch_and_add clock 1 in
-            { Linearize.thread = d; op = R; result = Read_back v; invoked; returned }
-          end)
+          else timed (fun () -> Read (with_read lock (fun () -> !reg))))
     in
     let helpers =
       Array.init (domains - 1) (fun d -> Domain.spawn (fun () -> run (d + 1)))
     in
-    let events = Array.fold_left (fun acc dom -> acc @ Domain.join dom) (run 0) helpers in
-    let history =
-      List.sort (fun a b -> compare a.Linearize.invoked b.Linearize.invoked) events
-    in
-    let apply s = function W v -> (v, Wrote) | R -> (s, Read_back s) in
-    let linearizable = Linearize.check ~init:0 ~apply ~equal_res:( = ) history in
+    let history = Array.fold_left (fun acc dom -> acc @ Domain.join dom) (run 0) helpers in
+    let verdict, _ = Lincheck.search ~init:0 ~step:reg_step history in
     let trace_checked, trace_violations = Trace.validate lock in
     {
       transitions = Trace.transitions lock;
       trace_checked;
       trace_violations;
       history_len = List.length history;
-      linearizable;
+      linearizable = verdict = Lincheck.Linearizable;
     }
 
   let impl_ok r =

@@ -17,7 +17,7 @@
       transition trace is replayed against {!Spec.classify}
       ({!Trace.validate}), and racing real domains hammering a
       lock-protected register are checked linearizable against the
-      sequential register model via {!Linearize.find} ({!Check.impl}).
+      sequential register model by {!Lincheck} ({!Check.impl}).
 
     Writer preference: a reader may enter only when no writer is pending,
     so a continuous stream of readers cannot starve a writer. Neither lock
@@ -183,9 +183,9 @@ module Check : sig
   (** Cross-check the real lock on real domains: [domains] domains each
       perform [ops_per_domain] reads/writes of a register protected by one
       lock, timestamped with a shared atomic clock; the history must
-      linearize against the sequential register model ({!Linearize.find})
-      and the transition trace must validate. Keep the history small —
-      linearizability checking is exponential. *)
+      linearize against the sequential register model ({!Lincheck.search},
+      within its default node budget) and the transition trace must
+      validate. *)
   val impl : ?domains:int -> ?ops_per_domain:int -> ?seed:int -> unit -> impl_report
 
   val impl_ok : impl_report -> bool

@@ -39,7 +39,7 @@ let run_arm ~label ~cache_pages ~max_sequences ~seed =
   let config = { Lfm.Harness.default_config with Lfm.Harness.store_config } in
   Faults.disable_all ();
   Faults.enable Faults.F17_cache_miss_path;
-  Util.Coverage.reset ();
+  Obs.Coverage.reset ();
   Fun.protect
     ~finally:(fun () -> Faults.disable_all ())
     (fun () ->
@@ -65,9 +65,9 @@ let run_arm ~label ~cache_pages ~max_sequences ~seed =
         cache_pages;
         detected;
         sequences;
-        cache_misses = Util.Coverage.count "cache.miss";
-        cache_hits = Util.Coverage.count "cache.hit";
-        blind_spots = Util.Coverage.blind_spots ~expected:expected_coverage ();
+        cache_misses = Obs.Coverage.count "cache.miss";
+        cache_hits = Obs.Coverage.count "cache.hit";
+        blind_spots = Obs.Coverage.blind_spots ~expected:expected_coverage ();
       })
 
 let run ?(max_sequences = 600) ?(seed = 77_000) () =

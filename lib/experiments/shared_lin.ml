@@ -1,32 +1,23 @@
-type op = Put of string | Get | Delete
-type res = Acked | Got of string option
-
-type key_report = { key : string; events : int; linearizable : bool }
+module Audit = Tracecheck.Audit
 
 type report = {
   domains : int;
   ops_per_domain : int;
   shards : int;
   keys : int;
-  flushes : int;  (** mid-run flushes issued by racing domains *)
+  flushes : int;
   errors : int;
-  events : int;  (** per-key events checked, summed *)
-  max_key_events : int;
-  key_reports : key_report list;  (** keys whose history was non-empty *)
-  final_drain_ok : bool;  (** post-join flush succeeded and staging is empty *)
-  post_drain_consistent : bool;  (** Shared.get = underlying get for every key *)
+  audit : Audit.report;
+  final_drain_ok : bool;
+  post_drain_consistent : bool;
   maint : Store.Shared.Maint.stats option;
-      (** stats of the racing maintenance domain, when one was attached *)
 }
 
 let pp_report fmt r =
-  let bad = List.filter (fun k -> not k.linearizable) r.key_reports in
   Format.fprintf fmt
-    "%d domains x %d ops over %d keys (%d shards): %d events (max %d/key), %d flushes, %d \
-     errors; %d/%d keys linearizable; drain %s, post-drain reads %s"
-    r.domains r.ops_per_domain r.keys r.shards r.events r.max_key_events r.flushes r.errors
-    (List.length r.key_reports - List.length bad)
-    (List.length r.key_reports)
+    "%d domains x %d ops over %d keys (%d shards): %d flushes, %d errors; drain %s, \
+     post-drain reads %s"
+    r.domains r.ops_per_domain r.keys r.shards r.flushes r.errors
     (if r.final_drain_ok then "ok" else "FAILED")
     (if r.post_drain_consistent then "consistent" else "INCONSISTENT");
   (match r.maint with
@@ -36,101 +27,67 @@ let pp_report fmt r =
                         reclaims, %d errors)"
       s.Store.Shared.Maint.steps s.Store.Shared.Maint.flushes s.Store.Shared.Maint.drained
       s.Store.Shared.Maint.compacts s.Store.Shared.Maint.reclaims s.Store.Shared.Maint.errors);
-  List.iter (fun k -> Format.fprintf fmt "@.  NOT linearizable: %s (%d events)" k.key k.events) bad
+  Format.fprintf fmt "@.  audit %a" Audit.pp_report r.audit
 
 let ok r =
-  r.errors = 0 && r.events > 0 && r.final_drain_ok && r.post_drain_consistent
-  && List.for_all (fun k -> k.linearizable) r.key_reports
+  r.errors = 0 && r.audit.Audit.ops > 0 && Audit.ok r.audit && r.final_drain_ok
+  && r.post_drain_consistent
   && match r.maint with
      | None -> true
-     | Some s -> s.Store.Shared.Maint.errors = 0 && s.Store.Shared.Maint.steps > 0
-
-(* The sequential reference model of one key: a register holding
-   [string option]. *)
-let apply s = function
-  | Put v -> (Some v, Acked)
-  | Delete -> (None, Acked)
-  | Get -> (s, Got s)
+     | Some s ->
+       s.Store.Shared.Maint.errors = 0 && s.Store.Shared.Maint.steps > 0
+       && s.Store.Shared.Maint.flushes > 0
 
 let run ?(domains = 4) ?(ops_per_domain = 64) ?(shards = 4) ?(seed = 0) ?(maint = false) () =
+  let recorder = Tracecheck.Trace.Recorder.create ~byte_budget:(32 * 1024 * 1024) () in
   (* default_config: real geometry with auto maintenance — the workload
      probes races, not extent exhaustion (test_config's tiny geometry
      runs out of space under hundreds of racing ops). *)
-  let store = Store.Shared.create ~shards Store.Default.default_config in
-  (* Scale the key universe so expected per-key history stays small:
-     linearizability checking is exponential in events per key. *)
+  let store = Store.Shared.create ~shards ~trace:recorder Store.Default.default_config in
   let total = domains * ops_per_domain in
   let keys = max 4 (total / 8) in
-  let key i = Printf.sprintf "k%02d" i in
-  let clock = Conc.Domains.Clock.create () in
-  let tick () = Conc.Domains.Clock.tick clock in
+  (* Fixed-width names, so a scan window [key j, key (j + 2)] is
+     contiguous in string order too. *)
+  let width = String.length (string_of_int (keys - 1)) in
+  let key i = Printf.sprintf "k%0*d" width i in
   let worker d =
     let rng = Util.Rng.of_int ((seed * 7919) + d) in
-    let events = ref [] in
     let errors = ref 0 in
     let flushes = ref 0 in
-    let record k op f =
-      let invoked = tick () in
-      let result = f () in
-      let returned = tick () in
-      (match result with
-      | Ok result ->
-        events := (k, { Linearize.thread = d; op; result; invoked; returned }) :: !events
-      | Error _ -> incr errors)
-    in
+    let count = function Ok _ -> () | Error _ -> incr errors in
     for i = 0 to ops_per_domain - 1 do
       let k = key (Util.Rng.int rng keys) in
       let v = Printf.sprintf "d%d-%d" d i in
       match Util.Rng.int rng 100 with
-      | r when r < 45 ->
-        record k Get (fun () ->
-            Result.map (fun g -> Got g) (Store.Shared.get store ~key:k))
-      | r when r < 72 ->
-        record k (Put v) (fun () ->
-            Result.map (fun () -> Acked) (Store.Shared.put store ~key:k ~value:v))
-      | r when r < 82 ->
-        record k Delete (fun () ->
-            Result.map (fun () -> Acked) (Store.Shared.delete store ~key:k))
-      | r when r < 92 ->
-        (* batch: two keys, one linearization interval each *)
+      | r when r < 40 -> count (Store.Shared.get store ~key:k)
+      | r when r < 65 -> count (Store.Shared.put store ~key:k ~value:v)
+      | r when r < 75 -> count (Store.Shared.delete store ~key:k)
+      | r when r < 85 ->
         let k2 = key (Util.Rng.int rng keys) in
-        let v2 = v ^ "b" in
-        let invoked = tick () in
-        let result = Store.Shared.put_batch store [ (k, v); (k2, v2) ] in
-        let returned = tick () in
-        (match result with
-        | Ok _ when k2 = k ->
-          (* both ops land on one key under one lock hold: last wins,
-             observable as a single Put of the final value *)
-          events :=
-            (k, { Linearize.thread = d; op = Put v2; result = Acked; invoked; returned })
-            :: !events
-        | Ok _ ->
-          events :=
-            (k2, { Linearize.thread = d; op = Put v2; result = Acked; invoked; returned })
-            :: (k, { Linearize.thread = d; op = Put v; result = Acked; invoked; returned })
-            :: !events
-        | Error _ -> incr errors)
-      | _ -> (
+        count (Store.Shared.put_batch store [ (k, v); (k2, v ^ "b") ])
+      | r when r < 93 ->
+        (* Narrow scans: a complete snapshot judges a handful of keys. *)
+        let j = Util.Rng.int rng keys in
+        count (Store.Shared.scan store ~lo:(key j) ~hi:(key (min (keys - 1) (j + 2))) ())
+      | _ ->
         incr flushes;
-        match Store.Shared.flush store with Ok _ -> () | Error _ -> incr errors)
+        count (Store.Shared.flush store)
     done;
-    (!events, !errors, !flushes)
+    (!errors, !flushes)
   in
   (* The maintenance domain races the whole foreground phase: round-robin
      narrowed shard flushes plus periodic compactions and reclaims, each
-     of which must be invisible to the per-key histories checked below. *)
+     of which must be invisible to the recorded history. *)
   let maint_worker =
     if maint then Some (Store.Shared.Maint.start ~compact_every:6 ~reclaim_every:9 store)
     else None
   in
   let results = Conc.Domains.spawn_join ~domains worker in
   (* Give a not-yet-scheduled maintenance domain (1-core host, short
-     foreground phase) a bounded chance to step before we stop it: stage
+     foreground phase) a bounded chance to flush before we stop it: stage
      one sentinel put and spin until the worker drains it. The sentinel
-     key is outside the checked key universe, so histories are
-     untouched, and the post-join flush below covers the bound running
-     out. *)
+     key is outside the workload's key universe, and the post-join flush
+     below covers the bound running out. *)
   (match maint_worker with
   | None -> ()
   | Some _ ->
@@ -143,8 +100,8 @@ let run ?(domains = 4) ?(ops_per_domain = 64) ?(shards = 4) ?(seed = 0) ?(maint 
     in
     wait 50_000_000);
   let maint_stats = Option.map Store.Shared.Maint.stop maint_worker in
-  let errors = List.fold_left (fun acc (_, e, _) -> acc + e) 0 results in
-  let flushes = List.fold_left (fun acc (_, _, f) -> acc + f) 0 results in
+  let errors = List.fold_left (fun acc (e, _) -> acc + e) 0 results in
+  let flushes = List.fold_left (fun acc (_, f) -> acc + f) 0 results in
   (* Post-join: drain staging, then the shared view and the underlying
      sequential store must agree on every key. *)
   let final_drain_ok =
@@ -159,25 +116,6 @@ let run ?(domains = 4) ?(ops_per_domain = 64) ?(shards = 4) ?(seed = 0) ?(maint 
            | Ok a, Ok b -> a = b
            | _ -> false)
   in
-  let by_key = Hashtbl.create keys in
-  List.iter
-    (fun (evs, _, _) ->
-      List.iter
-        (fun (k, ev) ->
-          Hashtbl.replace by_key k (ev :: (Option.value (Hashtbl.find_opt by_key k) ~default:[])))
-        evs)
-    results;
-  let key_reports =
-    Util.Tbl.fold_sorted
-      (fun k evs acc ->
-        let history = List.sort (fun a b -> compare a.Linearize.invoked b.Linearize.invoked) evs in
-        let linearizable =
-          Option.is_some (Linearize.find ~init:None ~apply ~equal_res:( = ) history)
-        in
-        { key = k; events = List.length history; linearizable } :: acc)
-      by_key []
-    |> List.sort (fun a b -> compare a.key b.key)
-  in
   {
     domains;
     ops_per_domain;
@@ -185,64 +123,8 @@ let run ?(domains = 4) ?(ops_per_domain = 64) ?(shards = 4) ?(seed = 0) ?(maint 
     keys;
     flushes;
     errors;
-    events = List.fold_left (fun acc (k : key_report) -> acc + k.events) 0 key_reports;
-    max_key_events = List.fold_left (fun acc (k : key_report) -> max acc k.events) 0 key_reports;
-    key_reports;
+    audit = Audit.audit recorder;
     final_drain_ok;
     post_drain_consistent;
     maint = maint_stats;
   }
-
-(* {2 Traced maintenance-racing run}
-
-   Same shape of foreground workload, but with a wire-trace recorder
-   attached and the maintenance domain always on: every foreground op is
-   recorded as an invocation/response interval and every maintenance
-   flush leaves a [Flush] marker, then the whole trace is audited
-   offline by Tracecheck — the end-to-end cross-check that a narrowed
-   flush racing real traffic leaves a linearizable wire history. *)
-let traced_maint ?(domains = 3) ?(ops_per_domain = 48) ?(shards = 4) ?(seed = 0) () =
-  let recorder = Tracecheck.Trace.Recorder.create ~byte_budget:(32 * 1024 * 1024) () in
-  let store = Store.Shared.create ~shards ~trace:recorder Store.Default.default_config in
-  let total = domains * ops_per_domain in
-  let nkeys = max 4 (total / 40) in
-  let key i = Printf.sprintf "k%02d" i in
-  let worker d =
-    let rng = Util.Rng.of_int ((seed * 6007) + d) in
-    for i = 0 to ops_per_domain - 1 do
-      let k = key (Util.Rng.int rng nkeys) in
-      let v = Printf.sprintf "d%d-%d" d i in
-      match Util.Rng.int rng 100 with
-      | r when r < 45 -> ignore (Store.Shared.get store ~key:k : (string option, _) result)
-      | r when r < 75 -> ignore (Store.Shared.put store ~key:k ~value:v : (unit, _) result)
-      | r when r < 85 -> ignore (Store.Shared.delete store ~key:k : (unit, _) result)
-      | r when r < 93 ->
-        let k2 = key (Util.Rng.int rng nkeys) in
-        ignore
-          (Store.Shared.put_batch store [ (k, v); (k2, v ^ "b") ]
-            : (Store.Shared.batch_result, _) result)
-      | _ ->
-        let j = Util.Rng.int rng nkeys in
-        let lo = key j and hi = key (min (nkeys - 1) (j + 2)) in
-        ignore (Store.Shared.scan store ~lo ~hi () : ((string * string) list, _) result)
-    done
-  in
-  let maint_worker = Store.Shared.Maint.start ~compact_every:5 ~reclaim_every:8 store in
-  let (_ : unit list) = Conc.Domains.spawn_join ~domains worker in
-  (* On a loaded (or 1-core) host the maintenance domain may not have been
-     scheduled yet when the foreground joins. Stage a little more work and
-     wait — bounded — until the worker demonstrably drains it, so the trace
-     always carries maintenance flush markers and the stats show steps. *)
-  List.iter
-    (fun i ->
-      ignore (Store.Shared.put store ~key:(key i) ~value:"post-join" : (unit, _) result))
-    (List.init (min nkeys shards) (fun i -> i));
-  let rec wait n =
-    if Store.Shared.staged_count store > 0 && n > 0 then begin
-      Conc.Domains.relax ();
-      wait (n - 1)
-    end
-  in
-  wait 50_000_000;
-  let stats = Store.Shared.Maint.stop maint_worker in
-  (Tracecheck.Audit.audit recorder, stats)

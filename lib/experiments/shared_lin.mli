@@ -1,25 +1,26 @@
-(** Racing-domain linearizability workload over ONE shared store — half
-    of the [validate --shared] conformance gate (the other half is the
-    {!Conc.Conc_shared} model check).
+(** Racing-domain linearizability workload over ONE shared store. It is
+    the store half of [validate --shared] (the other half is the
+    {!Conc.Conc_shared} model check), the whole racing run of
+    [validate --maint], and the shared-store surface of
+    [validate --trace-audit].
 
-    N real domains issue a seeded mix of put/get/delete/batch/flush
-    against a single {!Store.Shared}, timestamping every operation with
-    a shared atomic clock. After the domains join, each key's history is
-    checked for linearizability against the sequential register model
-    ([string option], {!Linearize.find}); the staging layer is drained
-    and the shared view must agree with the underlying sequential store
-    on every key.
+    N real domains issue a seeded mix of get, put, delete, two-key batch,
+    narrow snapshot scan (a three-key window) and flush against a single
+    {!Store.Shared} with a {!Tracecheck.Trace.Recorder} attached, so every
+    operation is recorded as an invocation/response interval from the
+    domain that ran it, and every flush leaves a marker. After the
+    domains join, the staging layer is drained and the shared view must
+    agree with the underlying sequential store on every key. The whole
+    recorded trace, post-join reads included, is then audited offline by
+    {!Tracecheck.Audit} against the per-key committed/indeterminate
+    model (OmniLink's method: recorded interval histories checked
+    against one sequential specification).
 
-    The key universe is scaled with the op count so per-key histories
-    stay short (linearizability checking is exponential per key), and
+    The key universe is scaled with the op count (total / 8 keys) so
+    per-key histories stay short, inside the search's memo range, and
     put values are unique per (domain, op), which both strengthens the
     check (a stale read cannot masquerade as a fresh one) and prunes the
     search. *)
-
-type op = Put of string | Get | Delete
-type res = Acked | Got of string option
-
-type key_report = { key : string; events : int; linearizable : bool }
 
 type report = {
   domains : int;
@@ -27,10 +28,8 @@ type report = {
   shards : int;
   keys : int;
   flushes : int;  (** mid-run flushes issued by racing domains *)
-  errors : int;
-  events : int;  (** per-key events checked, summed *)
-  max_key_events : int;
-  key_reports : key_report list;  (** keys whose history was non-empty *)
+  errors : int;  (** foreground operations that returned [Error] *)
+  audit : Tracecheck.Audit.report;  (** the offline audit of the recorded trace *)
   final_drain_ok : bool;  (** post-join flush succeeded and staging is empty *)
   post_drain_consistent : bool;  (** Shared.get = underlying get for every key *)
   maint : Store.Shared.Maint.stats option;
@@ -39,17 +38,17 @@ type report = {
 
 val pp_report : Format.formatter -> report -> unit
 
-(** Zero errors, a non-empty event set, every key linearizable, final
-    drain clean, post-drain views consistent — and, when a maintenance
-    domain raced the run, zero maintenance errors over a positive step
-    count. *)
+(** Zero errors, a non-empty trace that audits [Valid], final drain
+    clean, post-drain views consistent, and, when a maintenance domain
+    raced the run, zero maintenance errors and at least one maintenance
+    flush. *)
 val ok : report -> bool
 
 (** [run ?maint ()] — with [maint = true] (default false) a dedicated
     maintenance domain ({!Store.Shared.Maint}) races the foreground
     domains for the whole run: round-robin narrowed shard flushes plus
     periodic compactions and reclaims, all of which must be invisible to
-    the per-key histories. *)
+    the recorded history. *)
 val run :
   ?domains:int ->
   ?ops_per_domain:int ->
@@ -58,19 +57,3 @@ val run :
   ?maint:bool ->
   unit ->
   report
-
-(** [traced_maint ()] — the end-to-end cross-check: foreground domains
-    run a put/get/delete/batch/scan mix against a store with a
-    wire-trace recorder attached while the maintenance domain races
-    (its flushes leave [Flush] markers in the trace); returns the
-    offline {!Tracecheck.Audit} report over the captured history plus
-    the maintenance stats. The audit must come back [Valid] — a
-    narrowed flush racing real traffic leaves a linearizable wire
-    history. *)
-val traced_maint :
-  ?domains:int ->
-  ?ops_per_domain:int ->
-  ?shards:int ->
-  ?seed:int ->
-  unit ->
-  Tracecheck.Audit.report * Store.Shared.Maint.stats

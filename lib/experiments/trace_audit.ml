@@ -19,8 +19,7 @@ type summary = {
   chaos_ops : int;
   chaos_search_nodes : int;
   chaos_dropped : int;
-  shared_domains : int;
-  shared_report : A.report;
+  shared : Shared_lin.report;
   node_requests : int;
   node_report : A.report;
   forged : teeth_case list;
@@ -79,44 +78,6 @@ let run_chaos ~domains ~campaigns ~length ~seed =
         c_dropped = a.c_dropped + b.c_dropped;
       })
     ()
-
-(* {2 Racing Store.Shared workload} *)
-
-(* All domains record into one recorder while racing on one shared
-   store. Scans are kept narrow (a three-key window) so a complete
-   snapshot judges a handful of keys, keeping per-key histories inside
-   the memoizable range of the offline search. *)
-let run_shared ~domains ~ops_per_domain ~seed =
-  let recorder = T.Recorder.create ~byte_budget:(32 * 1024 * 1024) () in
-  (* default_config: real geometry — the workload probes races, not
-     extent exhaustion (as in Shared_lin). *)
-  let store = Store.Shared.create ~shards:8 ~trace:recorder Store.Default.default_config in
-  let total = domains * ops_per_domain in
-  let nkeys = max 4 (total / 40) in
-  let key i = Printf.sprintf "k%02d" i in
-  let worker d =
-    let rng = Util.Rng.of_int ((seed * 7919) + d) in
-    for i = 0 to ops_per_domain - 1 do
-      let k = key (Util.Rng.int rng nkeys) in
-      let v = Printf.sprintf "d%d-%d" d i in
-      match Util.Rng.int rng 100 with
-      | r when r < 40 -> ignore (Store.Shared.get store ~key:k : (string option, _) result)
-      | r when r < 65 -> ignore (Store.Shared.put store ~key:k ~value:v : (unit, _) result)
-      | r when r < 75 -> ignore (Store.Shared.delete store ~key:k : (unit, _) result)
-      | r when r < 85 ->
-        let k2 = key (Util.Rng.int rng nkeys) in
-        ignore
-          (Store.Shared.put_batch store [ (k, v); (k2, v ^ "b") ]
-            : (Store.Shared.batch_result, _) result)
-      | r when r < 93 ->
-        let j = Util.Rng.int rng nkeys in
-        let lo = key j and hi = key (min (nkeys - 1) (j + 2)) in
-        ignore (Store.Shared.scan store ~lo ~hi () : ((string * string) list, _) result)
-      | _ -> ignore (Store.Shared.flush store : (int, _) result)
-    done
-  in
-  let (_ : unit list) = Conc.Domains.spawn_join ~domains (fun d -> worker d) in
-  A.audit recorder
 
 (* {2 Rpc.Node request plane, pagination included} *)
 
@@ -268,8 +229,7 @@ let run_f18 ~campaigns ~seed =
 let run ?(domains = 1) ?(campaigns = 200) ?(length = 40) ?(seed = 0) ?(shared_ops = 300) () =
   let t0 = Util.Wallclock.now_s () in
   let chaos = run_chaos ~domains ~campaigns ~length ~seed in
-  let shared_domains = max 2 domains in
-  let shared_report = run_shared ~domains:shared_domains ~ops_per_domain:shared_ops ~seed in
+  let shared = Shared_lin.run ~domains:(max 2 domains) ~ops_per_domain:shared_ops ~seed () in
   let node_requests = 400 in
   let node_report = run_node ~requests:node_requests ~seed in
   let forged = run_forged () in
@@ -283,8 +243,7 @@ let run ?(domains = 1) ?(campaigns = 200) ?(length = 40) ?(seed = 0) ?(shared_op
     chaos_ops = chaos.c_ops;
     chaos_search_nodes = chaos.c_nodes;
     chaos_dropped = chaos.c_dropped;
-    shared_domains;
-    shared_report;
+    shared;
     node_requests;
     node_report;
     forged;
@@ -295,7 +254,7 @@ let run ?(domains = 1) ?(campaigns = 200) ?(length = 40) ?(seed = 0) ?(shared_op
 
 let ok s =
   s.chaos_valid = s.campaigns && s.chaos_violations = 0
-  && A.ok s.shared_report && A.ok s.node_report
+  && Shared_lin.ok s.shared && A.ok s.node_report
   && List.for_all (fun c -> c.t_rejected) s.forged
   && s.f18_detected = s.f18_campaigns
 
@@ -308,8 +267,7 @@ let print s =
   Printf.printf "%-52s %12d\n" "chaos operations judged" s.chaos_ops;
   Printf.printf "%-52s %12d\n" "chaos search nodes" s.chaos_search_nodes;
   Printf.printf "%-52s %12d\n" "chaos events dropped" s.chaos_dropped;
-  Format.printf "shared store (%d domains racing): %a@." s.shared_domains A.pp_report
-    s.shared_report;
+  Format.printf "shared store: %a@." Shared_lin.pp_report s.shared;
   Format.printf "rpc node (%d requests, paginated scan): %a@." s.node_requests A.pp_report
     s.node_report;
   Printf.printf "\nteeth — forged histories (each must be rejected):\n";

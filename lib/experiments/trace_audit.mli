@@ -11,9 +11,9 @@
     - {b chaos}: every campaign of the standard sweep re-runs with a
       recorder attached (faults armed by the ops, crash/heal markers
       included) and its trace must audit [Valid];
-    - {b shared}: a racing multi-domain [Store.Shared] workload (puts,
-      gets, deletes, two-key batches, narrow snapshot scans, mid-run
-      flushes) recorded concurrently from all domains;
+    - {b shared}: the racing multi-domain [Store.Shared] workload of
+      {!Shared_lin} (gets, puts, deletes, two-key batches, narrow snapshot
+      scans, mid-run flushes) recorded concurrently from all domains;
     - {b node}: an [Rpc.Node] request-plane workload, including a
       paginated scan driven through continuation tokens.
 
@@ -40,8 +40,7 @@ type summary = {
   chaos_ops : int;
   chaos_search_nodes : int;
   chaos_dropped : int;
-  shared_domains : int;
-  shared_report : Tracecheck.Audit.report;
+  shared : Shared_lin.report;  (** the racing store run, its audit included *)
   node_requests : int;
   node_report : Tracecheck.Audit.report;
   forged : teeth_case list;
@@ -52,8 +51,8 @@ type summary = {
 
 (** [run ?domains ?campaigns ?length ?seed ?shared_ops ()] — audit
     [campaigns] chaos campaigns of [length] ops (sharded over [domains],
-    defaults 200/40/seed 0), one racing [Store.Shared] run with
-    [domains] domains x [shared_ops] ops each (default 300), one
+    defaults 200/40/seed 0), one racing {!Shared_lin.run} with
+    [max 2 domains] domains x [shared_ops] ops each (default 300), one
     [Rpc.Node] workload, the forged-history teeth and the armed-#18
     teeth. *)
 val run :
@@ -65,9 +64,9 @@ val run :
   unit ->
   summary
 
-(** Everything green: every chaos trace [Valid], the shared and node
-    audits [Valid], every forged history rejected, and #18 detected in
-    every campaign. *)
+(** Everything green: every chaos trace [Valid], the shared run
+    {!Shared_lin.ok} (its audit [Valid]), the node audit [Valid], every
+    forged history rejected, and #18 detected in every campaign. *)
 val ok : summary -> bool
 
 val print : summary -> unit

@@ -35,14 +35,6 @@ type volatile = {
   pending : Dep.write Queue.t;
 }
 
-type stats = {
-  appends : int;
-  resets : int;
-  ios_issued : int;
-  bytes_written : int;
-  crashes : int;
-}
-
 type metrics = {
   m_appends : Obs.Counter.t;
   m_resets : Obs.Counter.t;
@@ -560,14 +552,3 @@ let crash t ~rng ~persist_probability ~split_pages =
   set_pending t 0;
   reload_volatile t;
   !report
-
-(* A thin view over the registry; parity with [Obs.snapshot] is by
-   construction. *)
-let stats t =
-  {
-    appends = Obs.Counter.value t.m.m_appends;
-    resets = Obs.Counter.value t.m.m_resets;
-    ios_issued = Obs.Counter.value t.m.m_ios;
-    bytes_written = Obs.Counter.value t.m.m_bytes;
-    crashes = Obs.Counter.value t.m.m_crashes;
-  }

@@ -134,18 +134,3 @@ val crash :
     restart without a disk crash. Recovery paths call it so they never
     observe staged-but-failed writes as if they were on disk. *)
 val discard_volatile : t -> unit
-
-(** {2 Statistics} *)
-
-type stats = {
-  appends : int;
-  resets : int;
-  ios_issued : int;
-  bytes_written : int;
-  crashes : int;
-}
-
-(** A legacy view assembled from the registry counters ([iosched.append],
-    [iosched.reset], [iosched.io_issued], [iosched.bytes_issued],
-    [iosched.crash]); always equal to the corresponding {!Obs} values. *)
-val stats : t -> stats

@@ -49,6 +49,15 @@ let hashtbl_allow = primitive_allow
    (one waiver line), the single funnel. *)
 let wallclock_allow = [ "bench/" ]
 
+(* A suspension forced by two domains at once raises
+   CamlinternalLazy.Undefined in OCaml 5, and any library code may run on
+   racing domains: build such values eagerly. *)
+let lazy_scope = [ "lib/" ]
+
+let lazy_message =
+  "lazy suspension in lib/: two domains forcing it at once raise \
+   CamlinternalLazy.Undefined; build the value eagerly"
+
 (* The rwlock implementation file: its model harnesses acquire locks that
    sit beneath the class discipline (the lock under test). *)
 let lockgraph_skip = [ "lib/conc/rwlock.ml" ]
@@ -260,6 +269,10 @@ let scan_file ~path ~source =
              Conc wrappers or record a waiver"
       | _ -> ());
       (match c with
+      | "Lazy" :: _ :: _ when allowlisted lazy_scope path ->
+        add_finding "lazy" line sym lazy_message
+      | _ -> ());
+      (match c with
       | "Random" :: rest
         when match List.rev rest with
              | ("self_init" | "make_self_init") :: _ -> true
@@ -361,6 +374,9 @@ let scan_file ~path ~source =
         | _ ->
           handle_metrics head args;
           super.expr it e)
+      | Pexp_lazy _ ->
+        if allowlisted lazy_scope path then add_finding "lazy" (line_of_expr e) "lazy" lazy_message;
+        super.expr it e
       | Pexp_ident { txt; _ } ->
         check_banned (line_of_expr e) (Longident.flatten txt);
         !fn.f_calls <- (!held, Longident.flatten txt) :: !fn.f_calls;

@@ -25,6 +25,9 @@
       [Hashtbl.iter]/[Hashtbl.fold] outside their allowlisted homes
       ([bench/], [lib/benchrec], and the sanctioned [Util.Wallclock] /
       [Util.Tbl] helpers via waiver);
+    - {b lazy values}: [lazy] expressions and [Lazy.*] in [lib/], because
+      OCaml 5 raises [CamlinternalLazy.Undefined] when two domains force
+      one suspension at once;
     - {b Obs blind-spot audit}: every metric name referenced by
       [Obs.counter_value]/[Obs.find]/[Coverage.count]/
       [Coverage.blind_spots ~expected] must be registered somewhere in the
@@ -33,7 +36,7 @@
 type finding = {
   rule : string;
       (** ["primitive"], ["lockgraph"], ["random"], ["wallclock"],
-          ["hashtbl"], ["metric"], ["parse"] or ["stale-waiver"] *)
+          ["hashtbl"], ["lazy"], ["metric"], ["parse"] or ["stale-waiver"] *)
   file : string;  (** repo-relative path, or ["(global)"] for graph-level findings *)
   line : int;  (** 0 for graph-level findings *)
   symbol : string;  (** offending identifier, metric name or ["a->b"] edge *)

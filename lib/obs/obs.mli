@@ -4,10 +4,8 @@
     The paper leans on observability as correctness tooling — coverage
     counters are its remedy for the missed cache-miss bug (section 8.3),
     and every experiment reduces to counting events across layers. This
-    module replaces the five ad-hoc mechanisms that grew out of that
-    ([Io_sched.stats], [Cache.stats], [Chunk_store.stats],
-    [Disk.injected_failures] and the global [Util.Coverage] table) with a
-    single instrument:
+    module is the one instrument for both; no layer keeps a stats view of
+    its own:
 
     - a {e metrics registry}: named, optionally labelled counters, gauges
       and histograms. Handles are resolved once at component-creation time,
@@ -20,8 +18,7 @@
       event log to counterexamples.
 
     Counters registered with [~coverage:true] additionally feed the global
-    {!Coverage} table (the blind-spot report of paper section 4.2), which
-    {!Util.Coverage} re-exports for compatibility.
+    {!Coverage} table (the blind-spot report of paper section 4.2).
 
     {b Constructor convention}: every component constructor that accepts a
     registry takes it as [?obs], and [?obs] is the {e first} optional
@@ -200,7 +197,8 @@ val pp_event : Format.formatter -> event -> unit
 
     The process-wide blind-spot table (paper section 4.2). Instance
     counters registered with [~coverage:true] feed it automatically;
-    {!hit} bumps it directly. [Util.Coverage] re-exports this module. *)
+    {!hit} bumps it directly. The table is shared by the whole process:
+    reset it at the start of anything that asserts on counts. *)
 module Coverage : sig
   val hit : string -> unit
   val count : string -> int

@@ -22,6 +22,7 @@ type report = {
   pending : int;
   markers : int;
   keys : int;
+  max_key_events : int;
   scans : int;
   dropped : int;
   search_nodes : int;
@@ -137,12 +138,9 @@ type act =
   | Mutate of { value : string option; acked : bool }
   | Observe of string option
 
-type kev = {
-  k_invoked : int;
-  k_returned : int;  (* max_int for pending mutations *)
-  k_act : act;
-  k_origin : Trace.entry list;
-}
+(* One per-key event: the engine's interval (returned = max_int for
+   pending mutations) plus the trace entries it came from. *)
+type kev = { ev : act Lincheck.event; origin : Trace.entry list }
 
 let apply st = function
   | Mutate { value; acked = true } -> Some { committed = value; maybe = [] }
@@ -226,7 +224,10 @@ let collect ops =
   List.iter
     (fun r ->
       let interval_act act =
-        { k_invoked = r.o_invoked; k_returned = r.o_returned; k_act = act; k_origin = origin_of r }
+        {
+          ev = { Lincheck.invoked = r.o_invoked; returned = r.o_returned; act };
+          origin = origin_of r;
+        }
       in
       match (r.o_op, r.o_outcome) with
       | Trace.Put { key; value }, outcome ->
@@ -272,62 +273,10 @@ let collect ops =
 
 (* {2 The per-key search}
 
-   Wing-Gong over the interval history: repeatedly linearize one minimal
-   pending event (no other pending event returns before it is invoked),
-   backtracking on inadmissible observations. Memoized on the (chosen
-   set, model state) pair when the history fits a bitmask; budgeted
-   always, with budget exhaustion reported as its own outcome. *)
+   One {!Lincheck} search per key, against the model above. *)
 
-exception Out_of_budget
-
-let search ~budget kevs0 =
-  let kevs =
-    Array.of_list (List.stable_sort (fun a b -> compare a.k_invoked b.k_invoked) kevs0)
-  in
-  let n = Array.length kevs in
-  let taken = Array.make n false in
-  let memo : (int * state, unit) Hashtbl.t option =
-    if n <= 61 then Some (Hashtbl.create 256) else None
-  in
-  let mask = ref 0 in
-  let nodes = ref 0 in
-  let rec go remaining st =
-    incr nodes;
-    if !nodes > budget then raise Out_of_budget;
-    if remaining = 0 then true
-    else if match memo with Some m -> Hashtbl.mem m (!mask, st) | None -> false then false
-    else begin
-      let min_ret = ref max_int in
-      for i = 0 to n - 1 do
-        if (not taken.(i)) && kevs.(i).k_returned < !min_ret then
-          min_ret := kevs.(i).k_returned
-      done;
-      let ok = ref false in
-      let i = ref 0 in
-      while (not !ok) && !i < n do
-        let e = kevs.(!i) in
-        if (not taken.(!i)) && e.k_invoked <= !min_ret then begin
-          match apply st e.k_act with
-          | Some st' ->
-            let j = !i in
-            taken.(j) <- true;
-            if memo <> None then mask := !mask lor (1 lsl j);
-            if go (remaining - 1) st' then ok := true
-            else begin
-              taken.(j) <- false;
-              if memo <> None then mask := !mask land lnot (1 lsl j)
-            end
-          | None -> ()
-        end;
-        incr i
-      done;
-      if not !ok then Option.iter (fun m -> Hashtbl.add m (!mask, st) ()) memo;
-      !ok
-    end
-  in
-  match go n init_state with
-  | ok -> ((if ok then `Linearizable else `Rejected), !nodes)
-  | exception Out_of_budget -> (`Gave_up, !nodes)
+let search ~budget kevs =
+  Lincheck.search ~budget ~init:init_state ~step:apply (List.map (fun k -> k.ev) kevs)
 
 (* {2 Minimization}
 
@@ -336,7 +285,7 @@ let search ~budget kevs0 =
    passing, so minimization can only shrink, never mislabel). *)
 let minimize ~budget kevs =
   let still_fails kevs =
-    kevs <> [] && match search ~budget kevs with `Rejected, _ -> true | _ -> false
+    kevs <> [] && match search ~budget kevs with Lincheck.Rejected, _ -> true | _ -> false
   in
   let current = ref kevs in
   let chunk = ref (max 1 (List.length kevs / 2)) in
@@ -354,7 +303,7 @@ let minimize ~budget kevs =
   !current
 
 let entries_of_kevs kevs =
-  List.concat_map (fun k -> k.k_origin) kevs
+  List.concat_map (fun k -> k.origin) kevs
   |> List.sort_uniq (fun (a : Trace.entry) b -> compare a.Trace.ts b.Trace.ts)
 
 (* {2 The cross-key snapshot test}
@@ -371,9 +320,9 @@ let entries_of_kevs kevs =
 let cross_check per_key s =
   let muts_of k =
     List.filter_map
-      (fun e ->
-        match e.k_act with
-        | Mutate { value; acked } -> Some (value, acked, e.k_invoked, e.k_returned)
+      (fun { ev; _ } ->
+        match ev.Lincheck.act with
+        | Mutate { value; acked } -> Some (value, acked, ev.Lincheck.invoked, ev.Lincheck.returned)
         | Observe _ -> None)
       (List.rev (Option.value (Hashtbl.find_opt per_key k) ~default:[]))
   in
@@ -414,7 +363,7 @@ let cross_check per_key s =
   if low <= high then None
   else
     let constraining k =
-      List.concat_map (fun e -> e.k_origin)
+      List.concat_map (fun e -> e.origin)
         (Option.value (Hashtbl.find_opt per_key k) ~default:[])
     in
     Some
@@ -432,7 +381,7 @@ let cross_check per_key s =
 
 (* {2 The audit} *)
 
-let run ?(budget_per_key = 200_000) ?(dropped = 0) entries =
+let run ?(budget_per_key = Lincheck.default_budget) ?(dropped = 0) entries =
   let wf_rejections, ops, markers = wire_check entries in
   let completed = List.length (List.filter (fun r -> r.o_outcome <> None) ops) in
   let base =
@@ -443,6 +392,7 @@ let run ?(budget_per_key = 200_000) ?(dropped = 0) entries =
       pending = List.length ops - completed;
       markers;
       keys = 0;
+      max_key_events = 0;
       scans = 0;
       dropped;
       search_nodes = 0;
@@ -456,16 +406,18 @@ let run ?(budget_per_key = 200_000) ?(dropped = 0) entries =
     let per_key, scans, struct_rejections = collect ops in
     let nodes_total = ref 0 in
     let gave_up = ref false in
+    let longest = ref 0 in
     let rejections = ref (List.rev struct_rejections) in
     Util.Tbl.iter_sorted
       (fun key kevs ->
         let kevs = List.rev kevs in
+        longest := max !longest (List.length kevs);
         let outcome, nodes = search ~budget:budget_per_key kevs in
         nodes_total := !nodes_total + nodes;
         match outcome with
-        | `Linearizable -> ()
-        | `Gave_up -> gave_up := true
-        | `Rejected ->
+        | Lincheck.Linearizable -> ()
+        | Lincheck.Gave_up -> gave_up := true
+        | Lincheck.Rejected ->
           let minimized = minimize ~budget:budget_per_key kevs in
           rejections :=
             {
@@ -495,6 +447,7 @@ let run ?(budget_per_key = 200_000) ?(dropped = 0) entries =
     {
       base with
       keys = Hashtbl.length per_key;
+      max_key_events = !longest;
       scans = List.length scans;
       search_nodes = !nodes_total;
       verdict;
@@ -510,10 +463,10 @@ let ok r = r.verdict = Valid
 
 let pp_report fmt r =
   Format.fprintf fmt
-    "%s: %d entries (%d ops: %d completed, %d pending; %d markers), %d keys, %d scans, %d \
-     dropped, %d search nodes"
-    (verdict_name r.verdict) r.entries r.ops r.completed r.pending r.markers r.keys r.scans
-    r.dropped r.search_nodes;
+    "%s: %d entries (%d ops: %d completed, %d pending; %d markers), %d keys (longest history \
+     %d events), %d scans, %d dropped, %d search nodes"
+    (verdict_name r.verdict) r.entries r.ops r.completed r.pending r.markers r.keys
+    r.max_key_events r.scans r.dropped r.search_nodes;
   List.iter
     (fun rej ->
       if rej.r_key = "" then Format.fprintf fmt "@.  wire: %s" rej.r_reason

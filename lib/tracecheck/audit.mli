@@ -20,9 +20,9 @@
       key at once (the cross-key check below rejects a scan that pairs a
       value only writable late with one already overwritten early).
 
-    Per-key histories are searched exhaustively (budgeted, memoized DFS
-    over the minimal-event frontier, as in {!Smc}'s [Linearize]); the
-    cross-key scan check is a sound interval test: for each judged key the
+    Per-key histories are searched exhaustively by {!Lincheck}, the one
+    linearizability engine in the tree (a budgeted, memoized DFS over the
+    minimal-event frontier); the cross-key scan check is a sound interval test: for each judged key the
     audit brackets when its observed value could have been current —
     after every writer of the value was invoked, before any acked
     overwrite certainly completed — and requires the brackets to
@@ -54,6 +54,7 @@ type report = {
   pending : int;  (** invocations with no response — judged indeterminate *)
   markers : int;
   keys : int;  (** distinct keys judged *)
+  max_key_events : int;  (** events in the longest per-key history *)
   scans : int;  (** completed scans judged *)
   dropped : int;
   search_nodes : int;  (** DFS nodes across every per-key search *)
@@ -65,7 +66,8 @@ val verdict_name : verdict -> string
 
 (** [run ?budget_per_key ?dropped entries] — audit a ts-ascending trace.
     [dropped] (default 0) is the recorder's refused-event count;
-    [budget_per_key] (default 200_000) bounds each per-key DFS. *)
+    [budget_per_key] (default {!Lincheck.default_budget}, 200,000) bounds
+    each per-key search. *)
 val run : ?budget_per_key:int -> ?dropped:int -> Trace.entry list -> report
 
 (** [audit recorder] = [run] over {!Trace.Recorder.entries} with the

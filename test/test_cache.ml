@@ -14,6 +14,9 @@ let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "error: %a" Io_sched.pp_error e
 
+(* The cache's own counters: "cache.hit", "cache.miss", "cache.eviction". *)
+let count cache name = Obs.counter_value (Cache.obs cache) name
+
 let append sched ~extent data =
   ignore (ok (Io_sched.append sched ~extent ~data ~input:Dep.trivial))
 
@@ -23,8 +26,7 @@ let test_read_through () =
   Alcotest.(check string) "read" "hello-world-data" (ok (Cache.read cache ~extent:0 ~off:0 ~len:16));
   Alcotest.(check string) "cached read" "hello-world-data"
     (ok (Cache.read cache ~extent:0 ~off:0 ~len:16));
-  let st = Cache.stats cache in
-  Alcotest.(check bool) "second read hit" true (st.Cache.hits > 0)
+  Alcotest.(check bool) "second read hit" true (count cache "cache.hit" > 0)
 
 let test_cross_page_read () =
   let _, sched, cache = make () in
@@ -46,7 +48,7 @@ let test_short_page_refetched () =
   Alcotest.(check string) "partial page" "abc" (ok (Cache.read cache ~extent:0 ~off:0 ~len:3));
   append sched ~extent:0 "def";
   Alcotest.(check string) "extended" "abcdef" (ok (Cache.read cache ~extent:0 ~off:0 ~len:6));
-  Alcotest.(check int) "re-fetched" 2 (Cache.stats cache).Cache.misses
+  Alcotest.(check int) "re-fetched" 2 (count cache "cache.miss")
 
 let test_note_reset_invalidates () =
   let _, sched, cache = make () in
@@ -194,11 +196,11 @@ let run_model_sequence ~capacity ~write_allocate ~seed =
     | `Invalidate ->
       Cache.invalidate_all cache;
       Lru_model.invalidate_all model);
-    let st = Cache.stats cache in
     let label what = Printf.sprintf "capacity %d seed %d step %d: %s" capacity seed i what in
-    Alcotest.(check int) (label "hits") model.Lru_model.hits st.Cache.hits;
-    Alcotest.(check int) (label "misses") model.Lru_model.misses st.Cache.misses;
-    Alcotest.(check int) (label "evictions") model.Lru_model.evictions st.Cache.evictions
+    Alcotest.(check int) (label "hits") model.Lru_model.hits (count cache "cache.hit");
+    Alcotest.(check int) (label "misses") model.Lru_model.misses (count cache "cache.miss");
+    Alcotest.(check int) (label "evictions") model.Lru_model.evictions
+      (count cache "cache.eviction")
   in
   for i = 1 to 300 do
     step i
@@ -250,8 +252,7 @@ let test_invalidate_all () =
   ignore (ok (Cache.read cache ~extent:0 ~off:0 ~len:16));
   Cache.invalidate_all cache;
   ignore (ok (Cache.read cache ~extent:0 ~off:0 ~len:16));
-  let st = Cache.stats cache in
-  Alcotest.(check int) "two misses" 2 st.Cache.misses
+  Alcotest.(check int) "two misses" 2 (count cache "cache.miss")
 
 let test_write_allocate_hits () =
   let disk = Disk.create config in
@@ -266,8 +267,7 @@ let test_write_allocate_hits () =
   (match Cache.read cache ~extent:0 ~off:0 ~len:32 with
   | Ok got -> Alcotest.(check string) "filled data" data got
   | Error _ -> Alcotest.fail "read");
-  let st = Cache.stats cache in
-  Alcotest.(check int) "no miss" 0 st.Cache.misses
+  Alcotest.(check int) "no miss" 0 (count cache "cache.miss")
 
 let test_fill_noop_without_write_allocate () =
   let disk = Disk.create config in
@@ -278,8 +278,7 @@ let test_fill_noop_without_write_allocate () =
   | Error _ -> Alcotest.fail "append");
   Cache.fill cache ~extent:0 ~off:0 (String.make 16 'x');
   ignore (Cache.read cache ~extent:0 ~off:0 ~len:16);
-  let st = Cache.stats cache in
-  Alcotest.(check int) "read missed (fill was a no-op)" 1 st.Cache.misses
+  Alcotest.(check int) "read missed (fill was a no-op)" 1 (count cache "cache.miss")
 
 let test_f17_corrupts_only_miss_path () =
   Faults.disable_all ();
@@ -305,7 +304,7 @@ let test_f17_corrupts_only_miss_path () =
   Alcotest.(check bool) "fired" true (Faults.fired Faults.F17_cache_miss_path > 0)
 
 let test_coverage_counters () =
-  Util.Coverage.reset ();
+  Obs.Coverage.reset ();
   let disk = Disk.create config in
   let sched = Io_sched.create ~seed:6L disk in
   let cache = Cache.create sched in
@@ -314,10 +313,10 @@ let test_coverage_counters () =
   | Error _ -> Alcotest.fail "append");
   ignore (Cache.read cache ~extent:0 ~off:0 ~len:16);
   ignore (Cache.read cache ~extent:0 ~off:0 ~len:16);
-  Alcotest.(check int) "miss counted" 1 (Util.Coverage.count "cache.miss");
-  Alcotest.(check int) "hit counted" 1 (Util.Coverage.count "cache.hit");
+  Alcotest.(check int) "miss counted" 1 (Obs.Coverage.count "cache.miss");
+  Alcotest.(check int) "hit counted" 1 (Obs.Coverage.count "cache.hit");
   Alcotest.(check (list string)) "blind spot listing" [ "cache.eviction" ]
-    (Util.Coverage.blind_spots ~expected:[ "cache.hit"; "cache.miss"; "cache.eviction" ] ())
+    (Obs.Coverage.blind_spots ~expected:[ "cache.hit"; "cache.miss"; "cache.eviction" ] ())
 
 (* Every page entry moves through the Empty/Reading/Clean lifecycle and
    each observed transition is audited against Conc.Cache_sm.legal. A

@@ -247,9 +247,9 @@ let test_reclaim_evacuates_live_drops_dead () =
            new_dep))
   in
   ignore reset_dep;
-  let st = Chunk_store.stats cs in
-  Alcotest.(check int) "one evacuated" 1 st.Chunk_store.evacuated;
-  Alcotest.(check int) "one dropped" 1 st.Chunk_store.dropped;
+  let count name = Obs.counter_value (Chunk_store.obs cs) name in
+  Alcotest.(check int) "one evacuated" 1 (count "reclaim.evacuated");
+  Alcotest.(check int) "one dropped" 1 (count "reclaim.dropped");
   match !relocated with
   | None -> Alcotest.fail "live chunk must be relocated"
   | Some new_loc ->
@@ -309,8 +309,8 @@ let test_f1_off_by_one_drops_page_aligned_chunk () =
           ~classify:(fun _ _ -> `Live)
           ~relocate:(fun _ ~old_loc:_ ~new_loc:_ ~new_dep -> new_dep)));
   Faults.disable Faults.F1_reclaim_off_by_one;
-  let st = Chunk_store.stats cs in
-  Alcotest.(check int) "nothing evacuated" 0 st.Chunk_store.evacuated;
+  Alcotest.(check int) "nothing evacuated" 0
+    (Obs.counter_value (Chunk_store.obs cs) "reclaim.evacuated");
   Alcotest.(check bool) "fired" true (Faults.fired Faults.F1_reclaim_off_by_one > 0)
 
 (* Property: random puts followed by a full-liveness reclamation keep

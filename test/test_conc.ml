@@ -101,11 +101,12 @@ let test_conc_chunks_sequential () =
 
 (* {2 Linearizability of the concurrent index} *)
 
-type op = Put of int * int | Get of int
+(* An index event: a put, or a get with the value it returned. *)
+type op = Put of int * int | Get of int * int option
 
-let index_apply state = function
-  | Put (k, v) -> ((k, v) :: List.remove_assoc k state, None)
-  | Get k -> (state, List.assoc_opt k state)
+let index_step state = function
+  | Put (k, v) -> Some ((k, v) :: List.remove_assoc k state)
+  | Get (k, seen) -> if List.assoc_opt k state = seen then Some state else None
 
 let test_conc_index_linearizable () =
   Faults.disable_all ();
@@ -113,29 +114,35 @@ let test_conc_index_linearizable () =
     let index = Conc.Conc_index.create () in
     Conc.Conc_index.put index ~key:1 ~value:10;
     Conc.Conc_index.compact index;
-    let rec_ = Linearize.Recorder.create () in
+    (* One domain runs every Smc thread, so a plain counter timestamps
+       the intervals (ticks are not scheduling points). *)
+    let clock = ref 0 and history = ref [] in
+    let record f =
+      let invoked = !clock in
+      clock := invoked + 1;
+      let act = f () in
+      let returned = !clock in
+      clock := returned + 1;
+      history := { Lincheck.invoked; returned; act } :: !history
+    in
+    let get () = Get (1, Conc.Conc_index.get index ~key:1) in
     let done_ = Smc.Cell.make 0 in
     Smc.spawn (fun () ->
         Conc.Conc_index.reclaim index ~extent:0;
         ignore (Smc.Cell.update done_ (fun d -> d + 1)));
     Smc.spawn (fun () ->
-        ignore
-          (Linearize.Recorder.record rec_ (Put (1, 11)) (fun () ->
-               Conc.Conc_index.put index ~key:1 ~value:11;
-               None));
-        ignore
-          (Linearize.Recorder.record rec_ (Get 1) (fun () -> Conc.Conc_index.get index ~key:1));
+        record (fun () ->
+            Conc.Conc_index.put index ~key:1 ~value:11;
+            Put (1, 11));
+        record get;
         ignore (Smc.Cell.update done_ (fun d -> d + 1)));
     Smc.spawn (fun () ->
-        ignore
-          (Linearize.Recorder.record rec_ (Get 1) (fun () -> Conc.Conc_index.get index ~key:1));
+        record get;
         ignore (Smc.Cell.update done_ (fun d -> d + 1)));
     Smc.wait_until (fun () -> Smc.Cell.peek done_ = 3);
-    if
-      not
-        (Linearize.check ~init:[ (1, 10) ] ~apply:index_apply ~equal_res:( = )
-           (Linearize.Recorder.history rec_))
-    then failwith "index history not linearizable"
+    match Lincheck.search ~init:[ (1, 10) ] ~step:index_step !history with
+    | Lincheck.Linearizable, _ -> ()
+    | _ -> failwith "index history not linearizable"
   in
   expect_clean "linearizable under reclamation"
     (Smc.explore (Smc.Random_walk { seed = 11; schedules = 5_000 }) body)

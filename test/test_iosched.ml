@@ -331,11 +331,11 @@ let test_stats () =
   ignore (ok (Io_sched.append s ~extent:0 ~data:"aa" ~input:Dep.trivial));
   ignore (ok (Io_sched.reset s ~extent:1 ~input:Dep.trivial));
   ok (Io_sched.flush s);
-  let st = Io_sched.stats s in
-  Alcotest.(check int) "appends" 1 st.Io_sched.appends;
-  Alcotest.(check int) "resets" 1 st.Io_sched.resets;
-  Alcotest.(check int) "ios" 2 st.Io_sched.ios_issued;
-  Alcotest.(check int) "bytes" 2 st.Io_sched.bytes_written
+  let count name = Obs.counter_value (Io_sched.obs s) name in
+  Alcotest.(check int) "appends" 1 (count "iosched.append");
+  Alcotest.(check int) "resets" 1 (count "iosched.reset");
+  Alcotest.(check int) "ios" 2 (count "iosched.io_issued");
+  Alcotest.(check int) "bytes" 2 (count "iosched.bytes_issued")
 
 (* Group-commit writeback: adjacent ready appends merge into one disk IO. *)
 let test_submit_batch_coalesces () =

@@ -136,6 +136,48 @@ let test_hashtbl_iter_allowed_in_smc () =
   in
   Alcotest.(check bool) "Hashtbl.iter allowed in lib/smc" false (has "hashtbl" fs)
 
+(* --- lazy suspensions --- *)
+
+(* lib/util/crc32.ml as it was while its table was lazy: two domains
+   forcing the table at once raised CamlinternalLazy.Undefined. *)
+let lazy_crc32_src =
+  String.concat "\n"
+    [
+      "let table =";
+      "  lazy";
+      "    (let t = Array.make 256 0 in";
+      "     for n = 0 to 255 do";
+      "       let c = ref n in";
+      "       for _ = 0 to 7 do";
+      "         if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1";
+      "       done;";
+      "       t.(n) <- !c";
+      "     done;";
+      "     t)";
+      "";
+      "let update crc b off len =";
+      "  let t = Lazy.force table in";
+      "  let crc = ref (Int32.to_int crc land 0xFFFFFFFF lxor 0xFFFFFFFF) in";
+      "  for i = off to off + len - 1 do";
+      "    crc := t.((!crc lxor Char.code (Bytes.unsafe_get b i)) land 0xFF) lxor (!crc lsr 8)";
+      "  done;";
+      "  Int32.of_int (!crc lxor 0xFFFFFFFF)";
+      "";
+    ]
+
+let test_lazy_crc32_caught () =
+  let fs = findings_of [ ("lib/util/crc32.ml", lazy_crc32_src) ] in
+  let lazy_symbols =
+    List.filter_map (fun f -> if f.Linter.rule = "lazy" then Some f.Linter.symbol else None) fs
+  in
+  Alcotest.(check (list string))
+    (Printf.sprintf "the suspension and its force are flagged (%s)" (pp_all fs))
+    [ "lazy"; "Lazy.force" ] lazy_symbols
+
+let test_lazy_allowed_outside_lib () =
+  let fs = findings_of [ ("bin/tool.ml", lazy_crc32_src) ] in
+  Alcotest.(check bool) "lazy allowed in bin/" false (has "lazy" fs)
+
 (* --- Obs blind-spot audit --- *)
 
 let test_unregistered_metric_caught () =
@@ -284,6 +326,8 @@ let () =
           Alcotest.test_case "wall clock ok in bench/" `Quick test_wallclock_allowed_in_bench;
           Alcotest.test_case "Hashtbl.iter caught" `Quick test_hashtbl_iter_caught;
           Alcotest.test_case "Hashtbl.iter ok in lib/smc" `Quick test_hashtbl_iter_allowed_in_smc;
+          Alcotest.test_case "lazy crc32 table caught" `Quick test_lazy_crc32_caught;
+          Alcotest.test_case "lazy ok outside lib/" `Quick test_lazy_allowed_outside_lib;
         ] );
       ( "metrics",
         [

@@ -1,5 +1,5 @@
 (* Tests for the stateless model checker: classic races, deadlocks,
-   exhaustive DFS soundness, replay, and the linearizability checker. *)
+   exhaustive DFS soundness, replay, and the linearizability engine. *)
 
 (* Two threads increment a counter with a non-atomic read-modify-write;
    some interleaving loses an update. *)
@@ -241,80 +241,82 @@ let prop_replay_deterministic =
 
 (* {2 Linearizability} *)
 
+(* A fetch-and-add counter: each event carries its operation and the
+   value it returned, and the model admits it only when that value is
+   what the counter would have returned. *)
 type counter_op = Incr | Read
 
-let counter_apply state = function
-  | Incr -> (state + 1, state)  (* fetch-and-add returns old value *)
-  | Read -> (state, state)
+let counter_step state (op, result) =
+  if result <> state then None
+  else match op with Incr -> Some (state + 1) | Read -> Some state
+
+let ev invoked returned op result = { Lincheck.invoked; returned; act = (op, result) }
+
+let counter_verdict ?budget h = fst (Lincheck.search ?budget ~init:0 ~step:counter_step h)
+
+let linearizable h = counter_verdict h = Lincheck.Linearizable
 
 let test_linearizable_history_accepted () =
   (* Sequential: incr()=0, incr()=1, read()=2. *)
-  let h =
-    [
-      { Linearize.thread = 1; op = Incr; result = 0; invoked = 0; returned = 1 };
-      { Linearize.thread = 2; op = Incr; result = 1; invoked = 2; returned = 3 };
-      { Linearize.thread = 1; op = Read; result = 2; invoked = 4; returned = 5 };
-    ]
-  in
-  Alcotest.(check bool) "linearizable" true
-    (Linearize.check ~init:0 ~apply:counter_apply ~equal_res:( = ) h)
+  let h = [ ev 0 1 Incr 0; ev 2 3 Incr 1; ev 4 5 Read 2 ] in
+  Alcotest.(check bool) "linearizable" true (linearizable h)
 
 let test_overlapping_history_accepted () =
   (* Two overlapping increments may linearize in either order. *)
-  let h =
-    [
-      { Linearize.thread = 1; op = Incr; result = 1; invoked = 0; returned = 3 };
-      { Linearize.thread = 2; op = Incr; result = 0; invoked = 1; returned = 2 };
-    ]
-  in
-  Alcotest.(check bool) "linearizable" true
-    (Linearize.check ~init:0 ~apply:counter_apply ~equal_res:( = ) h)
+  let h = [ ev 0 3 Incr 1; ev 1 2 Incr 0 ] in
+  Alcotest.(check bool) "linearizable" true (linearizable h)
 
 let test_lost_update_history_rejected () =
   (* Both increments return 0: no sequential counter does that. *)
-  let h =
-    [
-      { Linearize.thread = 1; op = Incr; result = 0; invoked = 0; returned = 2 };
-      { Linearize.thread = 2; op = Incr; result = 0; invoked = 1; returned = 3 };
-    ]
-  in
-  Alcotest.(check bool) "not linearizable" false
-    (Linearize.check ~init:0 ~apply:counter_apply ~equal_res:( = ) h)
+  let h = [ ev 0 2 Incr 0; ev 1 3 Incr 0 ] in
+  Alcotest.(check bool) "not linearizable" true (counter_verdict h = Lincheck.Rejected)
 
 let test_realtime_order_respected () =
   (* read()=0 strictly after incr()=0 completed is not linearizable. *)
-  let h =
-    [
-      { Linearize.thread = 1; op = Incr; result = 0; invoked = 0; returned = 1 };
-      { Linearize.thread = 2; op = Read; result = 0; invoked = 2; returned = 3 };
-    ]
+  let h = [ ev 0 1 Incr 0; ev 2 3 Read 0 ] in
+  Alcotest.(check bool) "stale read rejected" true (counter_verdict h = Lincheck.Rejected)
+
+let test_tiny_budget_gives_up () =
+  let h = [ ev 0 3 Incr 1; ev 1 2 Incr 0; ev 4 5 Read 2 ] in
+  Alcotest.(check bool) "default budget decides" true (linearizable h);
+  Alcotest.(check bool) "1-node budget gives up" true
+    (counter_verdict ~budget:1 h = Lincheck.Gave_up)
+
+(* Threads under Smc record into a plain list, timestamped by a plain
+   counter: one domain runs every thread, and ticks are not scheduling
+   points, so each interval brackets exactly the operation's steps. *)
+let recorded_incrs ~faa =
+  let clock = ref 0 in
+  let tick () =
+    let t = !clock in
+    clock := t + 1;
+    t
   in
-  Alcotest.(check bool) "stale read rejected" false
-    (Linearize.check ~init:0 ~apply:counter_apply ~equal_res:( = ) h)
+  let history = ref [] in
+  let done_ = Smc.Cell.make 0 in
+  let thread () =
+    let invoked = tick () in
+    let result = faa () in
+    let returned = tick () in
+    history := ev invoked returned Incr result :: !history;
+    ignore (Smc.Cell.update done_ (fun d -> d + 1))
+  in
+  Smc.spawn thread;
+  Smc.spawn thread;
+  Smc.wait_until (fun () -> Smc.Cell.peek done_ = 2);
+  if not (linearizable !history) then failwith "not linearizable"
 
 let test_recorder_under_smc () =
   (* A mutex-protected fetch-and-add is linearizable under every
      interleaving. *)
   let body () =
-    let rec_ = Linearize.Recorder.create () in
     let c = Smc.Cell.make 0 in
     let m = Smc.Mutex.create () in
-    let done_ = Smc.Cell.make 0 in
-    let incr_thread () =
-      ignore
-        (Linearize.Recorder.record rec_ Incr (fun () ->
-             Smc.Mutex.with_lock m (fun () ->
-                 let v = Smc.Cell.get c in
-                 Smc.Cell.set c (v + 1);
-                 v)));
-      ignore (Smc.Cell.update done_ (fun d -> d + 1))
-    in
-    Smc.spawn incr_thread;
-    Smc.spawn incr_thread;
-    Smc.wait_until (fun () -> Smc.Cell.peek done_ = 2);
-    if not (Linearize.check ~init:0 ~apply:counter_apply ~equal_res:( = )
-              (Linearize.Recorder.history rec_))
-    then failwith "not linearizable"
+    recorded_incrs ~faa:(fun () ->
+        Smc.Mutex.with_lock m (fun () ->
+            let v = Smc.Cell.get c in
+            Smc.Cell.set c (v + 1);
+            v))
   in
   let o = Smc.explore (Smc.Dfs { max_schedules = 200_000 }) body in
   Alcotest.(check bool) "all interleavings linearizable" true (o.Smc.violation = None)
@@ -323,28 +325,93 @@ let test_recorder_detects_racy_faa () =
   (* Unprotected fetch-and-add: some interleaving yields a non-linearizable
      history. *)
   let body () =
-    let rec_ = Linearize.Recorder.create () in
     let c = Smc.Cell.make 0 in
-    let done_ = Smc.Cell.make 0 in
-    let incr_thread () =
-      ignore
-        (Linearize.Recorder.record rec_ Incr (fun () ->
-             let v = Smc.Cell.get c in
-             Smc.Cell.set c (v + 1);
-             v));
-      ignore (Smc.Cell.update done_ (fun d -> d + 1))
-    in
-    Smc.spawn incr_thread;
-    Smc.spawn incr_thread;
-    Smc.wait_until (fun () -> Smc.Cell.peek done_ = 2);
-    if not (Linearize.check ~init:0 ~apply:counter_apply ~equal_res:( = )
-              (Linearize.Recorder.history rec_))
-    then failwith "not linearizable"
+    recorded_incrs ~faa:(fun () ->
+        let v = Smc.Cell.get c in
+        Smc.Cell.set c (v + 1);
+        v)
   in
   let o = Smc.explore (Smc.Dfs { max_schedules = 200_000 }) body in
   match o.Smc.violation with
   | Some { kind = Smc.Assertion "not linearizable"; _ } -> ()
   | _ -> Alcotest.failf "expected non-linearizable history, got %a" Smc.pp_outcome o
+
+(* {3 The engine against a brute-force reference}
+
+   Random register histories: up to 7 reads and writes of small values
+   with overlapping intervals (ties included) and one pending event
+   ([returned = max_int]). The reference enumerates every permutation,
+   keeps those that respect real-time order (a event that returned
+   before another was invoked comes first) and replays each through the
+   register; the engine must agree with it on every history. *)
+type reg = Write of int | Read_back of int
+
+let reg_step s = function Write v -> Some v | Read_back v -> if v = s then Some s else None
+
+let rec permutations = function
+  | [] -> [ [] ]
+  | l ->
+    List.concat_map
+      (fun x -> List.map (fun p -> x :: p) (permutations (List.filter (fun y -> y != x) l)))
+      l
+
+let respects_real_time order =
+  let rec go = function
+    | [] -> true
+    | a :: rest ->
+      List.for_all (fun b -> not (b.Lincheck.returned < a.Lincheck.invoked)) rest && go rest
+  in
+  go order
+
+let reference_linearizable history =
+  List.exists
+    (fun order ->
+      respects_real_time order
+      && Option.is_some
+           (List.fold_left
+              (fun st e -> Option.bind st (fun s -> reg_step s e.Lincheck.act))
+              (Some 0) order))
+    (permutations history)
+
+let gen_history =
+  let open QCheck.Gen in
+  let gen_event =
+    map3
+      (fun invoked len act -> { Lincheck.invoked; returned = invoked + len; act })
+      (int_bound 12) (int_range 1 6)
+      (oneof [ map (fun v -> Write v) (int_bound 2); map (fun v -> Read_back v) (int_bound 2) ])
+  in
+  int_range 1 7 >>= fun n ->
+  list_repeat n gen_event >>= fun evs ->
+  int_bound (n - 1) >|= fun pending ->
+  List.mapi (fun i e -> if i = pending then { e with Lincheck.returned = max_int } else e) evs
+
+let pp_history h =
+  String.concat "; "
+    (List.map
+       (fun e ->
+         Printf.sprintf "[%d,%s] %s" e.Lincheck.invoked
+           (if e.Lincheck.returned = max_int then "pending" else string_of_int e.Lincheck.returned)
+           (match e.Lincheck.act with
+           | Write v -> Printf.sprintf "write %d" v
+           | Read_back v -> Printf.sprintf "read %d" v))
+       h)
+
+let engine_linearizable h = fst (Lincheck.search ~init:0 ~step:reg_step h) = Lincheck.Linearizable
+
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"engine matches brute-force reference" ~count:300
+    (QCheck.make ~print:pp_history gen_history)
+    (fun h -> engine_linearizable h = reference_linearizable h)
+
+(* The property has teeth only if the generator yields both verdicts. *)
+let test_reference_sees_both_verdicts () =
+  let hs = QCheck.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:300 gen_history in
+  let accepted = List.length (List.filter reference_linearizable hs) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d accepted" accepted (List.length hs))
+    true
+    (accepted > 0 && accepted < List.length hs)
 
 let () =
   Alcotest.run "smc"
@@ -382,5 +449,9 @@ let () =
           Alcotest.test_case "realtime order" `Quick test_realtime_order_respected;
           Alcotest.test_case "recorder: locked faa linearizable" `Quick test_recorder_under_smc;
           Alcotest.test_case "recorder: racy faa caught" `Quick test_recorder_detects_racy_faa;
+          Alcotest.test_case "tiny budget gives up" `Quick test_tiny_budget_gives_up;
+          QCheck_alcotest.to_alcotest prop_engine_matches_reference;
+          Alcotest.test_case "reference sees both verdicts" `Quick
+            test_reference_sees_both_verdicts;
         ] );
     ]

@@ -573,9 +573,9 @@ let prop_scan_three_way_identity =
       true)
 
 (* Racing domains on one shared store: no errors, and after the joins the
-   drained state serves every key consistently. The per-key
-   linearizability gate lives in Experiments.Shared_lin / validate
-   --shared; this is the in-tree smoke version. *)
+   drained state serves every key consistently. The audited gate is
+   Experiments.Shared_lin (validate --shared); this is the in-tree smoke
+   version. *)
 let test_shared_multi_domain_smoke () =
   Faults.disable_all ();
   let sh = Sh.create ~shards:4 S.default_config in
@@ -612,8 +612,8 @@ let test_shared_multi_domain_smoke () =
 
 (* {2 The maintenance plane} *)
 
-(* Foreground domains race a dedicated maintenance domain; every per-key
-   history must still linearize against the register model, and the
+(* Foreground domains race a dedicated maintenance domain; the recorded
+   history must still audit Valid against the per-key model, and the
    maintenance domain itself must finish with zero errors. *)
 let test_shared_maint_racing_linearizable () =
   Faults.disable_all ();

@@ -126,18 +126,18 @@ let prop_crc_deterministic =
     (fun s -> Crc32.digest_string s = Crc32.digest_string s)
 
 let test_coverage_basics () =
-  Util.Coverage.reset ();
-  Alcotest.(check int) "zero before" 0 (Util.Coverage.count "x");
-  Util.Coverage.hit "x";
-  Util.Coverage.hit "x";
-  Util.Coverage.hit "y";
-  Alcotest.(check int) "counted" 2 (Util.Coverage.count "x");
+  Obs.Coverage.reset ();
+  Alcotest.(check int) "zero before" 0 (Obs.Coverage.count "x");
+  Obs.Coverage.hit "x";
+  Obs.Coverage.hit "x";
+  Obs.Coverage.hit "y";
+  Alcotest.(check int) "counted" 2 (Obs.Coverage.count "x");
   Alcotest.(check (list (pair string int))) "snapshot sorted" [ ("x", 2); ("y", 1) ]
-    (Util.Coverage.snapshot ());
+    (Obs.Coverage.snapshot ());
   Alcotest.(check (list string)) "blind spots" [ "z" ]
-    (Util.Coverage.blind_spots ~expected:[ "x"; "z" ] ());
-  Util.Coverage.reset ();
-  Alcotest.(check int) "reset" 0 (Util.Coverage.count "x")
+    (Obs.Coverage.blind_spots ~expected:[ "x"; "z" ] ());
+  Obs.Coverage.reset ();
+  Alcotest.(check int) "reset" 0 (Obs.Coverage.count "x")
 
 let () =
   Alcotest.run "util"
