@@ -1,23 +1,22 @@
 (* E14 bench gate: the multicore validation engine must (a) return
    byte-identical results at every domain count — always checked, on any
    hardware — and (b) actually scale: Fig. 5 catalog wall clock >= 2.5x
-   faster at 4 domains than at 1. The speedup gate only runs when the host
-   recommends >= 4 domains (Domain.recommended_domain_count); determinism
-   is checkable anywhere (spawning more domains than cores just adds
-   overhead), but a speedup assertion on a 1-core CI box would measure the
-   scheduler, not this code.
+   faster at 4 domains than at 1. The speedup check is judged only on
+   full-size runs on a host with >= 4 cores (Par.default_domains);
+   determinism is checkable anywhere (spawning more domains than cores
+   just adds overhead), but a speedup assertion on a 1-core CI box would
+   measure the scheduler, not this code.
 
-   Environment:
-     PAR_BENCH_SMOKE=1   small budgets, domain counts {1, 2} — the CI
-                         par-smoke determinism gate, < 1 min *)
+   Usage: par_bench.exe [--smoke]   (--smoke: small budgets, domain
+   counts {1, 2} — the CI determinism smoke run, < 1 min) *)
 
-let smoke = Sys.getenv_opt "PAR_BENCH_SMOKE" = Some "1"
-let cores = Par.default_domains ()
+let gate = Bench_gate.init ()
+let smoke = gate.Bench_gate.smoke
 
 let () =
   Printf.printf "par bench: multicore validation engine%s (host recommends %d domain(s))\n\n"
     (if smoke then " (smoke)" else "")
-    cores;
+    gate.Bench_gate.cores;
   let domain_counts = if smoke then [ 1; 2 ] else [ 1; 2; 4 ] in
   let budget =
     if smoke then
@@ -32,8 +31,8 @@ let () =
   let campaigns = if smoke then 12 else 50 in
   let report = Experiments.Par_scaling.run ~domain_counts ~budget ~campaigns () in
   Experiments.Par_scaling.print report;
-  (* Append a commit-stamped record: per-arm wall clock as a latency
-     histogram, speedups as the headline metrics. *)
+  (* Per-arm wall clock as a latency histogram, speedups as the headline
+     metrics. *)
   let rec_obs = Obs.create ~scope:"par-bench" ~trace_capacity:0 () in
   let arm_metrics prefix rows =
     List.concat_map
@@ -59,34 +58,6 @@ let () =
   Printf.printf "\nchaos capture cost (%d campaigns): %.2fs bare, %.2fs recording (%.2fx)\n"
     cap_campaigns chaos_bare.Experiments.Chaos.seconds chaos_taped.Experiments.Chaos.seconds
     (chaos_taped.Experiments.Chaos.seconds /. chaos_bare.Experiments.Chaos.seconds);
-  let metrics =
-    arm_metrics "fig5" report.Experiments.Par_scaling.fig5
-    @ arm_metrics "chaos" report.Experiments.Par_scaling.chaos
-    @ [
-        ( "chaos_campaigns_per_sec_nocapture",
-          float_of_int cap_campaigns /. chaos_bare.Experiments.Chaos.seconds );
-        ( "chaos_campaigns_per_sec_capture",
-          float_of_int cap_campaigns /. chaos_taped.Experiments.Chaos.seconds );
-        ( "chaos_capture_overhead",
-          chaos_taped.Experiments.Chaos.seconds /. chaos_bare.Experiments.Chaos.seconds );
-      ]
-  in
-  let record =
-    Bench_record.append ~bench:"par"
-      ~domains:(List.fold_left max 1 domain_counts)
-      ~workload:
-        [
-          ("domain_counts", String.concat "," (List.map string_of_int domain_counts));
-          ("campaigns", string_of_int campaigns);
-          ("smoke", string_of_bool smoke);
-        ]
-      ~metrics ~obs:rec_obs ()
-  in
-  Printf.printf "recorded -> %s\n" record;
-  if not (Experiments.Par_scaling.all_identical report) then begin
-    Printf.printf "\nFAIL: results diverged across domain counts\n";
-    exit 1
-  end;
   (* Traces themselves differ (one is empty), so compare the summaries
      with wall clock and per-report traces masked out. *)
   let capture_key (s : Experiments.Chaos.summary) =
@@ -96,27 +67,45 @@ let () =
       failed = List.map (fun r -> { r with Experiments.Chaos.trace = [] }) s.failed;
     }
   in
-  if capture_key chaos_bare <> capture_key chaos_taped then begin
-    Printf.printf "\nFAIL: chaos summary changed when capture was enabled\n";
-    exit 1
-  end;
-  let fig5_speedup_at_4 =
-    List.find_opt
-      (fun r -> r.Experiments.Par_scaling.domains = 4)
-      report.Experiments.Par_scaling.fig5
-    |> Option.map (fun r -> r.Experiments.Par_scaling.speedup)
-  in
-  match fig5_speedup_at_4 with
-  | Some s when cores >= 4 ->
-    if s < 2.5 then begin
-      Printf.printf "\nFAIL: Fig. 5 speedup at 4 domains %.2fx < 2.5x on a %d-core host\n" s
-        cores;
-      exit 1
-    end
-    else Printf.printf "\nspeedup gate passed: %.2fx >= 2.5x at 4 domains\n" s
-  | Some s ->
-    Printf.printf
-      "\nspeedup gate skipped: host recommends %d domain(s) < 4 (measured %.2fx, determinism \
-       still enforced)\n"
-      cores s
-  | None -> Printf.printf "\nspeedup gate skipped: no 4-domain arm in this run\n"
+  exit
+    (Bench_gate.finish gate ~bench:"par"
+       ~domains:(List.fold_left max 1 domain_counts)
+       ~workload:
+         [
+           ("domain_counts", String.concat "," (List.map string_of_int domain_counts));
+           ("campaigns", string_of_int campaigns);
+         ]
+       ~metrics:
+         (arm_metrics "fig5" report.Experiments.Par_scaling.fig5
+         @ arm_metrics "chaos" report.Experiments.Par_scaling.chaos
+         @ [
+             ( "chaos_campaigns_per_sec_nocapture",
+               float_of_int cap_campaigns /. chaos_bare.Experiments.Chaos.seconds );
+             ( "chaos_campaigns_per_sec_capture",
+               float_of_int cap_campaigns /. chaos_taped.Experiments.Chaos.seconds );
+             ( "chaos_capture_overhead",
+               chaos_taped.Experiments.Chaos.seconds /. chaos_bare.Experiments.Chaos.seconds );
+           ])
+       ~obs:rec_obs
+       [
+         Bench_gate.check "determinism" (fun () ->
+             let same = Experiments.Par_scaling.all_identical report in
+             ( same,
+               if same then "byte-identical at every domain count"
+               else "results diverged across domain counts" ));
+         Bench_gate.check "capture determinism" (fun () ->
+             let same = capture_key chaos_bare = capture_key chaos_taped in
+             ( same,
+               if same then "chaos summary unchanged by capture"
+               else "chaos summary changed when capture was enabled" ));
+         Bench_gate.check ~cores:4 ~full_size:true "Fig. 5 speedup at 4 domains" (fun () ->
+             match
+               List.find_opt
+                 (fun r -> r.Experiments.Par_scaling.domains = 4)
+                 report.Experiments.Par_scaling.fig5
+             with
+             | Some r ->
+               let s = r.Experiments.Par_scaling.speedup in
+               (s >= 2.5, Printf.sprintf "%.2fx (want >= 2.5x)" s)
+             | None -> (false, "no 4-domain arm"));
+       ])

@@ -11,13 +11,14 @@
    same scan mix through Store.Shared at 1/2/4 domains — the numbers
    recorded in EXPERIMENTS.md E15.
 
-   Environment:
-     SCAN_BENCH_SMOKE=1   tiny op budget (CI smoke job, < 30 s) *)
+   Usage: scan_bench.exe [--smoke]   (--smoke: tiny op budget, the CI
+   smoke run, < 30 s) *)
 
 module S = Store.Default
 module Sh = Store.Shared
 
-let smoke = Sys.getenv_opt "SCAN_BENCH_SMOKE" = Some "1"
+let gate = Bench_gate.init ()
+let smoke = gate.Bench_gate.smoke
 let keys_total = if smoke then 256 else 1536
 let rounds = if smoke then 2 else 4
 let value_bytes = 64
@@ -85,12 +86,13 @@ let bounds rng =
 let scan_arm s =
   let rng = Util.Rng.create 42L in
   let items = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to scans_total do
-    let lo, hi = bounds rng in
-    items := !items + short_scan s ~lo ~hi
-  done;
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let (), elapsed =
+    Util.Wallclock.timed (fun () ->
+        for _ = 1 to scans_total do
+          let lo, hi = bounds rng in
+          items := !items + short_scan s ~lo ~hi
+        done)
+  in
   (float_of_int scans_total /. elapsed, !items)
 
 (* Shared-store scan throughput: [domains] workers share one levelled
@@ -106,20 +108,19 @@ let shared_scan_arm ?trace ~domains () =
     (List.init keys_total Fun.id);
   (match Sh.flush sh with Ok _ -> () | Error e -> fail_on "shared flush: %a" S.pp_error e);
   let per_domain = scans_total / domains in
-  let t0 = Unix.gettimeofday () in
-  let counts =
-    Conc.Domains.spawn_join ~domains (fun d ->
-        let rng = Util.Rng.create (Int64.of_int (73 + d)) in
-        let items = ref 0 in
-        for _ = 1 to per_domain do
-          let lo, hi = bounds rng in
-          match Sh.scan sh ~lo ~hi () with
-          | Ok pairs -> items := !items + List.length pairs
-          | Error e -> fail_on "shared scan: %a" S.pp_error e
-        done;
-        !items)
+  let counts, elapsed =
+    Util.Wallclock.timed (fun () ->
+        Conc.Domains.spawn_join ~domains (fun d ->
+            let rng = Util.Rng.create (Int64.of_int (73 + d)) in
+            let items = ref 0 in
+            for _ = 1 to per_domain do
+              let lo, hi = bounds rng in
+              match Sh.scan sh ~lo ~hi () with
+              | Ok pairs -> items := !items + List.length pairs
+              | Error e -> fail_on "shared scan: %a" S.pp_error e
+            done;
+            !items))
   in
-  let elapsed = Unix.gettimeofday () -. t0 in
   (float_of_int (per_domain * domains) /. elapsed, List.fold_left ( + ) 0 counts)
 
 let () =
@@ -141,56 +142,49 @@ let () =
   (* Wire-trace capture arm: the 2-domain shared mix re-run with a
      recorder attached (scan pages are the bulk of the trace, hence the
      big byte budget), audited offline after the run. *)
-  let cap_recorder = Tracecheck.Trace.Recorder.create ~byte_budget:(32 * 1024 * 1024) () in
-  let cap_sps, cap_items = shared_scan_arm ~trace:cap_recorder ~domains:2 () in
-  let cap_audit = Tracecheck.Audit.audit cap_recorder in
+  let (cap_sps, cap_items), cap_audit =
+    Bench_gate.capture ~byte_budget:(32 * 1024 * 1024) (fun trace ->
+        shared_scan_arm ~trace ~domains:2 ())
+  in
   Printf.printf "2 domains    %12.0f %9d  (recording; audit %s, %d dropped)\n" cap_sps cap_items
     (Tracecheck.Audit.verdict_name cap_audit.Tracecheck.Audit.verdict)
-    (Tracecheck.Trace.Recorder.dropped cap_recorder);
-  let record =
-    Bench_record.append ~bench:"scan"
-      ~domains:(List.fold_left max 1 domain_arms)
-      ~workload:
-        [
-          ("keys", string_of_int keys_total);
-          ("rounds", string_of_int rounds);
-          ("value_bytes", string_of_int value_bytes);
-          ("scans", string_of_int scans_total);
-          ("scan_span", string_of_int scan_span);
-          ("smoke", string_of_bool smoke);
-        ]
-      ~metrics:
-        ([
-           ("write_amp_monolithic", mono_wa);
-           ("write_amp_levelled", lev_wa);
-           ("scans_per_sec_monolithic", mono_sps);
-           ("scans_per_sec_levelled", lev_sps);
+    cap_audit.Tracecheck.Audit.dropped;
+  exit
+    (Bench_gate.finish gate ~bench:"scan"
+       ~domains:(List.fold_left max 1 domain_arms)
+       ~workload:
+         [
+           ("keys", string_of_int keys_total);
+           ("rounds", string_of_int rounds);
+           ("value_bytes", string_of_int value_bytes);
+           ("scans", string_of_int scans_total);
+           ("scan_span", string_of_int scan_span);
          ]
-        @ List.map
-            (fun (d, (sps, _)) -> (Printf.sprintf "shared_scans_per_sec_d%d" d, sps))
-            shared
-        @ [ ("shared_scans_per_sec_d2_capture", cap_sps) ])
-      ()
-  in
-  Printf.printf "recorded -> %s\n" record;
-  (* The recorded run must see the same data as the untraced 2-domain
-     arm, and its history must pass the offline audit. *)
-  (match List.assoc_opt 2 shared with
-  | Some (_, d2_items) when d2_items <> cap_items ->
-    Printf.printf "FAIL: capture arm item count diverges (%d vs %d)\n" cap_items d2_items;
-    exit 1
-  | _ -> ());
-  if not (Tracecheck.Audit.ok cap_audit) then begin
-    Format.printf "FAIL: capture-arm trace audit: %a@." Tracecheck.Audit.pp_report cap_audit;
-    exit 1
-  end;
-  (* Correctness tripwires: both arms must see the same data, and the
-     levelled arm must not amplify writes more than the full-merge arm. *)
-  if mono_items <> lev_items then begin
-    Printf.printf "FAIL: scan item counts diverge (%d vs %d)\n" mono_items lev_items;
-    exit 1
-  end;
-  if (not smoke) && lev_wa > mono_wa +. 0.01 then begin
-    Printf.printf "FAIL: levelled write-amp %.2f worse than monolithic %.2f\n" lev_wa mono_wa;
-    exit 1
-  end
+       ~metrics:
+         ([
+            ("write_amp_monolithic", mono_wa);
+            ("write_amp_levelled", lev_wa);
+            ("scans_per_sec_monolithic", mono_sps);
+            ("scans_per_sec_levelled", lev_sps);
+          ]
+         @ List.map
+             (fun (d, (sps, _)) -> (Printf.sprintf "shared_scans_per_sec_d%d" d, sps))
+             shared
+         @ [ ("shared_scans_per_sec_d2_capture", cap_sps) ])
+       [
+         (* The recorded run must see the same data as the untraced
+            2-domain arm, and its history must pass the offline audit. *)
+         Bench_gate.check "capture arm items" (fun () ->
+             let _, d2_items = List.assoc 2 shared in
+             (cap_items = d2_items, Printf.sprintf "%d recording vs %d bare" cap_items d2_items));
+         Bench_gate.audit_check "capture-arm trace audit" cap_audit;
+         (* Correctness tripwires: both arms must see the same data, and
+            the levelled arm must not amplify writes more than the
+            full-merge arm. *)
+         Bench_gate.check "scan items" (fun () ->
+             ( mono_items = lev_items,
+               Printf.sprintf "%d monolithic vs %d levelled" mono_items lev_items ));
+         Bench_gate.check ~full_size:true "levelled write-amp" (fun () ->
+             ( lev_wa <= mono_wa +. 0.01,
+               Printf.sprintf "levelled %.2f vs monolithic %.2f" lev_wa mono_wa ));
+       ])

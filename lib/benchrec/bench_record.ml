@@ -129,44 +129,26 @@ let commit ?(dir = Sys.getcwd ()) () =
         | None -> (
           match packed_ref common refname with Some hash -> hash | None -> "unknown"))))
 
-(* --- JSON encoding (flat records only, so hand-rolled is fine) --- *)
+(* --- JSON encoding: flat records over Obs's escaper and float encoder --- *)
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.6g" f
+let quoted s = "\"" ^ Obs.json_escape s ^ "\""
 
 let json_obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> json_string k ^ ":" ^ v) fields) ^ "}"
+  "{" ^ String.concat "," (List.map (fun (k, v) -> quoted k ^ ":" ^ v) fields) ^ "}"
 
 let json_digest d =
   json_obj
     [
       ("count", string_of_int d.count);
-      ("sum", json_float d.sum);
-      ("mean", json_float d.mean);
-      ("p50", json_float d.p50);
-      ("p95", json_float d.p95);
-      ("p99", json_float d.p99);
+      ("sum", Obs.json_float d.sum);
+      ("mean", Obs.json_float d.mean);
+      ("p50", Obs.json_float d.p50);
+      ("p95", Obs.json_float d.p95);
+      ("p99", Obs.json_float d.p99);
       ("saturated", string_of_bool d.saturated);
     ]
 
-let append ?(dir = Sys.getcwd ()) ~bench ~domains ~workload ~metrics ?obs () =
+let append ?(dir = Sys.getcwd ()) ~bench ~smoke ~cores ~domains ~workload ~metrics ?obs () =
   let root = Option.value (find_root dir) ~default:dir in
   let path = Filename.concat root (Printf.sprintf "BENCH_%s.json" bench) in
   let latency =
@@ -182,11 +164,13 @@ let append ?(dir = Sys.getcwd ()) ~bench ~domains ~workload ~metrics ?obs () =
   let record =
     json_obj
       ([
-         ("bench", json_string bench);
-         ("commit", json_string (commit ~dir ()));
+         ("bench", quoted bench);
+         ("commit", quoted (commit ~dir ()));
          ("unix_time", string_of_int (int_of_float (Util.Wallclock.now_s ())));
-         ("workload", json_obj (List.map (fun (k, v) -> (k, json_string v)) workload));
-         ("metrics", json_obj (List.map (fun (k, v) -> (k, json_float v)) metrics));
+         ("smoke", string_of_bool smoke);
+         ("cores", string_of_int cores);
+         ("workload", json_obj (List.map (fun (k, v) -> (k, quoted v)) workload));
+         ("metrics", json_obj (List.map (fun (k, v) -> (k, Obs.json_float v)) metrics));
        ]
       @ latency)
   in

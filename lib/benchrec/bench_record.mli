@@ -6,10 +6,14 @@
 
     {v
     {"bench":"batch","commit":"d5f8829...","unix_time":1754610000,
+     "smoke":false,"cores":2,
      "workload":{"domains":"1","ops":"1024","value_bytes":"64"},
      "metrics":{"ops_per_sec":41210.3},
-     "latency":{"put_us":{"count":1024,"mean":22.9,"p50":64.0,...}}}
+     "latency":{"put_us":{"count":1024,"mean":22.9,"p50":64,...}}}
     v}
+
+    Numbers go through {!Obs.json_float}, so they read back exactly and a
+    non-finite one is a quoted string.
 
     The commit hash comes from [.git/HEAD] directly (resolving a [ref:]
     indirection through [.git/refs/...] and [.git/packed-refs]) — no
@@ -29,8 +33,6 @@ type digest = {
   saturated : bool;  (** a quantile landed in the overflow bucket *)
 }
 
-val digest_of_buckets : count:int -> sum:float -> (float * int) list -> digest
-
 (** Digests for every histogram registered in [obs], keyed by name
     (label sets collapse onto the same name are suffixed). Empty
     histograms are skipped. *)
@@ -40,18 +42,23 @@ val latencies : Obs.t -> (string * digest) list
     walking up from [dir] (default: the working directory). *)
 val commit : ?dir:string -> unit -> string
 
-(** [append ~bench ~domains ~workload ~metrics ?obs ()] appends one
-    record to [BENCH_<bench>.json] next to [.git] (or in [dir] when no
-    repository is found) and returns the path written. [domains] is the
-    domain count the bench ran with (the largest count exercised, for a
-    multi-count campaign) and lands as ["domains"] in every workload
-    stanza; [workload] captures the remaining knobs (string key/value),
-    [metrics] the headline numbers, and [obs] contributes per-histogram
-    latency digests. The [unix_time] stamp is read through
-    {!Util.Wallclock}, the repo's single wall-clock funnel. *)
+(** [append ~bench ~smoke ~cores ~domains ~workload ~metrics ?obs ()]
+    appends one record to [BENCH_<bench>.json] next to [.git] (or in
+    [dir] when no repository is found) and returns the path written.
+    [smoke] says whether the run used the small CI budgets and [cores] is
+    the host's core count, so a trajectory only compares like with like.
+    [domains] is the domain count the bench ran with (the largest count
+    exercised, for a multi-count campaign) and lands as ["domains"] in
+    every workload stanza; [workload] captures the remaining knobs
+    (string key/value), [metrics] the headline numbers, and [obs]
+    contributes per-histogram latency digests. The [unix_time] stamp is
+    read through {!Util.Wallclock}, the repo's single wall-clock funnel.
+    The gate benches call this through {!Bench_gate.finish}. *)
 val append :
   ?dir:string ->
   bench:string ->
+  smoke:bool ->
+  cores:int ->
   domains:int ->
   workload:(string * string) list ->
   metrics:(string * float) list ->

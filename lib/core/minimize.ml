@@ -65,26 +65,7 @@ let minimize ~still_fails ops =
     incr executions;
     still_fails ops
   in
-  let remove_span ops start len =
-    List.filteri (fun i _ -> i < start || i >= start + len) ops
-  in
-  (* Pass 1: delta-debugging style span removal with shrinking span size. *)
-  let rec removal_pass ops span =
-    if span = 0 then ops
-    else begin
-      let rec scan ops start =
-        if start >= List.length ops then ops
-        else begin
-          let candidate = remove_span ops start span in
-          if List.length candidate < List.length ops && test candidate then scan candidate start
-          else scan ops (start + span)
-        end
-      in
-      let ops = scan ops 0 in
-      removal_pass ops (span / 2)
-    end
-  in
-  (* Pass 2: per-op argument shrinking. *)
+  (* Pass 1 is Util.Ddmin's span removal; pass 2: per-op argument shrinking. *)
   let simplify_pass ops =
     let arr = Array.of_list ops in
     let changed = ref false in
@@ -109,7 +90,7 @@ let minimize ~still_fails ops =
   let original = Op.summarize ops in
   let rec fixpoint ops rounds =
     let before = List.length ops in
-    let ops = removal_pass ops (max 1 (List.length ops / 2)) in
+    let ops = Util.Ddmin.minimize ~still_fails:test ops in
     let ops, changed = simplify_pass ops in
     if (List.length ops < before || changed) && rounds < 8 then fixpoint ops (rounds + 1)
     else (ops, rounds + 1)

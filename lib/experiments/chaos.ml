@@ -426,27 +426,6 @@ let trace_of ~seed ops =
   let (_ : violation list * (string -> int) * int) = run_ops ~trace:recorder ~seed ops in
   Tracecheck.Trace.Recorder.entries recorder
 
-(* Span-removal ddmin: repeatedly try dropping chunks of halving size, as
-   long as the shrunk campaign still violates. Deterministic because every
-   op carries its own seeds. *)
-let minimize ~still_fails ops =
-  let current = ref ops in
-  let chunk = ref (max 1 (List.length ops / 2)) in
-  let continue_ = ref true in
-  while !continue_ do
-    let i = ref 0 in
-    while !i < List.length !current do
-      let candidate =
-        List.filteri (fun j _ -> j < !i || j >= !i + !chunk) !current
-      in
-      if List.length candidate < List.length !current && still_fails candidate then
-        current := candidate
-      else i := !i + !chunk
-    done;
-    if !chunk = 1 then continue_ := false else chunk := !chunk / 2
-  done;
-  !current
-
 let campaign ?(capture = false) ~length ~seed () =
   let ops = gen ~length ~seed in
   let recorder =
@@ -457,7 +436,9 @@ let campaign ?(capture = false) ~length ~seed () =
   let minimized =
     if violations = [] then []
     else
-      minimize
+      (* Span-removal ddmin; deterministic because every op carries its
+         own seeds. *)
+      Util.Ddmin.minimize
         ~still_fails:(fun ops ->
           let vs, _, _ = run_ops ~seed ops in
           vs <> [])

@@ -161,12 +161,6 @@ let conformance ~ops ~seed () =
   in
   !mismatches = 0 && lists_agree && gets_agree
 
-(* Median over [repeats] runs per arm, so one scheduler hiccup on a busy
-   box does not decide the recorded number. *)
-let median_arm runs =
-  let sorted = List.sort (fun a b -> compare a.ops_per_sec b.ops_per_sec) runs in
-  List.nth sorted (List.length sorted / 2)
-
 (* (label, flush_chunk, racing maintenance domain, inline flush period) *)
 let arms_spec =
   [
@@ -189,7 +183,10 @@ let run ?(domains = 4) ?(ops_per_domain = 2000) ?(keys = 256) ?(value_bytes = 25
   let arms =
     List.map
       (fun (label, flush_chunk, with_maint, flush_every) ->
-        median_arm
+        (* Median over [repeats] runs per arm, so one scheduler hiccup on a
+           busy box does not decide the recorded number. *)
+        Bench_gate.median
+          ~by:(fun a -> a.ops_per_sec)
           (List.init (max 1 repeats) (fun r ->
                run_arm ~label ~domains ~ops_per_domain ~keys ~value_bytes ~seed:(seed + r)
                  ~flush_chunk ~with_maint ~flush_every ())))

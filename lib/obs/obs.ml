@@ -334,10 +334,22 @@ let json_escape s =
     s;
   Buffer.contents buf
 
+(* JSON has no literal for a non-finite number, so those are quoted
+   strings; a finite value takes the fewest significant digits (15, 16
+   or 17) that read back to the same float. *)
 let json_float v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else if Float.is_nan v then "\"nan\""
   else if v = infinity then "\"+inf\""
-  else Printf.sprintf "%g" v
+  else if v = neg_infinity then "\"-inf\""
+  else
+    let exact digits =
+      let s = Printf.sprintf "%.*g" digits v in
+      if float_of_string s = v then Some s else None
+    in
+    match exact 15 with
+    | Some s -> s
+    | None -> ( match exact 16 with Some s -> s | None -> Printf.sprintf "%.17g" v)
 
 let to_jsonl t =
   let buf = Buffer.create 1024 in

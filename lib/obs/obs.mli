@@ -160,8 +160,11 @@ val to_jsonl : t -> string
     characters; does not add the surrounding quotes. *)
 val json_escape : string -> string
 
-(** Shortest round-trip JSON float encoding as used by {!to_jsonl}
-    (integral floats print without an exponent or trailing dot). *)
+(** Shortest round-trip JSON float encoding as used by {!to_jsonl}:
+    integral floats below 1e15 print without an exponent or trailing dot,
+    other finite values with the fewest of 15, 16 or 17 significant
+    digits that read back equal, and non-finite values as the quoted
+    strings ["+inf"], ["-inf"] and ["nan"]. *)
 val json_float : float -> string
 
 (** {2 Trace ring} *)

@@ -287,20 +287,7 @@ let minimize ~budget kevs =
   let still_fails kevs =
     kevs <> [] && match search ~budget kevs with Lincheck.Rejected, _ -> true | _ -> false
   in
-  let current = ref kevs in
-  let chunk = ref (max 1 (List.length kevs / 2)) in
-  let continue_ = ref true in
-  while !continue_ do
-    let i = ref 0 in
-    while !i < List.length !current do
-      let candidate = List.filteri (fun j _ -> j < !i || j >= !i + !chunk) !current in
-      if List.length candidate < List.length !current && still_fails candidate then
-        current := candidate
-      else i := !i + !chunk
-    done;
-    if !chunk = 1 then continue_ := false else chunk := !chunk / 2
-  done;
-  !current
+  Util.Ddmin.minimize ~still_fails kevs
 
 let entries_of_kevs kevs =
   List.concat_map (fun k -> k.origin) kevs

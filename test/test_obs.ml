@@ -100,6 +100,27 @@ let test_jsonl () =
       Alcotest.(check bool) "scope present" true (contains line {|"scope":"test"|}))
     lines
 
+(* A finite float reads back from its encoding exactly, over the whole
+   range of exponents (random bit patterns, not just small values). *)
+let prop_json_float_roundtrip =
+  QCheck.Test.make ~name:"json_float round-trips finite floats" ~count:2000
+    QCheck.(make ~print:string_of_float Gen.(map Int64.float_of_bits ui64))
+    (fun v ->
+      QCheck.assume (Float.is_finite v);
+      float_of_string (Obs.json_float v) = v)
+
+let test_json_float_cases () =
+  let check name want v = Alcotest.(check string) name want (Obs.json_float v) in
+  check "shortest, not %g" "0.1234567" 0.1234567;
+  check "shortest above 1e4" "12345.678" 12345.678;
+  check "needs 17 digits" "0.30000000000000004" (0.1 +. 0.2);
+  check "integral unchanged" "3" 3.0;
+  check "negative integral" "-42" (-42.0);
+  check "large integral" "1e+15" 1e15;
+  check "+inf quoted" {|"+inf"|} infinity;
+  check "-inf quoted" {|"-inf"|} neg_infinity;
+  check "nan quoted" {|"nan"|} Float.nan
+
 (* {2 Trace ring} *)
 
 let test_ring_wraparound () =
@@ -427,6 +448,8 @@ let () =
           Alcotest.test_case "histogram bucketing" `Quick test_histogram_bucketing;
           Alcotest.test_case "snapshot and reset" `Quick test_snapshot_and_reset;
           Alcotest.test_case "jsonl export" `Quick test_jsonl;
+          Alcotest.test_case "json_float cases" `Quick test_json_float_cases;
+          QCheck_alcotest.to_alcotest prop_json_float_roundtrip;
         ] );
       ( "trace",
         [

@@ -1,5 +1,5 @@
 (* Unit and property tests for the util library: RNG determinism, CRC,
-   UUIDs, and totality of the binary codecs. *)
+   UUIDs, the shared ddmin loop, and totality of the binary codecs. *)
 
 open Util
 
@@ -125,6 +125,46 @@ let prop_crc_deterministic =
     QCheck.(string_of_size Gen.(0 -- 100))
     (fun s -> Crc32.digest_string s = Crc32.digest_string s)
 
+(* Util.Ddmin replaced three copies of one loop; this is the copy that
+   lived in the chaos campaign, kept as the reference it must match
+   result for result and predicate call for predicate call. *)
+let reference_ddmin ~still_fails ops =
+  let current = ref ops in
+  let chunk = ref (max 1 (List.length ops / 2)) in
+  let continue_ = ref true in
+  while !continue_ do
+    let i = ref 0 in
+    while !i < List.length !current do
+      let candidate = List.filteri (fun j _ -> j < !i || j >= !i + !chunk) !current in
+      if List.length candidate < List.length !current && still_fails candidate then
+        current := candidate
+      else i := !i + !chunk
+    done;
+    if !chunk = 1 then continue_ := false else chunk := !chunk / 2
+  done;
+  !current
+
+(* Random lists of distinct elements with a monotone predicate: "still
+   contains these culprits" (a subset of the list, possibly empty). *)
+let prop_ddmin_matches_reference =
+  QCheck.Test.make ~name:"ddmin matches the reference loop" ~count:500
+    QCheck.(pair (int_bound 60) (small_list (int_bound 60)))
+    (fun (n, picks) ->
+      let xs = List.init n Fun.id in
+      let culprits = List.sort_uniq compare (List.filter (fun p -> p < n) picks) in
+      let run minimize =
+        let calls = ref 0 in
+        let still_fails ys =
+          incr calls;
+          List.for_all (fun c -> List.mem c ys) culprits
+        in
+        let out = minimize ~still_fails xs in
+        (out, !calls)
+      in
+      let got, got_calls = run Ddmin.minimize in
+      let want, want_calls = run reference_ddmin in
+      got = want && got_calls = want_calls && got = culprits)
+
 let test_coverage_basics () =
   Obs.Coverage.reset ();
   Alcotest.(check int) "zero before" 0 (Obs.Coverage.count "x");
@@ -158,6 +198,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_crc_deterministic;
         ] );
       ("uuid", [ Alcotest.test_case "roundtrip" `Quick test_uuid_roundtrip ]);
+      ("ddmin", [ QCheck_alcotest.to_alcotest prop_ddmin_matches_reference ]);
       ("coverage", [ Alcotest.test_case "basics" `Quick test_coverage_basics ]);
       ( "codec",
         [
