@@ -14,6 +14,8 @@ let compare = Stdlib.compare
 
 let pp fmt t = Format.fprintf fmt "loc{e%d@%d+%d,epoch %d}" t.extent t.off t.frame_len t.epoch
 
+let encoded_size = 32
+
 let encode w t =
   Codec.Writer.uint w t.extent;
   Codec.Writer.uint w t.epoch;

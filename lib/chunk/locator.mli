@@ -17,4 +17,8 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val encode : Util.Codec.Writer.t -> t -> unit
+
+(** Bytes {!encode} writes for any locator: four [u64] fields. *)
+val encoded_size : int
+
 val decode : Util.Codec.Reader.t -> (t, Util.Codec.error) result

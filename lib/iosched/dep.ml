@@ -45,7 +45,7 @@ let rec eval ~on_write ~on_unbound ~combine ~base visited t =
     else begin
       visited := p :: !visited;
       match p.bound with
-      | None -> on_unbound
+      | None -> on_unbound p
       | Some d -> eval ~on_write ~on_unbound ~combine ~base visited d
     end
 
@@ -56,15 +56,34 @@ let persistent_under pred t =
     | Pending -> pred w
     | Dropped | Failed -> false
   in
-  eval ~on_write ~on_unbound:false
+  eval ~on_write ~on_unbound:(fun _ -> false)
     ~combine:(fun a b -> a () && b ())
     ~base:true (ref []) t
 
 let is_persistent t = persistent_under (fun _ -> false) t
 
+type blocker = Not_durable of write | Unbound of promise
+
+(* [is_persistent]'s walk, stopping at the leaf where it would answer
+   false. *)
+let first_blocker t =
+  let on_write w =
+    match w.status with
+    | Durable -> None
+    | Pending | Dropped | Failed -> Some (Not_durable w)
+  in
+  eval ~on_write
+    ~on_unbound:(fun p -> Some (Unbound p))
+    ~combine:(fun a b -> match a () with None -> b () | found -> found)
+    ~base:None (ref []) t
+
+let blocks = function
+  | Not_durable w -> (match w.status with Durable -> false | Pending | Dropped | Failed -> true)
+  | Unbound p -> Option.is_none p.bound
+
 let has_failed t =
   let on_write w = match w.status with Dropped | Failed -> true | Pending | Durable -> false in
-  eval ~on_write ~on_unbound:false
+  eval ~on_write ~on_unbound:(fun _ -> false)
     ~combine:(fun a b -> a () || b ())
     ~base:false (ref []) t
 
@@ -75,7 +94,8 @@ let writes t =
     true
   in
   let (_ : bool) =
-    eval ~on_write ~on_unbound:true ~combine:(fun a b -> a () && b ()) ~base:true (ref []) t
+    eval ~on_write ~on_unbound:(fun _ -> true) ~combine:(fun a b -> a () && b ()) ~base:true
+      (ref []) t
   in
   List.rev !acc
 

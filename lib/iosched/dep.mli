@@ -52,6 +52,30 @@ val all : t list -> t
     covered promise is bound to a persistent dependency. *)
 val is_persistent : t -> bool
 
+(** {2 Blockers}
+
+    A {e leaf} of a dependency is a write, or a promise that is not bound
+    yet, reached from it through {!and_} and bound promises (never through
+    a write's own input). {!is_persistent} is the conjunction over the
+    leaves: it holds exactly when no leaf {e blocks}, a write blocking until
+    it is durable and a promise until it is bound. *)
+
+type blocker
+
+(** [first_blocker t] is the first blocking leaf in {!is_persistent}'s own
+    walk order, under its visited-promise rule; [None] exactly when
+    [is_persistent t]. *)
+val first_blocker : t -> blocker option
+
+(** [blocks b] — [b] still blocks. While it does, every dependency [b] was
+    found under is still not persistent, so a caller may cache [b] and
+    answer "blocked" without walking the graph again. This is sound because
+    [b] stays a leaf of that dependency: dependencies are immutable, a
+    promise binds once, and the walk never descends into a write's input
+    (the one field that changes, when the write settles). When [b] stops
+    blocking, ask {!first_blocker} again. *)
+val blocks : blocker -> bool
+
 (** [has_failed t] — true if any covered write was dropped by a crash or
     failed permanently; such a dependency can never become persistent. *)
 val has_failed : t -> bool

@@ -24,6 +24,10 @@ let encode w = function
     List.iter (Chunk.Locator.encode w) locs
   | Tombstone -> Codec.Writer.u8 w 1
 
+let encoded_size = function
+  | Put locs -> 5 + (List.length locs * Chunk.Locator.encoded_size)
+  | Tombstone -> 1
+
 let decode r =
   let open Codec.Syntax in
   let* tag = Codec.Reader.u8 r in

@@ -9,4 +9,9 @@ type t =
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val encode : Util.Codec.Writer.t -> t -> unit
+
+(** [encoded_size e] is the number of bytes [encode] writes for [e],
+    without encoding it. *)
+val encoded_size : t -> int
+
 val decode : Util.Codec.Reader.t -> (t, Util.Codec.error) result

@@ -393,12 +393,8 @@ let batch_pairs t pairs =
   let rec go current current_size batches = function
     | [] -> List.rev (if current = [] then batches else List.rev current :: batches)
     | ((k, e) as pair) :: rest ->
-      let size =
-        let w = Codec.Writer.create () in
-        Codec.Writer.lstring w k;
-        Entry.encode w e;
-        Codec.Writer.length w
-      in
+      (* [Run.encode] writes each pair as an [lstring] key and the entry. *)
+      let size = 4 + String.length k + Entry.encoded_size e in
       if current <> [] && current_size + size > t.max_run_payload then
         go [ pair ] size (List.rev current :: batches) rest
       else go (pair :: current) (current_size + size) batches rest

@@ -10,7 +10,26 @@ type t = {
   m_errors : Obs.Counter.t;
   m_tick_errors : Obs.Counter.t;
   m_batch_ops : Obs.Histogram.t;
+  m_requests : Obs.Counter.t option array;
+      (** [rpc.request] per request kind, registered on the kind's first
+          request so a snapshot lists only the kinds that were served *)
 }
+
+(* A request's kind: its slot in [m_requests] and its [kind] label. *)
+let request_kind = function
+  | Message.Put _ -> (0, "put")
+  | Message.Get _ -> (1, "get")
+  | Message.Delete _ -> (2, "delete")
+  | Message.List -> (3, "list")
+  | Message.Remove_disk _ -> (4, "remove_disk")
+  | Message.Return_disk _ -> (5, "return_disk")
+  | Message.Bulk_delete _ -> (6, "bulk_delete")
+  | Message.Migrate _ -> (7, "migrate")
+  | Message.Node_stats -> (8, "node_stats")
+  | Message.Batch_request _ -> (9, "batch")
+  | Message.Scan_request _ -> (10, "scan")
+
+let request_kinds = 11
 
 let create ?obs ?trace ?(disks = 4) (config : S.config) =
   if disks <= 0 then invalid_arg "Node.create: need at least one disk";
@@ -26,24 +45,21 @@ let create ?obs ?trace ?(disks = 4) (config : S.config) =
     m_tick_errors = Obs.counter obs "rpc.tick_error";
     m_batch_ops =
       Obs.histogram ~buckets:[ 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128. ] obs "rpc.batch_ops";
+    m_requests = Array.make request_kinds None;
   }
 
 let disk_count t = Array.length t.stores
 let obs t = t.obs
 let store_obs t ~disk = S.obs t.stores.(disk)
 
-let request_kind = function
-  | Message.Put _ -> "put"
-  | Message.Get _ -> "get"
-  | Message.Delete _ -> "delete"
-  | Message.List -> "list"
-  | Message.Remove_disk _ -> "remove_disk"
-  | Message.Return_disk _ -> "return_disk"
-  | Message.Bulk_delete _ -> "bulk_delete"
-  | Message.Migrate _ -> "migrate"
-  | Message.Node_stats -> "node_stats"
-  | Message.Batch_request _ -> "batch"
-  | Message.Scan_request _ -> "scan"
+let request_counter t req =
+  let slot, kind = request_kind req in
+  match t.m_requests.(slot) with
+  | Some c -> c
+  | None ->
+    let c = Obs.counter ~labels:[ ("kind", kind) ] t.obs "rpc.request" in
+    t.m_requests.(slot) <- Some c;
+    c
 
 let disk_of_key t key =
   match Hashtbl.find_opt t.placements key with
@@ -397,7 +413,7 @@ let trace_outcome req resp =
   | _, _ -> Tracecheck.Trace.Failed
 
 let handle t req =
-  Obs.Counter.incr (Obs.counter ~labels:[ ("kind", request_kind req) ] t.obs "rpc.request");
+  Obs.Counter.incr (request_counter t req);
   let traced =
     match t.trace with
     | None -> None

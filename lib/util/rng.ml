@@ -1,15 +1,23 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in 8 bytes: reading and writing it
+   through [Bytes.get_int64_le]/[set_int64_le] keeps every intermediate in
+   registers, where a [mutable state : int64] field would box a fresh
+   [Int64] on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 seed;
+  t
+
 let of_int seed = create (Int64.of_int seed)
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
 (* splitmix64 finalizer: advance by the golden gamma, then mix. *)
-let int64 t =
-  let z = Int64.add t.state golden_gamma in
-  t.state <- z;
+let[@inline] int64 t =
+  let z = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 z;
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
@@ -29,7 +37,7 @@ let int_in t lo hi =
 
 let bool t = Int64.logand (int64 t) 1L = 1L
 
-let float t bound =
+let[@inline] float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   bound *. (v /. 9007199254740992.0)
 

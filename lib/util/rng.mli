@@ -11,7 +11,14 @@
     private generator from its own seed, so sharding a seed range across
     domains draws exactly the values the sequential loop would. A [t] is a
     mutable cursor and is {e not} domain-safe — never share one across
-    domains; give each task its own via {!create} or {!split}. *)
+    domains; give each task its own via {!create} or {!split}.
+
+    {b Allocation}: the 64-bit state is kept unboxed (8 bytes read and
+    written in place), so advancing it allocates nothing: {!int}, {!bool},
+    {!chance} and {!shuffle} allocate nothing, and {!int64} and {!float}
+    allocate only the boxed result they return when the call is not
+    inlined. The stream is the splitmix64 stream every seed has always
+    yielded; [test_util] pins its first values. *)
 
 type t
 

@@ -27,6 +27,51 @@ let test_fig5_single_rows () =
   let o = Conc.Conc_detect.detect (Smc.Dfs { max_schedules = 20_000 }) Faults.F12_buffer_pool_deadlock in
   Alcotest.(check bool) "smc row detects" true (o.Smc.violation <> None)
 
+(* The Fig. 5 table at the quick budget is a function of the seeded
+   schedules the validation stack explores, down to the write-back order of
+   the IO scheduler: pinning every row makes any change to a schedule fail
+   here. #10 stays out of reach at this budget. *)
+let test_fig5_quick_rows_pinned () =
+  let expected =
+    [
+      (1, true, "20 sequences (1200 ops)", "60 operations, including 0 crashes and 1163 B of data");
+      (2, true, "2 sequences (120 ops)", "60 operations, including 0 crashes and 1709 B of data");
+      (3, true, "6 sequences (360 ops)", "60 operations, including 5 crashes and 1323 B of data");
+      (4, true, "1 sequences (60 ops)", "60 operations, including 0 crashes and 943 B of data");
+      (5, true, "85 sequences (5100 ops)", "60 operations, including 0 crashes and 622 B of data");
+      ( 6, true, "107 sequences (6420 ops)",
+        "60 operations, including 3 crashes and 1149 B of data" );
+      (7, true, "15 sequences (900 ops)", "60 operations, including 2 crashes and 1541 B of data");
+      (8, true, "7 sequences (420 ops)", "60 operations, including 4 crashes and 1329 B of data");
+      (9, true, "1 sequences (60 ops)", "60 operations, including 4 crashes and 1016 B of data");
+      (10, false, "2000 sequences (160000 ops)", "-");
+      ( 11, true, "12 schedules (202 steps)",
+        "assertion failed: published locator points at unwritten slot after 10 steps (schedule [0;1;1;1;0;0;0;1;1;1])" );
+      ( 12, true, "6 schedules (98 steps)",
+        "deadlock: 3 threads blocked after 10 steps (schedule [0;1;1;0;0;0;1;1;1;0])" );
+      ( 13, true, "12 schedules (205 steps)",
+        "assertion failed: listing skipped a live shard after 12 steps (schedule [0;0;0;0;1;1;0;2;2;2;2;1])" );
+      ( 14, true, "34 schedules (1205 steps)",
+        "assertion failed: final read: got 10 after 40 steps (schedule [0;0;0;0;0;0;0;0;0;1;1;1;1;1;0;0;3;3;3;3;0;0;1;1;1;1;1;1;1;0;0;0;0;0;0;0;0;0;0;0])" );
+      (15, true, "1 sequences (12 ops)", "-");
+      ( 16, true, "5 schedules (105 steps)",
+        "assertion failed: removed shard 3 still present after 21 steps (schedule [0;0;0;1;1;1;1;0;0;0;1;1;1;0;0;0;0;0;0;0;0])" );
+    ]
+  in
+  let report = Experiments.Fig5.run Experiments.Fig5.quick_budget in
+  let actual =
+    List.map
+      (fun (row : Experiments.Fig5.row) ->
+        ( Faults.number row.Experiments.Fig5.fault,
+          (row.Experiments.Fig5.detected, row.Experiments.Fig5.effort,
+           row.Experiments.Fig5.counterexample) ))
+      report.Experiments.Fig5.rows
+  in
+  Alcotest.(check (list (pair int (triple bool string string))))
+    "rows"
+    (List.map (fun (n, d, e, c) -> (n, (d, e, c))) expected)
+    actual
+
 let test_payg () =
   let r =
     Experiments.Payg.run ~faults:[ Faults.F1_reclaim_off_by_one ] ~trials:3 ~max_sequences:200
@@ -118,6 +163,7 @@ let () =
         [
           Alcotest.test_case "fig6 loc" `Quick test_fig6;
           Alcotest.test_case "fig5 rows" `Quick test_fig5_single_rows;
+          Alcotest.test_case "fig5 quick rows pinned" `Quick test_fig5_quick_rows_pinned;
           Alcotest.test_case "payg" `Quick test_payg;
           Alcotest.test_case "crash modes" `Quick test_crash_modes;
           Alcotest.test_case "smc tradeoff" `Quick test_smc_tradeoff;

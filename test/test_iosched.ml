@@ -390,6 +390,230 @@ let test_submit_batch_max_ios () =
   Alcotest.(check int) "bounded" 2 (Io_sched.submit_batch ~max_ios:2 s);
   Alcotest.(check int) "remainder" 1 (Io_sched.submit_batch s)
 
+(* {2 Write-back schedule}
+
+   The validation stack explores write-back orders from a seed, so the
+   order in which [pump] and [submit_batch] issue writes, and the values
+   they draw, are part of every verdict. The workload below observes them
+   on a small scheduler; its digest over 200 seeds is pinned. *)
+
+let workload_config = { Disk.extent_count = 16; pages_per_extent = 4; page_size = 16 }
+
+(* A seeded random workload on a 16-extent scheduler: appends and resets
+   whose inputs mix cross-extent writes, fresh, aliased and cyclic
+   promises; late binds; one-shot and permanent faults (hand-placed or
+   randomly armed); pump and submit_batch with random [max_ios]; flushes,
+   restarts and crashes. Returns one line per op observing everything the
+   write-back schedule decides. [after] runs after every op. *)
+let schedule_trace ?(after = fun _ -> ()) seed =
+  let n = workload_config.Disk.extent_count in
+  let rng = Rng.of_int seed in
+  let disk = Disk.create workload_config in
+  let s = Io_sched.create ~seed:(Int64.of_int ((seed * 7919) + 1)) disk in
+  if seed mod 4 = 0 then
+    Disk.arm_random_faults disk ~rng:(Rng.of_int (seed + 1)) ~transient_prob:0.05
+      ~permanent_prob:0.005;
+  let buf = Buffer.create 8192 in
+  let pool = Array.make 32 Dep.trivial in
+  let pooled = ref 0 in
+  let add_dep d =
+    pool.(!pooled mod 32) <- d;
+    incr pooled
+  in
+  let promises = ref [||] in
+  let recent () = if !pooled = 0 then Dep.trivial else pool.(Rng.int rng (min !pooled 32)) in
+  let any_promise () =
+    if Array.length !promises = 0 || Rng.bool rng then begin
+      let p = Dep.Promise.create () in
+      promises := Array.append !promises [| p |];
+      p
+    end
+    else Rng.pick rng !promises
+  in
+  let input () =
+    match Rng.int rng 6 with
+    | 0 | 1 -> Dep.trivial
+    | 2 -> recent ()
+    | 3 -> Dep.Promise.dep (any_promise ())
+    | 4 -> Dep.and_ (recent ()) (recent ())
+    | _ -> Dep.and_ (recent ()) (Dep.Promise.dep (any_promise ()))
+  in
+  let record tag v =
+    Printf.bprintf buf "%s%d p%d:" tag v (Io_sched.pending_count s);
+    for e = 0 to n - 1 do
+      Printf.bprintf buf "%d.%d%s," (Disk.hard_ptr disk ~extent:e) (Disk.epoch disk ~extent:e)
+        (if Io_sched.quarantined s ~extent:e then "q" else "")
+    done;
+    Printf.bprintf buf " d%d\n"
+      (Array.fold_left (fun acc d -> if Dep.is_persistent d then acc + 1 else acc) 0 pool)
+  in
+  let max_ios () = if Rng.bool rng then max_int else 1 + Rng.int rng 4 in
+  let staged tag = function
+    | Ok d ->
+      add_dep d;
+      record tag 0
+    | Error (Io_sched.Extent_full _) -> record (tag ^ "full") 0
+    | Error e -> record (tag ^ Format.asprintf "(%a)" Io_sched.pp_error e) 0
+  in
+  for _ = 1 to 120 do
+    (match Rng.int rng 100 with
+    | r when r < 36 ->
+      let extent = Rng.int rng n in
+      let data = String.make (1 + Rng.int rng 24) (Char.chr (97 + Rng.int rng 26)) in
+      staged "A" (Io_sched.append s ~extent ~data ~input:(input ()))
+    | r when r < 41 -> staged "R" (Io_sched.reset s ~extent:(Rng.int rng n) ~input:(input ()))
+    | r when r < 50 -> (
+      let unbound =
+        List.filter (fun p -> not (Dep.Promise.is_bound p)) (Array.to_list !promises)
+      in
+      match unbound with
+      | [] -> record "b-" 0
+      | ps ->
+        let p = Rng.pick_list rng ps in
+        let d =
+          match Rng.int rng 4 with
+          | 0 -> Dep.trivial
+          | 1 -> recent ()
+          | 2 -> Dep.and_ (Dep.Promise.dep p) (recent ())
+          | _ -> Dep.and_ (Dep.Promise.dep (any_promise ())) (recent ())
+        in
+        Dep.Promise.bind p d;
+        record "b" 0)
+    | r when r < 54 ->
+      Disk.fail_once disk ~extent:(Rng.int rng n);
+      record "t" 0
+    | r when r < 56 ->
+      Disk.fail_permanently disk ~extent:(Rng.int rng n);
+      record "x" 0
+    | r when r < 60 ->
+      Disk.heal disk ~extent:(Rng.int rng n);
+      record "h" 0
+    | r when r < 75 -> record "P" (Io_sched.pump ~max_ios:(max_ios ()) s)
+    | r when r < 91 -> record "B" (Io_sched.submit_batch ~max_ios:(max_ios ()) s)
+    | r when r < 94 -> (
+      match Io_sched.flush s with
+      | Ok () -> record "L" 0
+      | Error e -> record (Format.asprintf "L(%a)" Io_sched.pp_error e) 0)
+    | r when r < 96 ->
+      Io_sched.discard_volatile s;
+      record "D" 0
+    | _ ->
+      let persist_probability = Rng.float rng 1.0 in
+      let split_pages = Rng.bool rng in
+      let c = Io_sched.crash s ~rng ~persist_probability ~split_pages in
+      record
+        (Printf.sprintf "C%d/%d/" c.Io_sched.persisted c.Io_sched.partial)
+        c.Io_sched.dropped);
+    after s
+  done;
+  Buffer.contents buf
+
+let schedule_digest ?after () =
+  let d = Buffer.create 4096 in
+  for seed = 0 to 199 do
+    Buffer.add_string d (Digest.string (schedule_trace ?after seed))
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents d))
+
+let test_schedule_digest_pinned () =
+  Alcotest.(check string) "schedule digest" "9648ec91808ca7809e5146c104a0b5af" (schedule_digest ())
+
+let test_queue_invariants_hold () =
+  let after s =
+    match Io_sched.queue_invariants s with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "queue invariant: %s" e
+  in
+  for seed = 0 to 199 do
+    ignore (schedule_trace ~after seed)
+  done
+
+(* Random dependency graphs with aliased and self-referencing promises,
+   late binds and writes settling Durable, Dropped or Failed. After every
+   step, a blocker cached per tracked dependency under the scheduler's
+   protocol (keep the leaf while it blocks, else ask again) answers what
+   [Dep.is_persistent] answers. *)
+let prop_cached_blocker =
+  QCheck.Test.make ~name:"cached blocker answers is_persistent" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.of_int seed in
+      let writes = ref [||] and promises = ref [||] and deps = ref [||] in
+      let tracked = ref [] in
+      let push r x = r := Array.append !r [| x |] in
+      let pick r = !r.(Rng.int rng (Array.length !r)) in
+      let rec random_dep depth =
+        match Rng.int rng 5 with
+        | 1 when Array.length !writes > 0 -> Dep.of_write (pick writes)
+        | 2 when Array.length !promises > 0 -> Dep.Promise.dep (pick promises)
+        | 3 when Array.length !deps > 0 -> pick deps
+        | 4 when depth > 0 -> Dep.and_ (random_dep (depth - 1)) (random_dep (depth - 1))
+        | _ -> Dep.trivial
+      in
+      let cached_persistent (d, cache) =
+        match !cache with
+        | Some b when Dep.blocks b -> false
+        | _ -> (
+          match Dep.first_blocker d with
+          | None ->
+            cache := None;
+            true
+          | found ->
+            cache := found;
+            false)
+      in
+      let step i =
+        match Rng.int rng 6 with
+        | 0 ->
+          let w =
+            Dep.make_write ~id:i ~extent:0
+              ~kind:(Dep.Append { off = 0; data = "x" })
+              ~input:(random_dep 2)
+          in
+          push writes w;
+          push deps (Dep.of_write w)
+        | 1 -> push promises (Dep.Promise.create ())
+        | 2 ->
+          let d = Dep.and_ (random_dep 2) (random_dep 2) in
+          push deps d;
+          tracked := (d, ref None) :: !tracked
+        | 3 -> (
+          let pending =
+            List.filter
+              (fun (w : Dep.write) -> w.Dep.status = Dep.Pending)
+              (Array.to_list !writes)
+          in
+          match pending with
+          | [] -> ()
+          | ws ->
+            Dep.set_status (Rng.pick_list rng ws)
+              (Rng.weighted rng [ (6, Dep.Durable); (1, Dep.Dropped); (1, Dep.Failed) ]))
+        | _ -> (
+          let unbound =
+            List.filter (fun p -> not (Dep.Promise.is_bound p)) (Array.to_list !promises)
+          in
+          match unbound with
+          | [] -> ()
+          | ps ->
+            let p = Rng.pick_list rng ps in
+            Dep.Promise.bind p
+              (if Rng.bool rng then random_dep 2 else Dep.and_ (Dep.Promise.dep p) (random_dep 2)))
+      in
+      for i = 0 to 79 do
+        step i;
+        List.iter
+          (fun ((d, _) as entry) ->
+            let truth = Dep.is_persistent d in
+            if cached_persistent entry <> truth then
+              QCheck.Test.fail_reportf "step %d: cached blocker disagrees with is_persistent=%b"
+                i truth;
+            if Option.is_none (Dep.first_blocker d) <> truth then
+              QCheck.Test.fail_reportf "step %d: first_blocker disagrees with is_persistent=%b" i
+                truth)
+          !tracked
+      done;
+      true)
+
 let () =
   Alcotest.run "iosched"
     [
@@ -423,6 +647,12 @@ let () =
           Alcotest.test_case "split pages" `Quick test_crash_split_pages;
           QCheck_alcotest.to_alcotest prop_crash_respects_deps;
           QCheck_alcotest.to_alcotest prop_crash_prefix_of_staged;
+        ] );
+      ( "schedule",
+        [
+          Alcotest.test_case "digest pinned over 200 seeds" `Quick test_schedule_digest_pinned;
+          Alcotest.test_case "queue invariants after every op" `Quick test_queue_invariants_hold;
+          QCheck_alcotest.to_alcotest prop_cached_blocker;
         ] );
       ( "failures",
         [

@@ -414,6 +414,24 @@ let test_stats () =
     Alcotest.(check (list (float 0.0))) "store.put on serving disk" [ 1.0 ] put_count
   | r -> Alcotest.failf "stats: %a" Rpc.Message.pp_response r
 
+(* [rpc.request] carries one series per request kind, registered by the
+   kind's first request: a snapshot lists only the kinds served. *)
+let test_request_counters_per_kind () =
+  let node = make_node () in
+  let series () =
+    List.filter_map
+      (fun (s : Obs.sample) ->
+        if s.Obs.name = "rpc.request" then Some (s.Obs.labels, s.Obs.value) else None)
+      (Obs.snapshot (Rpc.Node.obs node))
+  in
+  Alcotest.(check int) "no series before a request" 0 (List.length (series ()));
+  ignore (Rpc.Node.handle node (Rpc.Message.Get { key = "k" }));
+  ignore (Rpc.Node.handle node (Rpc.Message.Put { key = "k"; value = "v" }));
+  ignore (Rpc.Node.handle node (Rpc.Message.Get { key = "k" }));
+  Alcotest.(check bool) "get twice, put once" true
+    (series ()
+    = [ ([ ("kind", "get") ], Obs.Counter_v 2); ([ ("kind", "put") ], Obs.Counter_v 1) ])
+
 (* Stats metrics survive the full wire round-trip through handle_wire. *)
 let test_stats_wire_roundtrip () =
   let node = make_node () in
@@ -582,6 +600,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_batch_one_bad_op;
           QCheck_alcotest.to_alcotest prop_scan_pagination;
           Alcotest.test_case "stats" `Quick test_stats;
+          Alcotest.test_case "request counters per kind" `Quick test_request_counters_per_kind;
           Alcotest.test_case "stats wire roundtrip" `Quick test_stats_wire_roundtrip;
           Alcotest.test_case "handle wire" `Quick test_handle_wire;
           Alcotest.test_case "bad disk" `Quick test_bad_disk;

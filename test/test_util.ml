@@ -20,6 +20,61 @@ let test_rng_bounds () =
     Alcotest.(check bool) "in range" true (v >= 5 && v <= 9)
   done
 
+(* The splitmix64 stream is part of every seeded schedule and verdict:
+   these are its first values, as the generator has always drawn them. *)
+let test_rng_stream_pinned () =
+  let first8 seed =
+    let r = Rng.create seed in
+    List.init 8 (fun _ -> Rng.int64 r)
+  in
+  Alcotest.(check (list int64)) "seed 0"
+    [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L;
+      -537132696929009172L; 1961750202426094747L; 6038094601263162090L;
+      3207296026000306913L; -4214222208109204676L ]
+    (first8 0L);
+  Alcotest.(check (list int64)) "seed 1"
+    [ -7995527694508729151L; -4689498862643123097L; -534904783426661026L;
+      8196980753821780235L; 8195237237126968761L; -4373826470845021568L;
+      -2262517385565684571L; -8797857673641491083L ]
+    (first8 1L);
+  Alcotest.(check (list int64)) "seed 42"
+    [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L;
+      6349198060258255764L; 701532786141963250L; -2430762948046562554L;
+      4028864712777624925L; -3677692746721775708L ]
+    (first8 42L);
+  Alcotest.(check (list int64)) "seed 0x5EED_CAFE"
+    [ 4839992929902016533L; -5749855478143838530L; -2499282993978686212L;
+      3115517747291210547L; -1460459064231100383L; 8225877385692463310L;
+      6065135524253103467L; -2824135168967517471L ]
+    (first8 0x5EED_CAFEL);
+  let r = Rng.create 7L in
+  Alcotest.(check (list int)) "int draws" [ 1; 1; 336; 368050; 2086519961375180918 ]
+    (List.map (Rng.int r) [ 2; 10; 1000; 1_000_000; max_int ]);
+  Alcotest.(check (list (float 0.0))) "float draws"
+    [ 0x1.fed5f4365df54p-3; 0x1.df2f1284cf0b4p-2; 0x1.4ff35944f40aep-2; 0x1.12f603d4ca83p-3 ]
+    (List.init 4 (fun _ -> Rng.float r 1.0))
+
+let test_rng_copy_independent () =
+  let a = Rng.create 42L in
+  ignore (Rng.int64 a);
+  let b = Rng.copy a in
+  let next = Rng.int64 (Rng.copy a) in
+  for _ = 1 to 5 do
+    ignore (Rng.int64 b)
+  done;
+  Alcotest.(check int64) "advancing a copy leaves the original" next (Rng.int64 a)
+
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.create 3L in
+  let sink = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    sink := !sink + Rng.int r 1000;
+    if Rng.chance r 0.5 then incr sink;
+    if Rng.bool r then incr sink
+  done;
+  Alcotest.(check (float 0.0)) "minor words" 0.0 (Gc.minor_words () -. before)
+
 let test_rng_split_independent () =
   let a = Rng.create 42L in
   let b = Rng.split a in
@@ -185,6 +240,9 @@ let () =
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
+          Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
+          Alcotest.test_case "copy independent" `Quick test_rng_copy_independent;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "split independent" `Quick test_rng_split_independent;
           Alcotest.test_case "weighted" `Quick test_rng_weighted;
