@@ -73,8 +73,6 @@ type t = {
   disk : Disk.t;
   volatiles : volatile array;
   mutable active : Iset.t;  (** the extents whose queue is non-empty *)
-  order : int array;  (** [pump]'s shuffled extent order ... *)
-  pos : int array;  (** ... and its inverse *)
   rng : Util.Rng.t;
   obs : Obs.t;
   m : metrics;
@@ -104,14 +102,11 @@ let create ?obs ?(seed = 0x5EEDL) disk =
     }
   in
   let obs = match obs with Some o -> o | None -> Disk.obs disk in
-  let n = config.Disk.extent_count in
   let t =
     {
       disk;
-      volatiles = Array.init n mk;
+      volatiles = Array.init config.Disk.extent_count mk;
       active = Iset.empty;
-      order = Array.make n 0;
-      pos = Array.make n 0;
       rng = Util.Rng.create seed;
       obs;
       m = make_metrics obs;
@@ -288,45 +283,6 @@ let try_issue_head t extent v =
         `Failed
     end
 
-(* Each pass shuffles every extent with Fisher-Yates swaps, from the
-   identity on each call (the order contract in the interface; the swaps
-   are those [Util.Rng.shuffle] makes, kept here on the int arrays so that
-   [pos] can track the inverse permutation and no store goes through the
-   write barrier; [test_iosched] pins the resulting issue order). A pass
-   never fills an empty queue, so visiting the extents active at its
-   start, by shuffled position, visits the same queues in the same order
-   as scanning all of [order]. *)
-let pump ?(max_ios = max_int) t =
-  let issued = ref 0 in
-  let progress = ref true in
-  let order = t.order and pos = t.pos in
-  for e = 0 to Array.length order - 1 do
-    order.(e) <- e;
-    pos.(e) <- e
-  done;
-  while !progress && !issued < max_ios do
-    progress := false;
-    for i = Array.length order - 1 downto 1 do
-      let j = Util.Rng.int t.rng (i + 1) in
-      let a = order.(i) and b = order.(j) in
-      order.(i) <- b;
-      pos.(b) <- i;
-      order.(j) <- a;
-      pos.(a) <- j
-    done;
-    List.iter
-      (fun extent ->
-        if !issued < max_ios then
-          match try_issue_head t extent t.volatiles.(extent) with
-          | `Issued ->
-            incr issued;
-            progress := true
-          | `Failed -> progress := true
-          | `Empty | `Blocked | `Transient -> ())
-      (List.sort (fun a b -> Int.compare pos.(a) pos.(b)) (Iset.elements t.active))
-  done;
-  !issued
-
 (* The maximal ready run of appends at the head of [v]'s queue: each member
    is contiguous with its predecessor (appends stage at the soft pointer, so
    this holds by construction unless a reset intervenes) and its input holds
@@ -403,40 +359,50 @@ let issue_run t extent v run =
     fail_extent t extent v;
     `Failed
 
-let submit_batch ?(max_ios = max_int) t =
-  Obs.Counter.incr t.m.m_batch_submit;
+(* The write-back loop: passes run until one issues nothing or [max_ios]
+   writes are issued. A pass calls [walk] on the extents active at its
+   start, which tries [issue] once on each in the order it chooses. A pass
+   never fills an empty queue, so the extents it skips have nothing to
+   issue. Another pass follows any progress, because an issued write can
+   unblock another extent's head (cross-extent dependencies, promises
+   bound to superblock records). *)
+let passes ~max_ios t ~walk issue =
   let issued = ref 0 in
   let progress = ref true in
-  (* Sorted extent order (vs [pump]'s shuffle): batch writeback favours
-     merge opportunity and locality over schedule exploration. The outer
-     loop re-walks the extents because issuing one extent's run can unblock
-     another's (cross-extent dependencies via superblock promises). A pass
-     walks the extents active at its start, in ascending order: an empty
-     queue issues nothing, and a pass never fills one. *)
   while !progress && !issued < max_ios do
     progress := false;
-    Iset.iter
+    walk
       (fun extent ->
-        let v = t.volatiles.(extent) in
         if !issued < max_ios then
-          match ready_run v with
-          | [] | [ _ ] -> (
-            match try_issue_head t extent v with
-            | `Issued ->
-              incr issued;
-              progress := true
-            | `Failed -> progress := true
-            | `Empty | `Blocked | `Transient -> ())
-          | run -> (
-            match issue_run t extent v run with
-            | `Issued ->
-              incr issued;
-              progress := true
-            | `Failed -> progress := true
-            | `Transient -> ()))
+          match issue extent t.volatiles.(extent) with
+          | `Issued ->
+            incr issued;
+            progress := true
+          | `Failed -> progress := true
+          | `Empty | `Blocked | `Transient -> ())
       t.active
   done;
   !issued
+
+(* A fresh uniform shuffle of the active extents per pass: the orderings a
+   real write-back thread could pick (the order contract in the
+   interface). *)
+let pump ?(max_ios = max_int) t =
+  let shuffled f active =
+    let extents = Array.of_list (Iset.elements active) in
+    Util.Rng.shuffle t.rng extents;
+    Array.iter f extents
+  in
+  passes ~max_ios t ~walk:shuffled (try_issue_head t)
+
+(* Ascending extent order (vs [pump]'s shuffle): batch write-back favours
+   merge opportunity and locality over schedule exploration. *)
+let submit_batch ?(max_ios = max_int) t =
+  Obs.Counter.incr t.m.m_batch_submit;
+  passes ~max_ios t ~walk:Iset.iter (fun extent v ->
+      match ready_run v with
+      | [] | [ _ ] -> try_issue_head t extent v
+      | run -> issue_run t extent v run)
 
 let pending_count t = t.pending_total
 
@@ -496,31 +462,6 @@ let has_pending_reset t ~extent =
   Queue.fold
     (fun acc w -> acc || match w.Dep.kind with Dep.Reset _ -> true | Dep.Append _ -> false)
     false v.pending
-
-let pp_blocked fmt t =
-  Array.iteri
-    (fun extent v ->
-      Queue.iter
-        (fun w ->
-          Format.fprintf fmt
-            "extent %d: w%d %s input{persistent=%b writes=%a (%s)}@."
-            extent w.Dep.id
-            (match w.Dep.kind with
-            | Dep.Append { off; data } -> Printf.sprintf "append@%d+%d" off (String.length data)
-            | Dep.Reset _ -> "reset")
-            (Dep.is_persistent w.Dep.input) Dep.pp w.Dep.input
-            (String.concat ","
-               (List.map
-                  (fun w' ->
-                    Printf.sprintf "w%d:%s" w'.Dep.id
-                      (match w'.Dep.status with
-                      | Dep.Pending -> "pending"
-                      | Dep.Durable -> "durable"
-                      | Dep.Dropped -> "dropped"
-                      | Dep.Failed -> "failed"))
-                  (Dep.writes w.Dep.input))))
-        v.pending)
-    t.volatiles
 
 let flush t =
   let rec go guard =

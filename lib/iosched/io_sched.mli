@@ -83,19 +83,20 @@ val read : t -> extent:int -> off:int -> len:int -> (string, error) result
     order; returns the number issued.
 
     Order contract: a call runs passes until one issues nothing or
-    [max_ios] writes are issued. Each pass shuffles [0 .. extent_count-1]
-    (Fisher-Yates, [extent_count - 1] draws from the scheduler's seeded
-    generator), starting from the identity on each call and carrying the
-    permutation from pass to pass, and tries each extent's queue head once
-    in that order. The issue order, and so every crash state and
-    validation verdict built on it, is a function of the seed and the
-    calls made.
+    [max_ios] writes are issued. Each pass takes the extents with queued
+    writes at its start (the active set), shuffles them uniformly and
+    afresh ({!Util.Rng.shuffle} on the scheduler's seeded generator), and
+    tries each extent's queue head once in that order. So every relative
+    order of the ready heads is equally likely within a pass, which is
+    the property crash-state exploration relies on ([test_iosched] checks
+    it with a chi-square test over fixed seeds); the concrete order, and
+    so every crash state and validation verdict built on it, is a
+    function of the seed and the calls made.
 
-    Cost per pass: the [extent_count - 1] draws, which allocate nothing,
-    plus work in the extents with queued writes only (the active set,
-    sorted by shuffled position). A head blocked on the same leaf as at
-    its last check (see {!Dep.blocks}) is answered without walking its
-    dependency graph. *)
+    Cost per pass: [k - 1] draws for [k] active extents, plus work in
+    those extents only. A head blocked on the same leaf as at its last
+    check (see {!Dep.blocks}) is answered without walking its dependency
+    graph. *)
 val pump : ?max_ios:int -> t -> int
 
 (** [submit_batch ?max_ios t] — the group-commit writeback path. Walks
@@ -137,10 +138,6 @@ val pending_writes : t -> Dep.write list
     the reset could be referenced by the very index flush the reset waits
     on, deadlocking writeback. *)
 val has_pending_reset : t -> extent:int -> bool
-
-(** Debug: one line per blocked extent-queue head (extent, kind, input
-    dependency state). *)
-val pp_blocked : Format.formatter -> t -> unit
 
 (** {2 Crash states} *)
 

@@ -10,16 +10,14 @@ type event =
   | Sem_release of int
   | Barrier
 
-type race_mode = [ `Off | `Lockset | `Vector_clock ]
-
 type config = {
-  races : race_mode;
+  races : bool;
   lock_order : bool;
 }
 
-let off = { races = `Off; lock_order = false }
-let default = { races = `Vector_clock; lock_order = true }
-let enabled c = c.races <> `Off || c.lock_order
+let off = { races = false; lock_order = false }
+let default = { races = true; lock_order = true }
+let enabled c = c.races || c.lock_order
 
 type race = {
   loc : int;
@@ -146,14 +144,10 @@ module Monitor = struct
     mutable w_tid : int;
     mutable w_clk : int;
     reads : Vc.t;
-    (* Eraser-style lockset state. [cand = None] means "all locks". *)
-    mutable cand : Int_set.t option;
-    mutable accessors : Int_set.t;
-    mutable written : bool;
   }
 
   type t = {
-    mode : race_mode;
+    races : bool;
     graph : Lock_order.t option;
     threads : (int, Vc.t) Hashtbl.t;
     locks : (int, Vc.t) Hashtbl.t;
@@ -166,9 +160,9 @@ module Monitor = struct
     mutable syncs : int;
   }
 
-  let create ?lock_order ~mode () =
+  let create ?lock_order ~races () =
     {
-      mode;
+      races;
       graph = lock_order;
       threads = Hashtbl.create 8;
       locks = Hashtbl.create 8;
@@ -206,16 +200,7 @@ module Monitor = struct
     match Hashtbl.find_opt t.locations loc with
     | Some s -> s
     | None ->
-      let s =
-        {
-          w_tid = -1;
-          w_clk = 0;
-          reads = Vc.create ();
-          cand = None;
-          accessors = Int_set.empty;
-          written = false;
-        }
-      in
+      let s = { w_tid = -1; w_clk = 0; reads = Vc.create () } in
       Hashtbl.replace t.locations loc s;
       s
 
@@ -231,7 +216,7 @@ module Monitor = struct
     if t.race = None then t.race <- Some { loc; tids = (first, second); access }
 
   let on_spawn t ~parent ~child =
-    if t.mode = `Vector_clock then begin
+    if t.races then begin
       let pc = clock_of t parent in
       let cc = Vc.copy pc in
       Vc.incr cc child;
@@ -245,7 +230,7 @@ module Monitor = struct
     invents ordering for threads that really ran concurrently before the
     block. *)
   let on_wake t ~tid =
-    if t.mode = `Vector_clock then begin
+    if t.races then begin
       let c = clock_of t tid in
       Hashtbl.iter (fun other oc -> if other <> tid then Vc.join c oc) t.threads
     end
@@ -272,22 +257,10 @@ module Monitor = struct
     Vc.clear st.reads;
     Vc.set st.reads tid (Vc.get c tid)
 
-  let lockset_access t tid loc ~write =
-    let st = loc_of t loc in
-    let held = !(held_of t tid) in
-    st.cand <- Some (match st.cand with None -> held | Some s -> Int_set.inter s held);
-    st.accessors <- Int_set.add tid st.accessors;
-    if write then st.written <- true;
-    if
-      st.written
-      && Int_set.cardinal st.accessors >= 2
-      && (match st.cand with Some s -> Int_set.is_empty s | None -> false)
-    then report t loc ~first:(Int_set.min_elt st.accessors) ~second:tid "lockset"
-
   let on_event t ~tid ev =
     (* Coverage evidence for "zero findings" gates: how many plain
        accesses the detector actually checked, and how many sync events it
-       consumed, regardless of mode-specific handling below. *)
+       consumed, whether or not races are tracked. *)
     (match ev with
     | Read _ | Write _ -> t.accesses <- t.accesses + 1
     | Rmw _ | Lock_acquire _ | Lock_release _ | Sem_acquire _ | Sem_release _ | Barrier ->
@@ -304,14 +277,7 @@ module Monitor = struct
       let h = held_of t tid in
       h := Int_set.remove l !h
     | _ -> ());
-    match t.mode with
-    | `Off -> ()
-    | `Lockset -> (
-      match ev with
-      | Read loc -> lockset_access t tid loc ~write:false
-      | Write loc -> lockset_access t tid loc ~write:true
-      | Rmw _ | Lock_acquire _ | Lock_release _ | Sem_acquire _ | Sem_release _ | Barrier -> ())
-    | `Vector_clock -> (
+    if t.races then begin
       let c = clock_of t tid in
       match ev with
       | Read loc -> vc_read t tid loc
@@ -337,7 +303,8 @@ module Monitor = struct
         (* wait_until returned: the predicate became true, possibly without
            the thread ever blocking (so without an [on_wake]). Same join as
            a wake — sound for monotone predicates. *)
-        Hashtbl.iter (fun other oc -> if other <> tid then Vc.join c oc) t.threads)
+        Hashtbl.iter (fun other oc -> if other <> tid then Vc.join c oc) t.threads
+    end
 end
 
 (* {2 Page-lifecycle shadow} *)

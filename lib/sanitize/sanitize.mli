@@ -5,10 +5,9 @@
     an explored schedule" (paper section 4.3):
 
     - a {e happens-before race detector} ({!Monitor}, FastTrack-style
-      vector clocks with an Eraser-style lockset fallback) fed by the
-      {!Smc} scheduler: a racy access pair is flagged on {e every} schedule
-      that merely reorders it, not just the schedule where the race
-      corrupts state;
+      vector clocks) fed by the {!Smc} scheduler: a racy access pair is
+      flagged on {e every} schedule that merely reorders it, not just the
+      schedule where the race corrupts state;
     - a {e lock-order analysis} ({!Lock_order}): the lock-acquisition
       graph accumulated across all schedules of an exploration; cycles are
       potential deadlocks even when no schedule actually deadlocked;
@@ -31,15 +30,13 @@ type event =
   | Sem_acquire of int
   | Sem_release of int
   | Barrier
-      (** [Smc.wait_until] returned: the predicate was observed true. In
-          vector-clock mode this joins every thread's clock — the barrier
+      (** [Smc.wait_until] returned: the predicate was observed true. For
+          race detection this joins every thread's clock — the barrier
           analogue of a wake, needed because a predicate already true on
           first check never blocks (and so never wakes). *)
 
-type race_mode = [ `Off | `Lockset | `Vector_clock ]
-
 type config = {
-  races : race_mode;
+  races : bool;  (** vector-clock race detection *)
   lock_order : bool;
 }
 
@@ -54,7 +51,7 @@ val enabled : config -> bool
 type race = {
   loc : int;  (** cell location id *)
   tids : int * int;  (** the two racing threads, first access first *)
-  access : string;  (** ["write/write"], ["read/write"], ["write/read"] or ["lockset"] *)
+  access : string;  (** ["write/write"], ["read/write"] or ["write/read"] *)
 }
 
 val pp_race : Format.formatter -> race -> unit
@@ -97,26 +94,19 @@ end
 
 (** Per-schedule race monitor, driven by the {!Smc} scheduler.
 
-    Vector-clock mode implements FastTrack-style happens-before tracking:
-    plain [Cell.get]/[Cell.set] are the tracked accesses; [Cell.update],
+    Race detection is FastTrack-style happens-before tracking: plain
+    [Cell.get]/[Cell.set] are the tracked accesses; [Cell.update],
     mutexes and semaphores are synchronization (release/acquire edges).
     Threads waking from [block]/[wait_until] join all clocks — sound for
     monotone predicates, at the cost of missing races that span such a
-    barrier.
-
-    Lockset mode is the Eraser discipline: a location accessed by two or
-    more threads, at least once for writing, with an empty candidate lock
-    set is flagged. It needs no happens-before state (cheap screening) but
-    false-positives on publication-ordered data — e.g. a cell written
-    before an atomic publish and only read after consuming the publish
-    holds no common lock yet is race-free. *)
+    barrier. *)
 module Monitor : sig
   type t
 
-  (** [create ?lock_order ~mode ()] — pass the exploration-wide
-      {!Lock_order.t} to accumulate acquisition edges (tracked in every
-      mode, including [`Off]). *)
-  val create : ?lock_order:Lock_order.t -> mode:race_mode -> unit -> t
+  (** [create ?lock_order ~races ()] — pass the exploration-wide
+      {!Lock_order.t} to accumulate acquisition edges (tracked whether or
+      not [races] is on). *)
+  val create : ?lock_order:Lock_order.t -> races:bool -> unit -> t
 
   val on_spawn : t -> parent:int -> child:int -> unit
 
@@ -129,7 +119,7 @@ module Monitor : sig
   val race : t -> race option
 
   (** Coverage evidence for "zero findings" gates: plain accesses checked
-      by this monitor, in any mode. A clean result over zero accesses
+      by this monitor, with races on or off. A clean result over zero accesses
       proves nothing — report the count next to the verdict. *)
   val access_count : t -> int
 

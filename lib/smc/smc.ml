@@ -409,7 +409,7 @@ let sanitize_setup sanitize =
     in
     let mk () =
       drain ();
-      let m = Sanitize.Monitor.create ?lock_order:graph ~mode:cfg.Sanitize.races () in
+      let m = Sanitize.Monitor.create ?lock_order:graph ~races:cfg.Sanitize.races () in
       last := Some m;
       Some m
     in

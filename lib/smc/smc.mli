@@ -121,7 +121,7 @@ type violation_kind =
       loc : int;  (** {!Cell.id} of the racing cell *)
       tids : int * int;  (** the two racing threads, earlier access first *)
       access : string;
-          (** ["write/write"], ["read/write"], ["write/read"] or ["lockset"] *)
+          (** ["write/write"], ["read/write"] or ["write/read"] *)
     }
       (** flagged by the sanitizer ([~sanitize]) even on schedules where
           the race does not corrupt state *)

@@ -395,7 +395,9 @@ let test_submit_batch_max_ios () =
    The validation stack explores write-back orders from a seed, so the
    order in which [pump] and [submit_batch] issue writes, and the values
    they draw, are part of every verdict. The workload below observes them
-   on a small scheduler; its digest over 200 seeds is pinned. *)
+   on a small scheduler; its digest over 200 seeds is pinned with and
+   without the pump and flush ops, and [pump]'s order is also pinned as a
+   distribution, further below. *)
 
 let workload_config = { Disk.extent_count = 16; pages_per_extent = 4; page_size = 16 }
 
@@ -404,8 +406,11 @@ let workload_config = { Disk.extent_count = 16; pages_per_extent = 4; page_size 
    promises; late binds; one-shot and permanent faults (hand-placed or
    randomly armed); pump and submit_batch with random [max_ios]; flushes,
    restarts and crashes. Returns one line per op observing everything the
-   write-back schedule decides. [after] runs after every op. *)
-let schedule_trace ?(after = fun _ -> ()) seed =
+   write-back schedule decides. [after] runs after every op. With
+   [~pumps:false] the pump and flush ops record a no-op instead, so the
+   scheduler's generator is never drawn and the trace observes only
+   [submit_batch], [crash] and [discard_volatile]. *)
+let schedule_trace ?(after = fun _ -> ()) ?(pumps = true) seed =
   let n = workload_config.Disk.extent_count in
   let rng = Rng.of_int seed in
   let disk = Disk.create workload_config in
@@ -488,8 +493,10 @@ let schedule_trace ?(after = fun _ -> ()) seed =
     | r when r < 60 ->
       Disk.heal disk ~extent:(Rng.int rng n);
       record "h" 0
+    | r when r < 75 && not pumps -> record "-" 0
     | r when r < 75 -> record "P" (Io_sched.pump ~max_ios:(max_ios ()) s)
     | r when r < 91 -> record "B" (Io_sched.submit_batch ~max_ios:(max_ios ()) s)
+    | r when r < 94 && not pumps -> record "-" 0
     | r when r < 94 -> (
       match Io_sched.flush s with
       | Ok () -> record "L" 0
@@ -508,15 +515,64 @@ let schedule_trace ?(after = fun _ -> ()) seed =
   done;
   Buffer.contents buf
 
-let schedule_digest ?after () =
+let schedule_digest ?after ?pumps () =
   let d = Buffer.create 4096 in
   for seed = 0 to 199 do
-    Buffer.add_string d (Digest.string (schedule_trace ?after seed))
+    Buffer.add_string d (Digest.string (schedule_trace ?after ?pumps seed))
   done;
   Digest.to_hex (Digest.string (Buffer.contents d))
 
 let test_schedule_digest_pinned () =
-  Alcotest.(check string) "schedule digest" "9648ec91808ca7809e5146c104a0b5af" (schedule_digest ())
+  Alcotest.(check string) "schedule digest" "2f912a0437c0797dec9e89242b781c02" (schedule_digest ())
+
+let test_pump_free_digest_pinned () =
+  Alcotest.(check string) "pump-free schedule digest" "8c844ad73b3e7223d4f05b353b6877fb"
+    (schedule_digest ~pumps:false ())
+
+(* [pump]'s order contract is a distribution, not a stream: within a pass
+   every relative order of the ready queue heads is equally likely. Stage
+   one ready append on each of [k] extents, pump once per scheduler seed,
+   read the issue order off the trace ring and count each order. The
+   counts over seeds 0-5,999 must pass a chi-square test at p = 0.001
+   (fixed seeds, so the test is deterministic). *)
+let issue_order extents seed =
+  let obs = Obs.create ~trace_capacity:16 () in
+  let s = Io_sched.create ~obs ~seed:(Int64.of_int seed) (Disk.create workload_config) in
+  List.iter
+    (fun extent -> ignore (ok (Io_sched.append s ~extent ~data:"x" ~input:Dep.trivial)))
+    extents;
+  if Io_sched.pump s <> List.length extents then
+    Alcotest.failf "seed %d: a head did not issue" seed;
+  List.filter_map
+    (fun (e : Obs.event) ->
+      if e.Obs.event = "io_issue" then Some (List.assoc "extent" e.Obs.attrs) else None)
+    (Obs.recent obs)
+
+let chi_square extents =
+  let seeds = 6000 in
+  let counts = Hashtbl.create 24 in
+  for seed = 0 to seeds - 1 do
+    let order = issue_order extents seed in
+    Hashtbl.replace counts order (1 + Option.value ~default:0 (Hashtbl.find_opt counts order))
+  done;
+  let rec fact n = if n <= 1 then 1 else n * fact (n - 1) in
+  let orders = fact (List.length extents) in
+  let expected = float_of_int seeds /. float_of_int orders in
+  let observed = Hashtbl.fold (fun _ c acc -> c :: acc) counts [] in
+  let missing = orders - List.length observed in
+  List.fold_left
+    (fun acc c -> acc +. (((float_of_int c -. expected) ** 2.) /. expected))
+    (float_of_int missing *. expected)
+    observed
+
+let test_pump_order_uniform () =
+  List.iter
+    (fun (extents, threshold) ->
+      let x2 = chi_square extents in
+      if x2 >= threshold then
+        Alcotest.failf "%d ready extents: chi-square %.2f >= %.2f (p = 0.001)"
+          (List.length extents) x2 threshold)
+    [ ([ 3; 11 ], 10.83); ([ 3; 11; 6 ], 20.52); ([ 3; 11; 6; 14 ], 49.73) ]
 
 let test_queue_invariants_hold () =
   let after s =
@@ -651,6 +707,9 @@ let () =
       ( "schedule",
         [
           Alcotest.test_case "digest pinned over 200 seeds" `Quick test_schedule_digest_pinned;
+          Alcotest.test_case "pump-free digest pinned over 200 seeds" `Quick
+            test_pump_free_digest_pinned;
+          Alcotest.test_case "pump issue order is uniform" `Quick test_pump_order_uniform;
           Alcotest.test_case "queue invariants after every op" `Quick test_queue_invariants_hold;
           QCheck_alcotest.to_alcotest prop_cached_blocker;
         ] );

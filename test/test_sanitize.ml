@@ -1,14 +1,13 @@
-(* Tests for the sanitizer suite: the vector-clock race detector and its
-   lockset fallback, lock-order analysis, and the page-lifecycle shadow —
+(* Tests for the sanitizer suite: the vector-clock race detector,
+   lock-order analysis, and the page-lifecycle shadow —
    plus the acceptance harnesses: a silent write/write race caught without
    manifesting, and a read of a recycled extent reported at the faulting
    read. *)
 
 open Util
 
-let vc_only = { Sanitize.races = `Vector_clock; lock_order = false }
-let lockset_only = { Sanitize.races = `Lockset; lock_order = false }
-let order_only = { Sanitize.races = `Off; lock_order = true }
+let vc_only = { Sanitize.races = true; lock_order = false }
+let order_only = { Sanitize.races = false; lock_order = true }
 
 (* {2 Vector-clock race detection} *)
 
@@ -128,23 +127,6 @@ let test_publication_clean_under_vc () =
   let o = Smc.explore ~sanitize:vc_only (Smc.Dfs { max_schedules = 100_000 }) publication_body in
   Alcotest.(check bool) "no violation" true (o.Smc.violation = None);
   Alcotest.(check bool) "exhaustive" true o.Smc.exhausted
-
-let test_publication_lockset_false_positive () =
-  (* The documented lockset limitation: no common lock protects [data], so
-     Eraser-style screening flags the publication pattern even though
-     happens-before proves it race-free. *)
-  let o =
-    Smc.explore ~sanitize:lockset_only (Smc.Dfs { max_schedules = 100_000 }) publication_body
-  in
-  match o.Smc.violation with
-  | Some { kind = Smc.Race { access = "lockset"; _ }; _ } -> ()
-  | _ -> Alcotest.failf "expected lockset report, got %a" Smc.pp_outcome o
-
-let test_lockset_flags_ww_race () =
-  let o = Smc.explore ~sanitize:lockset_only (Smc.Dfs { max_schedules = 10_000 }) silent_ww_race in
-  match o.Smc.violation with
-  | Some { kind = Smc.Race { access = "lockset"; _ }; _ } -> ()
-  | _ -> Alcotest.failf "expected lockset report, got %a" Smc.pp_outcome o
 
 let test_f11_flagged_without_manifesting () =
   (* Fault #11 publishes the locator before the slot write. On the serial
@@ -389,9 +371,6 @@ let () =
           Alcotest.test_case "unsynchronized get/set flagged" `Quick test_unsynchronized_rw_flagged;
           Alcotest.test_case "mutex-protected counter clean" `Quick test_mutex_protected_clean;
           Alcotest.test_case "publication clean under vc" `Quick test_publication_clean_under_vc;
-          Alcotest.test_case "publication: lockset false positive" `Quick
-            test_publication_lockset_false_positive;
-          Alcotest.test_case "lockset flags ww race" `Quick test_lockset_flags_ww_race;
           Alcotest.test_case "#11 flagged without manifesting" `Quick
             test_f11_flagged_without_manifesting;
         ] );

@@ -303,6 +303,57 @@ let test_mocked_store_reclaim () =
   | Ok (Some v) -> Alcotest.(check string) "value intact" (String.make 80 'J') v
   | _ -> Alcotest.fail "mocked reclaim lost data"
 
+(* The LSM index whose lookups fail while [failing] is set. Runs stay
+   memoised while a level holds them, so the real index rarely fails a
+   lookup; this one lets a test reach reclamation's lookup-failure arm. *)
+module Flaky_index = struct
+  include Lsm.Index
+
+  let failing = ref false
+  let create ?obs chunks ~metadata_extents = Lsm.Index.create ?obs chunks ~metadata_extents
+
+  let get t ~key =
+    if !failing then Error (Chunk (Chunk.Chunk_store.Io (Io_sched.Io Disk.Transient)))
+    else Lsm.Index.get t ~key
+end
+
+module Flaky = Store.Make (Flaky_index)
+
+(* Reclamation cannot tell whether a chunk is live when its owner's lookup
+   fails, so it must keep (relocate) the chunk, never drop it. *)
+let test_reclaim_keeps_chunks_on_lookup_failure () =
+  let fok = function
+    | Ok v -> v
+    | Error e -> Alcotest.failf "flaky store: %a" Flaky.pp_error e
+  in
+  let s = Flaky.create Flaky.test_config in
+  let keys = List.init 8 (fun i -> Printf.sprintf "key%d" i) in
+  let value i = String.make 40 (Char.chr (97 + i)) in
+  List.iteri (fun i k -> ignore (fok (Flaky.put s ~key:k ~value:(value i)))) keys;
+  (* Garbage beside the live chunks, so the extents are worth reclaiming. *)
+  List.iter (fun k -> ignore (fok (Flaky.put s ~key:k ~value:"v2"))) [ "key0"; "key1" ];
+  ignore (fok (Flaky.flush_index s));
+  let reclaimed =
+    Fun.protect
+      ~finally:(fun () -> Flaky_index.failing := false)
+      (fun () ->
+        Flaky_index.failing := true;
+        let rec drain n acc =
+          if n = 0 then acc
+          else
+            match fok (Flaky.reclaim s ()) with
+            | Some _ -> drain (n - 1) (acc + 1)
+            | None -> acc
+        in
+        drain 10 0)
+  in
+  Alcotest.(check bool) "reclaimed an extent" true (reclaimed > 0);
+  List.iteri
+    (fun i k ->
+      let want = if i < 2 then "v2" else value i in
+      Alcotest.(check (option string)) (k ^ " intact") (Some want) (fok (Flaky.get s ~key:k)))
+    keys
+
 (* Property: random crash-free workloads match the plain reference model. *)
 let prop_random_workload_matches_model =
   QCheck.Test.make ~name:"random crash-free workload matches hash-map model" ~count:60
@@ -801,6 +852,8 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_mocked_store_basic;
           Alcotest.test_case "reclaim with mock" `Quick test_mocked_store_reclaim;
+          Alcotest.test_case "reclaim keeps chunks on lookup failure" `Quick
+            test_reclaim_keeps_chunks_on_lookup_failure;
         ] );
       ( "shared",
         [
