@@ -164,7 +164,9 @@ let sanitize_run ~seed =
    randomized faults, crashes and node losses; (2) the request-plane
    coverage counters must all have fired (a silent code path is a blind
    spot); (3) the checker must still have teeth — with fault #18 (quorum
-   ack without durable flush) enabled it must catch violations. *)
+   ack without durable flush) enabled it must catch violations. Gates 2
+   and 3 apply from [Chaos.teeth_window] campaigns up, so the one-campaign
+   replay of a reproducer exits 0 exactly when the campaign is clean. *)
 let chaos_expected_coverage =
   [
     "fleet.retry"; "fleet.breaker_open"; "fleet.quorum_ack"; "fleet.read_repair";
@@ -182,13 +184,17 @@ let chaos_run ~domains ~campaigns ~length ~seed =
     Printf.printf "\ncoverage: all %d request-plane paths exercised\n"
       (List.length chaos_expected_coverage)
   | spots -> Printf.printf "\ncoverage BLIND SPOTS: %s\n" (String.concat ", " spots));
-  let teeth =
-    Experiments.Chaos.check_teeth ~domains ~campaigns:(min campaigns 20) ~length ~seed ()
-  in
+  let window = min campaigns Experiments.Chaos.teeth_window in
+  let teeth = Experiments.Chaos.check_teeth ~domains ~campaigns:window ~length ~seed () in
   Printf.printf "teeth (#18 quorum ack without durable flush): %d/%d campaigns caught it\n"
-    teeth (min campaigns 20);
-  if summary.Experiments.Chaos.clean = summary.Experiments.Chaos.campaigns && blind = []
-     && teeth > 0
+    teeth window;
+  if campaigns < Experiments.Chaos.teeth_window then
+    Printf.printf
+      "coverage and teeth gate runs of %d or more campaigns; this one gates on violations\n"
+      Experiments.Chaos.teeth_window;
+  if
+    Experiments.Chaos.passes ~campaigns ~clean:summary.Experiments.Chaos.clean ~blind_spots:blind
+      ~teeth
   then begin
     Printf.printf "chaos campaign clean\n";
     0

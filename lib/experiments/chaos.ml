@@ -503,7 +503,9 @@ let run ?(domains = 1) ?(campaigns = 200) ?(length = 40) ?(seed = 0) ?(capture =
    without durable flush) switched on, acknowledged writes sit in volatile
    staging and the final-phase reboots shred them — at least one campaign
    must catch the durability violation, or the checker is vacuous. *)
-let check_teeth ?(domains = 1) ?(campaigns = 20) ?(length = 40) ?(seed = 0) () =
+let teeth_window = 20
+
+let check_teeth ?(domains = 1) ?(campaigns = teeth_window) ?(length = 40) ?(seed = 0) () =
   Faults.disable_all ();
   (* #18 is armed before the sweep and stays constant throughout — workers
      only read the toggle. *)
@@ -516,6 +518,9 @@ let check_teeth ?(domains = 1) ?(campaigns = 20) ?(length = 40) ?(seed = 0) () =
           let vs, _, _ = run_ops ~seed:s ops in
           if vs <> [] then violations + 1 else violations)
         ~merge:( + ) ())
+
+let passes ~campaigns ~clean ~blind_spots ~teeth =
+  clean = campaigns && (campaigns < teeth_window || (blind_spots = [] && teeth > 0))
 
 let print summary =
   Printf.printf

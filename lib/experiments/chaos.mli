@@ -119,4 +119,17 @@ val run_ops :
     only read the toggle). *)
 val check_teeth : ?domains:int -> ?campaigns:int -> ?length:int -> ?seed:int -> unit -> int
 
+(** Campaigns {!check_teeth} runs by default (20): also the smallest run
+    whose coverage and teeth decide its verdict. *)
+val teeth_window : int
+
+(** [passes ~campaigns ~clean ~blind_spots ~teeth] — the verdict of a run
+    of [campaigns] campaigns, [clean] of them without a violation, with the
+    coverage counters in [blind_spots] never fired and [teeth] teeth
+    campaigns catching #18. A violation always fails it. Blind spots and
+    toothless teeth fail it only from {!teeth_window} campaigns up: a
+    one-campaign replay of a printed reproducer rarely fires every
+    request-plane counter. *)
+val passes : campaigns:int -> clean:int -> blind_spots:string list -> teeth:int -> bool
+
 val print : summary -> unit

@@ -257,6 +257,9 @@ let scan_file ~path ~source =
     let fn = ref toplevel in
     let held = ref [] in
     let local_lists : (string, string list) Hashtbl.t = Hashtbl.create 8 in
+    (* Modules this file binds to a [Hashtbl.Make] instance: their [iter]
+       and [fold] walk buckets in the same unordered way. *)
+    let hashtbl_modules = ref [] in
     let pending_expected = ref [] in
     let check_banned line comps =
       let c = strip_stdlib comps in
@@ -290,7 +293,7 @@ let scan_file ~path ~source =
           add_finding "wallclock" line sym
             "wall-clock read outside bench//lib/benchrec; route timing through \
              Util.Wallclock"
-      | ("iter" | "fold") :: "Hashtbl" :: _ ->
+      | ("iter" | "fold") :: m :: _ when m = "Hashtbl" || List.mem m !hashtbl_modules ->
         if not (allowlisted hashtbl_allow path) then
           add_finding "hashtbl" line sym
             "unordered Hashtbl iteration in a validated-output path; iterate \
@@ -417,6 +420,9 @@ let scan_file ~path ~source =
       let name = match mb.pmb_name.txt with Some n -> n | None -> "_" in
       (match module_head mb.pmb_expr with
       | Some target when target <> [ name ] -> sc.s_aliases <- (name, target) :: sc.s_aliases
+      | _ -> ());
+      (match Option.map strip_stdlib (module_head mb.pmb_expr) with
+      | Some [ "Hashtbl"; ("Make" | "MakeSeeded") ] -> hashtbl_modules := name :: !hashtbl_modules
       | _ -> ());
       let saved = !mod_path in
       mod_path := !mod_path @ [ name ];

@@ -22,7 +22,8 @@
       extractor is blind;
     - {b determinism lints}: [Random.self_init], wall-clock reads
       ([Unix.gettimeofday]/[Unix.time]/[Sys.time]) and order-fragile
-      [Hashtbl.iter]/[Hashtbl.fold] outside their allowlisted homes
+      [Hashtbl.iter]/[Hashtbl.fold] (and [iter]/[fold] of a module the
+      file binds to a [Hashtbl.Make] instance) outside their allowlisted homes
       ([bench/], [lib/benchrec], and the sanctioned [Util.Wallclock] /
       [Util.Tbl] helpers via waiver);
     - {b lazy values}: [lazy] expressions and [Lazy.*] in [lib/], because

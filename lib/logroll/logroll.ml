@@ -65,10 +65,11 @@ let encode ~gen ~payload =
   Codec.Writer.u32 w (Crc32.digest_string inner);
   Codec.Writer.contents w
 
-(* Decode one record at the reader's position. Total: corrupt or truncated
-   input yields [Error]. *)
-let decode_record r =
+(* Decode the record at [off] in [image], returning it with the offset
+   just past it. Total: corrupt or truncated input yields [Error]. *)
+let decode_record image ~off =
   let open Codec.Syntax in
+  let r = Codec.Reader.of_string ~pos:off image in
   let* () = Codec.Reader.magic r magic in
   let start = Codec.Reader.pos r in
   let* gen64 = Codec.Reader.u64 r in
@@ -76,14 +77,8 @@ let decode_record r =
   let inner_len = Codec.Reader.pos r - start in
   let* crc = Codec.Reader.u32 r in
   if gen64 < 0L || gen64 > Int64.of_int max_int then Error (Codec.Invalid "generation")
-  else begin
-    (* Recompute the CRC over the raw record bytes we just consumed. *)
-    let w = Codec.Writer.create ~capacity:inner_len () in
-    Codec.Writer.u64 w gen64;
-    Codec.Writer.lstring w payload;
-    if Crc32.digest_string (Codec.Writer.contents w) <> crc then Error Codec.Bad_checksum
-    else Ok (Int64.to_int gen64, payload)
-  end
+  else if Crc32.digest_string ~off:start ~len:inner_len image <> crc then Error Codec.Bad_checksum
+  else Ok (Int64.to_int gen64, payload, Codec.Reader.pos r)
 
 let scan_extent t extent =
   let len = Io_sched.soft_ptr t.sched ~extent in
@@ -92,17 +87,16 @@ let scan_extent t extent =
     match Io_sched.read t.sched ~extent ~off:0 ~len with
     | Error _ -> []
     | Ok image ->
-      let r = Codec.Reader.of_string image in
-      let rec go acc =
-        if Codec.Reader.remaining r = 0 then List.rev acc
+      let rec go acc off =
+        if off = String.length image then List.rev acc
         else
-          match decode_record r with
-          | Ok (gen, payload) -> go ((gen, payload, Codec.Reader.pos r) :: acc)
+          match decode_record image ~off with
+          | Ok ((_, _, next) as record) -> go (record :: acc) next
           | Error _ -> List.rev acc
         (* decode failure = torn or garbage tail; nothing after it can be a
            durable record because extents persist in FIFO prefix order *)
       in
-      go []
+      go [] 0
 
 let append t ~payload ~input =
   let record = encode ~gen:(t.gen + 1) ~payload in

@@ -50,5 +50,18 @@ val append : t -> payload:string -> input:Dep.t -> (Dep.t, error) result
     Re-arms the writer so subsequent {!append}s continue after it. *)
 val recover : t -> (int * string) option
 
+(** {2 Record format} *)
+
+(** [encode ~gen ~payload] is one record: the magic ["LR"], the generation
+    as a u64, the length-prefixed payload and a CRC over the generation
+    and payload bytes. *)
+val encode : gen:int -> payload:string -> string
+
+(** [decode_record image ~off] decodes the record at [off], returning its
+    generation, payload and the offset just past it. The CRC is computed
+    over the bytes the record occupies in [image]. Total: a torn, corrupt
+    or truncated record yields [Error]. *)
+val decode_record : string -> off:int -> (int * string * int, Util.Codec.error) result
+
 (** Number of record appends that triggered an extent switch (stats). *)
 val switches : t -> int

@@ -79,7 +79,8 @@ let test_f2_serves_stale_after_reset () =
    The cache as a plain table whose victim is found the slow, obvious way:
    a key-sorted scan for the smallest [last_used]. Each operation mirrors
    the real cache's accounting; the random driver below checks the real
-   cache's hit, miss and eviction counters against it after every step. *)
+   cache's hit, miss and eviction counters and its resident pages, in
+   recency order, against it after every step. *)
 module Lru_model = struct
   type t = {
     capacity : int;
@@ -153,6 +154,13 @@ module Lru_model = struct
       (Util.Tbl.sorted_keys m.pages)
 
   let invalidate_all m = Hashtbl.reset m.pages
+
+  (* The resident keys, least recently used first. *)
+  let resident m =
+    List.map fst
+      (List.sort
+         (fun (_, (_, u1)) (_, (_, u2)) -> Int.compare u1 u2)
+         (Util.Tbl.sorted_bindings m.pages))
 end
 
 let run_model_sequence ~capacity ~write_allocate ~seed =
@@ -200,7 +208,9 @@ let run_model_sequence ~capacity ~write_allocate ~seed =
     Alcotest.(check int) (label "hits") model.Lru_model.hits (count cache "cache.hit");
     Alcotest.(check int) (label "misses") model.Lru_model.misses (count cache "cache.miss");
     Alcotest.(check int) (label "evictions") model.Lru_model.evictions
-      (count cache "cache.eviction")
+      (count cache "cache.eviction");
+    Alcotest.(check (list (pair int int))) (label "resident pages, LRU first")
+      (Lru_model.resident model) (Cache.resident cache)
   in
   for i = 1 to 300 do
     step i

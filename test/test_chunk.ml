@@ -79,6 +79,99 @@ let prop_decode_total =
       let _ = Chunk_format.decode_prefix s in
       true)
 
+(* The decoder that the in-place one replaced, which copied every field
+   out of the frame before checking it. Kept as the reference that
+   [Chunk_format.decode] must match value for value and error for error. *)
+let reference_decode ?(check_crc = true) frame =
+  let open Codec.Syntax in
+  let r = Codec.Reader.of_string frame in
+  let* () = Codec.Reader.magic r Chunk_format.magic in
+  let* len32 = Codec.Reader.u32 r in
+  let total = Int32.to_int len32 in
+  if total <> String.length frame then Error (Codec.Invalid "frame length mismatch")
+  else
+    let* crc = Codec.Reader.u32 r in
+    let* owner =
+      let* tag = Codec.Reader.u8 r in
+      match tag with
+      | 0 ->
+        let+ key = Codec.Reader.lstring r in
+        Chunk_format.Shard key
+      | 1 ->
+        let+ id = Codec.Reader.uint r in
+        Chunk_format.Index_run id
+      | _ -> Error (Codec.Invalid "owner tag")
+    in
+    let* head = Codec.Reader.raw r Uuid.size in
+    let payload_len = total - Codec.Reader.pos r - Uuid.size in
+    if payload_len < 0 then Error (Codec.Invalid "negative payload length")
+    else
+      let* payload = Codec.Reader.raw r payload_len in
+      let* tail = Codec.Reader.raw r Uuid.size in
+      if not (String.equal head tail) then Error (Codec.Invalid "uuid mismatch")
+      else if check_crc && Crc32.digest_string payload <> crc then Error Codec.Bad_checksum
+      else Ok (owner, payload, Uuid.to_string (Uuid.of_string_exn head))
+
+let show_decoded = function
+  | Ok (owner, payload, uuid) ->
+    Format.asprintf "Ok (%a, %S, %s)" Chunk_format.pp_owner owner payload
+      (Uuid.to_hex (Uuid.of_string_exn uuid))
+  | Error e -> "Error " ^ Codec.error_to_string e
+
+(* One test frame: a valid frame of random owner and size, then cut,
+   extended, bit-flipped or replaced by random bytes. A cut or extended
+   frame gets its length field patched half of the time, so the checks
+   behind the length check see it too. *)
+let mutated_frame rng =
+  let owner =
+    if Rng.bool rng then Chunk_format.Shard (String.make (Rng.int rng 24) 'k')
+    else Chunk_format.Index_run (Rng.int rng 1_000_000)
+  in
+  let payload = Bytes.to_string (Rng.bytes rng (Rng.int rng 300)) in
+  let frame = Chunk_format.encode ~uuid:(Uuid.generate rng) ~owner ~payload in
+  let patch_len s =
+    if String.length s >= 6 && Rng.bool rng then begin
+      let b = Bytes.of_string s in
+      Bytes.set_int32_le b 2 (Int32.of_int (Bytes.length b));
+      Bytes.to_string b
+    end
+    else s
+  in
+  match Rng.int rng 5 with
+  | 0 -> ("valid", frame)
+  | 1 -> ("truncated", patch_len (String.sub frame 0 (Rng.int rng (String.length frame))))
+  | 2 -> ("extended", patch_len (frame ^ Bytes.to_string (Rng.bytes rng (1 + Rng.int rng 20))))
+  | 3 ->
+    let b = Bytes.of_string frame in
+    for _ = 0 to Rng.int rng 2 do
+      let i = Rng.int rng (Bytes.length b) in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl Rng.int rng 8)))
+    done;
+    ("bit-flipped", Bytes.to_string b)
+  | _ ->
+    let b = Rng.bytes rng (Rng.int rng 64) in
+    if Bytes.length b >= 2 && Rng.bool rng then Bytes.blit_string Chunk_format.magic 0 b 0 2;
+    ("random", patch_len (Bytes.to_string b))
+
+let test_decode_matches_reference () =
+  let rng = Rng.create 2005L in
+  for i = 1 to 20_000 do
+    let kind, frame = mutated_frame rng in
+    List.iter
+      (fun check_crc ->
+        let got =
+          Result.map
+            (fun c ->
+              (c.Chunk_format.owner, c.Chunk_format.payload, Uuid.to_string c.Chunk_format.uuid))
+            (Chunk_format.decode ~check_crc frame)
+        in
+        let want = reference_decode ~check_crc frame in
+        if got <> want then
+          Alcotest.failf "frame %d (%s, check_crc %b): got %s, want %s" i kind check_crc
+            (show_decoded got) (show_decoded want))
+      [ true; false ]
+  done
+
 (* Property: encode/decode roundtrip for arbitrary payloads and owners. *)
 let prop_frame_roundtrip =
   QCheck.Test.make ~name:"frame roundtrip" ~count:500
@@ -417,6 +510,8 @@ let () =
           Alcotest.test_case "payload corruption" `Quick test_frame_detects_payload_corruption;
           Alcotest.test_case "truncation" `Quick test_frame_detects_truncation;
           Alcotest.test_case "uuid mismatch" `Quick test_frame_uuid_mismatch;
+          Alcotest.test_case "decode matches the copying reference" `Quick
+            test_decode_matches_reference;
           QCheck_alcotest.to_alcotest prop_decode_total;
           QCheck_alcotest.to_alcotest prop_frame_roundtrip;
         ] );

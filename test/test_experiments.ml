@@ -155,6 +155,29 @@ let test_repair_traffic () =
   Alcotest.(check bool) "loss re-replicates" true
     (r.Experiments.Repair_traffic.loss.Experiments.Repair_traffic.bytes_moved > 0)
 
+(* The chaos run's exit verdict: a one-campaign replay of a reproducer
+   passes exactly when it is clean, while a full window still fails on a
+   blind spot or toothless teeth. *)
+let test_chaos_verdict () =
+  let passes ~campaigns ~clean ~blind_spots ~teeth =
+    Experiments.Chaos.passes ~campaigns ~clean ~blind_spots ~teeth
+  in
+  let window = Experiments.Chaos.teeth_window in
+  Alcotest.(check bool) "clean replay with a blind spot" true
+    (passes ~campaigns:1 ~clean:1 ~blind_spots:[ "fleet.read_repair" ] ~teeth:1);
+  Alcotest.(check bool) "clean replay without teeth" true
+    (passes ~campaigns:1 ~clean:1 ~blind_spots:[] ~teeth:0);
+  Alcotest.(check bool) "violating replay" false
+    (passes ~campaigns:1 ~clean:0 ~blind_spots:[] ~teeth:1);
+  Alcotest.(check bool) "clean full window" true
+    (passes ~campaigns:window ~clean:window ~blind_spots:[] ~teeth:window);
+  Alcotest.(check bool) "blind spot in a full window" false
+    (passes ~campaigns:window ~clean:window ~blind_spots:[ "fleet.read_repair" ] ~teeth:window);
+  Alcotest.(check bool) "toothless full window" false
+    (passes ~campaigns:(10 * window) ~clean:(10 * window) ~blind_spots:[] ~teeth:0);
+  Alcotest.(check bool) "violation in a full window" false
+    (passes ~campaigns:window ~clean:(window - 1) ~blind_spots:[] ~teeth:window)
+
 let () =
   Faults.disable_all ();
   Alcotest.run "experiments"
@@ -171,5 +194,6 @@ let () =
           Alcotest.test_case "blindspot" `Quick test_blindspot;
           Alcotest.test_case "component level" `Quick test_component_level;
           Alcotest.test_case "repair traffic" `Quick test_repair_traffic;
+          Alcotest.test_case "chaos verdict" `Quick test_chaos_verdict;
         ] );
     ]

@@ -130,6 +130,23 @@ let test_hashtbl_iter_caught () =
   in
   Alcotest.(check bool) "order-fragile Hashtbl.iter flagged" true (has "hashtbl" fs)
 
+(* A [Hashtbl.Make] instance iterates its buckets as unordered as
+   [Hashtbl] itself does. *)
+let test_hashtbl_functor_iter_caught () =
+  let src =
+    "module Itbl = Hashtbl.Make (struct type t = int let equal = Int.equal let hash = Fun.id end)\n\
+     let f h = Itbl.iter (fun _ _ -> ()) h\n\
+     let g h = Itbl.fold (fun _ _ n -> n + 1) h 0\n\
+     let ok h = Itbl.find_opt h 3\n"
+  in
+  let fs =
+    List.filter (fun f -> f.Linter.rule = "hashtbl") (findings_of [ ("lib/cache/evil.ml", src) ])
+  in
+  Alcotest.(check (list string)) "Itbl.iter and Itbl.fold flagged" [ "Itbl.fold"; "Itbl.iter" ]
+    (List.sort compare (List.map (fun f -> f.Linter.symbol) fs));
+  Alcotest.(check bool) "allowed in lib/smc" false
+    (has "hashtbl" (findings_of [ ("lib/smc/fine.ml", src) ]))
+
 let test_hashtbl_iter_allowed_in_smc () =
   let fs =
     findings_of [ ("lib/smc/fine.ml", "let f h = Hashtbl.iter (fun _ _ -> ()) h\n") ]
@@ -326,6 +343,7 @@ let () =
           Alcotest.test_case "wall clock ok in bench/" `Quick test_wallclock_allowed_in_bench;
           Alcotest.test_case "Hashtbl.iter caught" `Quick test_hashtbl_iter_caught;
           Alcotest.test_case "Hashtbl.iter ok in lib/smc" `Quick test_hashtbl_iter_allowed_in_smc;
+          Alcotest.test_case "Hashtbl.Make iter caught" `Quick test_hashtbl_functor_iter_caught;
           Alcotest.test_case "lazy crc32 table caught" `Quick test_lazy_crc32_caught;
           Alcotest.test_case "lazy ok outside lib/" `Quick test_lazy_allowed_outside_lib;
         ] );

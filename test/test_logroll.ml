@@ -140,6 +140,29 @@ let prop_generation_monotone =
       done;
       !result)
 
+(* The record's CRC covers the bytes it occupies: every single-byte
+   change to a record, at any offset in a larger image, is rejected. *)
+let test_decode_rejects_byte_flips () =
+  let record = Logroll.encode ~gen:0x0102_0304_0506 ~payload:"metadata snapshot" in
+  let len = String.length record in
+  let image = "pad" ^ record ^ "tail" in
+  (match Logroll.decode_record image ~off:3 with
+  | Ok (gen, payload, next) ->
+    Alcotest.(check int) "generation" 0x0102_0304_0506 gen;
+    Alcotest.(check string) "payload" "metadata snapshot" payload;
+    Alcotest.(check int) "next offset" (3 + len) next
+  | Error e -> Alcotest.failf "intact record rejected: %a" Codec.pp_error e);
+  for i = 0 to len - 1 do
+    for mask = 1 to 255 do
+      let b = Bytes.of_string image in
+      Bytes.set b (3 + i) (Char.chr (Char.code (Bytes.get b (3 + i)) lxor mask));
+      match Logroll.decode_record (Bytes.to_string b) ~off:3 with
+      | Error _ -> ()
+      | Ok (gen, payload, _) ->
+        Alcotest.failf "byte %d xor 0x%02x accepted as generation %d, payload %S" i mask gen payload
+    done
+  done
+
 let () =
   Alcotest.run "logroll"
     [
@@ -151,6 +174,8 @@ let () =
           Alcotest.test_case "extent switch" `Quick test_extent_switch;
           Alcotest.test_case "torn tail forces switch" `Quick test_torn_tail_forces_switch;
           Alcotest.test_case "record too large" `Quick test_record_too_large;
+          Alcotest.test_case "decode rejects every byte flip" `Quick
+            test_decode_rejects_byte_flips;
           QCheck_alcotest.to_alcotest prop_recover_newest;
           QCheck_alcotest.to_alcotest prop_generation_monotone;
         ] );

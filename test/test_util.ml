@@ -166,6 +166,130 @@ let prop_reader_total =
       let _ = Codec.Reader.u64 r in
       true)
 
+(* The reader the in-place one replaced: every field copied out with
+   [String.sub] first. Kept as the reference for values, errors and the
+   cursor position. *)
+module Copying_reader = struct
+  type t = { data : string; mutable pos : int }
+
+  let remaining t = String.length t.data - t.pos
+
+  let take t n =
+    if n < 0 then Error (Codec.Invalid "negative length")
+    else if remaining t < n then Error (Codec.Truncated { wanted = n; available = remaining t })
+    else begin
+      let s = String.sub t.data t.pos n in
+      t.pos <- t.pos + n;
+      Ok s
+    end
+
+  let u8 t = Result.map (fun s -> Char.code s.[0]) (take t 1)
+  let u16 t = Result.map (fun s -> String.get_uint16_le s 0) (take t 2)
+  let u32 t = Result.map (fun s -> String.get_int32_le s 0) (take t 4)
+  let u64 t = Result.map (fun s -> String.get_int64_le s 0) (take t 8)
+
+  let uint t =
+    Result.bind (u64 t) (fun v ->
+        if v < 0L || v > Int64.of_int max_int then Error (Codec.Invalid "u64 out of int range")
+        else Ok (Int64.to_int v))
+
+  let lstring ?(max = 1 lsl 30) t =
+    Result.bind (u32 t) (fun len32 ->
+        let len = Int32.to_int len32 in
+        if len < 0 || len > max then Error (Codec.Invalid "length prefix out of range")
+        else take t len)
+
+  let magic t expected =
+    Result.bind (take t (String.length expected)) (fun found ->
+        if String.equal found expected then Ok ()
+        else Error (Codec.Bad_magic { expected; found }))
+
+  let expect_end t =
+    if remaining t = 0 then Ok () else Error (Codec.Invalid "trailing bytes after value")
+end
+
+type read_op =
+  | U8
+  | U16
+  | U32
+  | U64
+  | Uint
+  | Raw of int
+  | Skip of int
+  | Lstring of int option
+  | Magic of string
+  | Expect_end
+
+let pp_read_op = function
+  | U8 -> "u8"
+  | U16 -> "u16"
+  | U32 -> "u32"
+  | U64 -> "u64"
+  | Uint -> "uint"
+  | Raw n -> Printf.sprintf "raw %d" n
+  | Skip n -> Printf.sprintf "skip %d" n
+  | Lstring None -> "lstring"
+  | Lstring (Some m) -> Printf.sprintf "lstring ~max:%d" m
+  | Magic m -> Printf.sprintf "magic %S" m
+  | Expect_end -> "expect_end"
+
+(* One read on each reader, its value rendered as a string. *)
+let read_both r c op =
+  let show f = Result.map f in
+  let unit = show (fun () -> "") in
+  match op with
+  | U8 -> (show string_of_int (Codec.Reader.u8 r), show string_of_int (Copying_reader.u8 c))
+  | U16 -> (show string_of_int (Codec.Reader.u16 r), show string_of_int (Copying_reader.u16 c))
+  | U32 -> (show Int32.to_string (Codec.Reader.u32 r), show Int32.to_string (Copying_reader.u32 c))
+  | U64 -> (show Int64.to_string (Codec.Reader.u64 r), show Int64.to_string (Copying_reader.u64 c))
+  | Uint -> (show string_of_int (Codec.Reader.uint r), show string_of_int (Copying_reader.uint c))
+  | Raw n -> (Codec.Reader.raw r n, Copying_reader.take c n)
+  | Skip n -> (unit (Codec.Reader.skip r n), show (fun _ -> "") (Copying_reader.take c n))
+  | Lstring max -> (Codec.Reader.lstring ?max r, Copying_reader.lstring ?max c)
+  | Magic m -> (unit (Codec.Reader.magic r m), unit (Copying_reader.magic c m))
+  | Expect_end -> (unit (Codec.Reader.expect_end r), unit (Copying_reader.expect_end c))
+
+let arb_reads =
+  let open QCheck.Gen in
+  (* A small alphabet, so that length prefixes are often small and
+     magics often match. *)
+  let byte =
+    frequencyl
+      [ (6, '\000'); (1, '\001'); (1, '\002'); (1, '\005'); (1, 'A'); (1, 'B'); (1, '\127');
+        (1, '\128'); (1, '\255') ]
+  in
+  let op =
+    frequency
+      [
+        (2, oneofl [ U8; U16; U32; U64; Uint; Expect_end ]);
+        (1, map (fun n -> Raw n) (-2 -- 10));
+        (1, map (fun n -> Skip n) (-2 -- 10));
+        (2, map (fun m -> Lstring m) (opt (0 -- 4)));
+        (1, map (fun m -> Magic m) (oneofl [ ""; "A"; "AB"; "BA"; "\000\001" ]));
+      ]
+  in
+  let gen =
+    string_size ~gen:byte (0 -- 48) >>= fun data ->
+    pair (0 -- String.length data) (list_size (0 -- 12) op) >|= fun (pos, ops) -> (data, pos, ops)
+  in
+  QCheck.make gen ~print:(fun (data, pos, ops) ->
+      Printf.sprintf "%S from %d: %s" data pos (String.concat "; " (List.map pp_read_op ops)))
+
+(* Property: the in-place reader gives the copying reader's value or
+   error, and leaves the cursor where it does, after every read. *)
+let prop_reader_matches_copying_reference =
+  QCheck.Test.make ~name:"reader matches the copying reference" ~count:2000 arb_reads
+    (fun (data, pos, ops) ->
+      let r = Codec.Reader.of_string ~pos data in
+      let c = { Copying_reader.data; pos } in
+      List.for_all
+        (fun op ->
+          let got, want = read_both r c op in
+          got = want
+          && Codec.Reader.pos r = c.Copying_reader.pos
+          && Codec.Reader.remaining r = Copying_reader.remaining c)
+        ops)
+
 let prop_lstring_roundtrip =
   QCheck.Test.make ~name:"lstring roundtrip" ~count:500
     QCheck.(string_of_size Gen.(0 -- 200))
@@ -174,6 +298,50 @@ let prop_lstring_roundtrip =
       Codec.Writer.lstring w s;
       let r = Codec.Reader.of_string (Codec.Writer.contents w) in
       Codec.Reader.lstring r = Ok s)
+
+(* The byte-at-a-time loop the slicing-by-8 CRC replaced, kept as the
+   reference it must match digest for digest. *)
+let reference_crc b off len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+        done;
+        !c)
+  in
+  let crc = ref 0xFFFFFFFF in
+  for i = off to off + len - 1 do
+    crc := table.((!crc lxor Char.code (Bytes.get b i)) land 0xFF) lxor (!crc lsr 8)
+  done;
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
+
+let random_bytes seed n =
+  let rng = Rng.create seed in
+  Bytes.init n (fun _ -> Char.chr (Rng.int rng 256))
+
+(* Every alignment of the eight-byte loop against every tail length. *)
+let test_crc_matches_reference () =
+  let b = random_bytes 23L 96 in
+  for off = 0 to 8 do
+    for len = 0 to 70 do
+      Alcotest.(check int32)
+        (Printf.sprintf "off %d len %d" off len)
+        (reference_crc b off len) (Crc32.digest_bytes ~off ~len b);
+      Alcotest.(check int32)
+        (Printf.sprintf "string off %d len %d" off len)
+        (reference_crc b off len)
+        (Crc32.digest_string ~off ~len (Bytes.to_string b))
+    done
+  done
+
+let crc_buffer = random_bytes 64L ((64 * 1024) + 64)
+
+let prop_crc_matches_reference_on_slices =
+  QCheck.Test.make ~name:"crc matches the byte-wise reference on slices up to 64 KiB" ~count:200
+    QCheck.(pair (int_bound 63) (int_bound (64 * 1024)))
+    (fun (off, len) ->
+      Crc32.digest_bytes ~off ~len crc_buffer = reference_crc crc_buffer off len)
 
 let prop_crc_deterministic =
   QCheck.Test.make ~name:"crc deterministic" ~count:500
@@ -253,6 +421,8 @@ let () =
           Alcotest.test_case "known vector" `Quick test_crc_known;
           Alcotest.test_case "slice" `Quick test_crc_slice;
           Alcotest.test_case "detects bit flip" `Quick test_crc_detects_flip;
+          Alcotest.test_case "matches the byte-wise reference" `Quick test_crc_matches_reference;
+          QCheck_alcotest.to_alcotest prop_crc_matches_reference_on_slices;
           QCheck_alcotest.to_alcotest prop_crc_deterministic;
         ] );
       ("uuid", [ Alcotest.test_case "roundtrip" `Quick test_uuid_roundtrip ]);
@@ -265,5 +435,6 @@ let () =
           Alcotest.test_case "magic" `Quick test_codec_magic;
           QCheck_alcotest.to_alcotest prop_reader_total;
           QCheck_alcotest.to_alcotest prop_lstring_roundtrip;
+          QCheck_alcotest.to_alcotest prop_reader_matches_copying_reference;
         ] );
     ]
