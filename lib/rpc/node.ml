@@ -461,7 +461,8 @@ let tick t =
     (fun s ->
       if S.in_service s then begin
         note (S.flush_index s);
-        note (S.flush_superblock s)
+        note (S.flush_superblock s);
+        note (S.reclaim_ahead s)
       end;
       ios := !ios + S.pump s 64)
     t.stores;

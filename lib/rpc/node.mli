@@ -58,7 +58,8 @@ val handle_wire : t -> string -> string
     and how many writeback IOs were pumped. *)
 type tick_report = { disks : int; errors : int; ios_pumped : int }
 
-(** Run background maintenance (pump, flush cadences) on every disk.
-    Failures are reported, not swallowed: each failed flush bumps
-    [rpc.tick_error] and shows up in the report. *)
+(** Run background maintenance (pump, flush cadences, reclaiming ahead
+    when free extents run short: {!Store.S.reclaim_ahead}) on every disk.
+    Failures are reported, not swallowed: each failed flush or reclaim
+    bumps [rpc.tick_error] and shows up in the report. *)
 val tick : t -> tick_report

@@ -151,6 +151,14 @@ module type S = sig
       evacuation headroom remains. *)
   val reclaim : t -> ?extent:int -> ?avoid:int list -> unit -> (Dep.t option, error) result
 
+  (** [reclaim_ahead t]: when fewer than an eighth of the store's extents
+      are free, reclaims the 16 extents with the most garbage (fewer if
+      fewer hold any), each as one drain iteration; the number reclaimed.
+      A maintenance tick calls it so the disk does not fill: left to
+      allocation failure, reclamation drains every extent holding garbage
+      inside one call. *)
+  val reclaim_ahead : t -> (int, error) result
+
   val pump : t -> int -> int
 
   (** {2 Crash and recovery} *)

@@ -80,6 +80,7 @@ let extents_with t o =
   List.rev !acc
 
 let free_extents t = extents_with t Free
+let free_count t = Array.fold_left (fun n o -> if owner_equal o Free then n + 1 else n) 0 t.owners
 let data_extents t = extents_with t Data
 
 let note_append t ~extent =

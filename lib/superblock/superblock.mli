@@ -51,6 +51,9 @@ val set_owner : t -> extent:int -> owner -> dep:Dep.t -> unit
 (** Extents currently recorded or staged as [Free], in index order. *)
 val free_extents : t -> int list
 
+(** [List.length (free_extents t)], without the list. *)
+val free_count : t -> int
+
 val data_extents : t -> int list
 
 (** [note_append t ~extent] — record that [extent]'s soft pointer moved and

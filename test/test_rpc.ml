@@ -576,6 +576,45 @@ let test_tick () =
   Alcotest.(check bool) "rpc.tick_error bumped" true
     (Obs.counter_value (Rpc.Node.obs node) "rpc.tick_error" >= !errors)
 
+(* Overwrites fill a 64-extent disk several times over. Without ticks the
+   store reclaims only when an allocation fails; a tick every eight puts
+   reclaims ahead, so no put has to garbage-collect and every key still
+   reads back. *)
+let test_tick_reclaims_ahead () =
+  let cfg =
+    {
+      S.default_config with
+      S.disk = { Disk.extent_count = 64; pages_per_extent = 8; page_size = 512 };
+    }
+  in
+  let run ~tick =
+    let node = Rpc.Node.create ~disks:1 cfg in
+    let store = Rpc.Node.store node ~disk:0 in
+    let value i = String.make (30 + (i mod 17)) (Char.chr (97 + (i mod 26))) in
+    let last = Array.make 24 0 in
+    for i = 0 to 1_999 do
+      let key = Printf.sprintf "k%02d" (i mod 24) in
+      (match Rpc.Node.handle node (Rpc.Message.Put { key; value = value i }) with
+      | Rpc.Message.Ack -> last.(i mod 24) <- i
+      | r -> Alcotest.failf "put %d: %a" i Rpc.Message.pp_response r);
+      if tick && i mod 8 = 7 then
+        Alcotest.(check int) "no maintenance errors" 0 (Rpc.Node.tick node).Rpc.Node.errors
+    done;
+    for k = 0 to 23 do
+      let key = Printf.sprintf "k%02d" k in
+      match Rpc.Node.handle node (Rpc.Message.Get { key }) with
+      | Rpc.Message.Value (Some v) when v = value last.(k) -> ()
+      | r -> Alcotest.failf "get %s: %a" key Rpc.Message.pp_response r
+    done;
+    let count name = Obs.counter_value (S.obs store) name in
+    (count "store.put.gc_fallback", count "store.reclaim")
+  in
+  let fallbacks, _ = run ~tick:false in
+  Alcotest.(check bool) "without ticks, puts garbage-collect" true (fallbacks > 0);
+  let fallbacks, reclaims = run ~tick:true in
+  Alcotest.(check int) "with ticks, no put garbage-collects" 0 fallbacks;
+  Alcotest.(check bool) "ticks reclaimed" true (reclaims > 0)
+
 let () =
   Alcotest.run "rpc"
     [
@@ -606,6 +645,7 @@ let () =
           Alcotest.test_case "bad disk" `Quick test_bad_disk;
           Alcotest.test_case "migrate" `Quick test_migrate;
           Alcotest.test_case "tick" `Quick test_tick;
+          Alcotest.test_case "tick reclaims ahead" `Quick test_tick_reclaims_ahead;
           QCheck_alcotest.to_alcotest prop_node_matches_model;
         ] );
     ]
