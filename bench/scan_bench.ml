@@ -6,8 +6,8 @@
      levelled    l0_trigger / level_ratio defaults — partial compaction
 
    and report write amplification (index.run_bytes / ingested bytes; the
-   levelled arm must not be worse) and scan throughput (drained cursors of
-   ~[scan_span] items from random start keys). A third table runs the
+   levelled arm must not be worse) and scan throughput (scans of
+   [scan_span] keys from random start keys). A third table runs the
    same scan mix through Store.Shared at 1/2/4 domains — the numbers
    recorded in EXPERIMENTS.md E15.
 
@@ -62,26 +62,16 @@ let ingest ~levelled =
   let run_bytes = float_of_int (Obs.counter_value (S.obs s) "index.run_bytes") in
   (s, run_bytes /. ingested)
 
-(* One scan: drain a cursor from a random start key for up to [scan_span]
-   items (abandoning a cursor early is part of the API contract). Returns
-   the items seen, so the timed loop cannot be dead-code-eliminated. *)
+(* One scan of the [scan_span] keys from [lo] to [hi]. Returns the items
+   seen, so the timed loop cannot be dead-code-eliminated. *)
 let short_scan s ~lo ~hi =
   match S.scan s ~lo ~hi () with
-  | Error e -> fail_on "scan open: %a" S.pp_error e
-  | Ok cursor ->
-    let rec go n =
-      if n >= scan_span then n
-      else
-        match S.scan_next cursor with
-        | Ok (Some _) -> go (n + 1)
-        | Ok None -> n
-        | Error e -> fail_on "scan_next: %a" S.pp_error e
-    in
-    go 0
+  | Ok pairs -> List.length pairs
+  | Error e -> fail_on "scan: %a" S.pp_error e
 
 let bounds rng =
   let start = Util.Rng.int rng (max 1 (keys_total - scan_span)) in
-  (key start, key (start + scan_span))
+  (key start, key (start + scan_span - 1))
 
 let scan_arm s =
   let rng = Util.Rng.create 42L in
@@ -124,7 +114,7 @@ let shared_scan_arm ?trace ~domains () =
   (float_of_int (per_domain * domains) /. elapsed, List.fold_left ( + ) 0 counts)
 
 let () =
-  Printf.printf "scan bench: %d keys of %dB x%d rounds, %d scans of <=%d items%s\n"
+  Printf.printf "scan bench: %d keys of %dB x%d rounds, %d scans of %d keys%s\n"
     keys_total value_bytes rounds scans_total scan_span
     (if smoke then " (smoke)" else "");
   let mono, mono_wa = ingest ~levelled:false in

@@ -436,7 +436,7 @@ let scan_weight =
     & info [ "scan-weight" ]
         ~doc:
           "Relative weight of Scan ops in the generated alphabet. 0 (default) generates the \
-           classic streams; a positive weight drives snapshot range-scan cursors through \
+           classic streams; a positive weight drives range scans through \
            every profile (and adds index.scan to the expected coverage).")
 
 let chaos =

@@ -33,7 +33,6 @@ type t = {
       (* Sentinel of the circular LRU list over the resident pages:
          [lru.newer] is the least recently used page (the victim),
          [lru.older] the most recently used. *)
-  states : Conc.Cache_sm.state Itbl.t;  (* absent = Empty *)
   audit : Conc.Cache_sm.audit;
   lock : Conc.Rwlock.t;
   obs : Obs.t;
@@ -52,7 +51,6 @@ let create ?(capacity_pages = 64) ?(write_allocate = false) ?obs sched =
     pages_per_extent = (Io_sched.extent_size sched + page_size - 1) / page_size;
     pages = Itbl.create 128;
     lru;
-    states = Itbl.create 128;
     audit = Conc.Cache_sm.auditor ();
     lock = Conc.Rwlock.create ();
     obs;
@@ -74,16 +72,11 @@ let key t ~extent ~page = (extent * t.pages_per_extent) + page
    Cache_sm.legal. The real cache only visits the Empty/Reading/Clean
    subset (it is a read cache: writes invalidate instead of dirtying), so
    Dirty/Writeback never appear here — the Conc_shared model exercises
-   those. States are stored explicitly (absent = Empty) and must be
-   updated under [t.lock] in write mode. *)
-let page_state t key =
-  match Itbl.find t.states key with s -> s | exception Not_found -> Conc.Cache_sm.Empty
-
-let transition t key new_s =
-  let old_s = page_state t key in
-  Conc.Cache_sm.record t.audit ~page:(key mod t.pages_per_extent) ~old_s ~new_s;
-  if new_s = Conc.Cache_sm.Empty then Itbl.remove t.states key
-  else Itbl.replace t.states key new_s
+   those. A page is Clean exactly when it is in [pages], Reading only
+   inside [fetch_page], and Empty otherwise; record under [t.lock] in
+   write mode. *)
+let transition t key old_s new_s =
+  Conc.Cache_sm.record t.audit ~page:(key mod t.pages_per_extent) ~old_s ~new_s
 
 let sync_resident t = Obs.Gauge.set_int t.m.m_resident (Itbl.length t.pages)
 
@@ -101,27 +94,22 @@ let touch t node =
   unlink node;
   link_newest t node
 
+(* A page leaving [pages] leaves Clean. *)
 let remove_page t node =
   Itbl.remove t.pages node.key;
-  unlink node
+  unlink node;
+  transition t node.key Conc.Cache_sm.Clean Conc.Cache_sm.Empty
 
-(* Install [data] as the most recently used copy of [key], replacing any
-   older (shorter) copy. *)
-let insert t key data =
-  match Itbl.find t.pages key with
-  | node ->
-    node.data <- data;
-    touch t node
-  | exception Not_found ->
-    let node = { key; data; older = t.lru; newer = t.lru } in
-    Itbl.replace t.pages key node;
-    link_newest t node
+(* Make [data] the most recently used page [key], which is not resident. *)
+let add_page t key data =
+  let node = { key; data; older = t.lru; newer = t.lru } in
+  Itbl.replace t.pages key node;
+  link_newest t node
 
 let evict_if_needed t =
   let victim = t.lru.newer in
   if Itbl.length t.pages > t.capacity && victim != t.lru then begin
     remove_page t victim;
-    transition t victim.key Conc.Cache_sm.Empty;
     Obs.Counter.incr t.m.m_evictions;
     if Obs.tracing t.obs then
       Obs.emit t.obs ~layer:"cache" "evict"
@@ -141,13 +129,15 @@ let fetch_page t ~extent ~page =
     Error (Io_sched.Io (Disk.Out_of_bounds (Printf.sprintf "page %d beyond soft pointer" page)))
   else begin
     let key = key t ~extent ~page in
-    (* Claim the entry for the fetch window. A stale short entry (partial
-       page outgrown by appends) leaves the Clean state first. *)
-    if page_state t key = Conc.Cache_sm.Clean then transition t key Conc.Cache_sm.Empty;
-    transition t key Conc.Cache_sm.Reading;
+    (* Claim the entry for the fetch window. A stale short copy (a partial
+       page outgrown by appends) leaves the cache first, so a failed fetch
+       leaves the page Empty and not resident. *)
+    Option.iter (remove_page t) (Itbl.find_opt t.pages key);
+    transition t key Conc.Cache_sm.Empty Conc.Cache_sm.Reading;
     match Io_sched.read t.sched ~extent ~off:start ~len with
     | Error _ as e ->
-      transition t key Conc.Cache_sm.Empty;
+      transition t key Conc.Cache_sm.Reading Conc.Cache_sm.Empty;
+      sync_resident t;
       e
     | Ok data ->
       (* Fault #17 (extra, section 8.3): the defect lives on the miss
@@ -162,8 +152,8 @@ let fetch_page t ~extent ~page =
         end
         else data
       in
-      insert t key data;
-      transition t key Conc.Cache_sm.Clean;
+      add_page t key data;
+      transition t key Conc.Cache_sm.Reading Conc.Cache_sm.Clean;
       evict_if_needed t;
       sync_resident t;
       Ok data
@@ -223,10 +213,15 @@ let fill_locked t ~extent ~off data =
         let avail = off + len - page_start in
         let data = String.sub data (page_start - off) (min ps avail) in
         let key = key t ~extent ~page in
-        (* A replaced entry stays Clean (no self-loop edges); a fresh one
+        (* A replaced page stays Clean (no self-loop edges); a fresh one
            fills without an IO window: Empty -> Clean. *)
-        insert t key data;
-        if page_state t key <> Conc.Cache_sm.Clean then transition t key Conc.Cache_sm.Clean;
+        (match Itbl.find_opt t.pages key with
+        | Some node ->
+          node.data <- data;
+          touch t node
+        | None ->
+          add_page t key data;
+          transition t key Conc.Cache_sm.Empty Conc.Cache_sm.Clean);
         evict_if_needed t
       end
     done;
@@ -239,11 +234,7 @@ let note_reset_locked t ~extent =
   else begin
     for page = t.pages_per_extent - 1 downto 0 do
       let key = key t ~extent ~page in
-      match Itbl.find t.pages key with
-      | node ->
-        remove_page t node;
-        transition t key Conc.Cache_sm.Empty
-      | exception Not_found -> ()
+      Option.iter (remove_page t) (Itbl.find_opt t.pages key)
     done;
     sync_resident t
   end
@@ -255,7 +246,7 @@ let lru_keys t =
 
 let invalidate_all_locked t =
   List.iter
-    (fun key -> transition t key Conc.Cache_sm.Empty)
+    (fun key -> transition t key Conc.Cache_sm.Clean Conc.Cache_sm.Empty)
     (List.sort Int.compare (lru_keys t));
   Itbl.reset t.pages;
   t.lru.older <- t.lru;

@@ -5,8 +5,9 @@
     deliberately bypass injection, as a real cache bypasses the disk).
     Appends need no invalidation: extents are append-only, so a cached
     page is a prefix of the current content, and a read longer than a
-    cached partial page re-fetches it. Mutators must call {!note_reset}
-    after staging an extent reset.
+    cached partial page re-fetches it (the stale copy leaves the cache
+    first, so a failed re-fetch leaves the page uncached). Mutators must
+    call {!note_reset} after staging an extent reset.
 
     {b Replacement.} Strict LRU over pages. A page is keyed by one int,
     [extent * pages_per_extent + page], in an int-specialised table whose
@@ -29,11 +30,13 @@
     (shard < stack < cache) and acquires nothing while held.
 
     {b Entry lifecycle.} Every per-page mutation is audited against the
-    SimpleCacheSM state machine ({!Conc.Cache_sm}): misses claim the
-    entry ([Empty -> Reading]), publish on success ([Reading -> Clean])
-    or release on failure ([Reading -> Empty]); evictions and
-    invalidations are [Clean -> Empty]; write-allocate fills are
-    [Empty -> Clean]. This cache never dirties entries (writes
+    SimpleCacheSM state machine ({!Conc.Cache_sm}). A page is [Clean]
+    exactly when it is resident, [Reading] only inside a miss's fetch,
+    and [Empty] otherwise: misses claim the entry ([Empty -> Reading]),
+    publish on success ([Reading -> Clean]) or release on failure
+    ([Reading -> Empty]); evictions, invalidations and a stale partial
+    page dropped before its re-fetch are [Clean -> Empty]; write-allocate
+    fills are [Empty -> Clean]. This cache never dirties entries (writes
     invalidate), so the [Dirty]/[Writeback] edges are exercised by the
     {!Conc.Conc_shared} model instead. {!transitions_checked} /
     {!transition_violations} expose the audit. *)

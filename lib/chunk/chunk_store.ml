@@ -81,7 +81,6 @@ let create ?obs sched ~cache ~superblock ~rng =
 let sched t = t.sched
 let obs t = t.obs
 let set_uuid_bias t p = t.uuid_bias <- p
-let open_extent t = t.open_ext
 let close_open_extent t = t.open_ext <- None
 
 let fresh_uuid t =

@@ -100,9 +100,6 @@ val reclaim :
     reported to it as an [Extent_leak]. Forgets the open extent. *)
 val close : t -> in_use:(int -> bool) -> (int * int) list
 
-(** Extent currently open for allocation, if any. *)
-val open_extent : t -> int option
-
 (** Forget the open extent (used on reboot: volatile allocation state). *)
 val close_open_extent : t -> unit
 

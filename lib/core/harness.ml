@@ -152,25 +152,16 @@ let bound_holds ~lo ~hi key =
   (match lo with None -> true | Some l -> String.compare l key <= 0)
   && match hi with None -> true | Some h -> String.compare key h <= 0
 
-(* Scan conformance: drain one cursor and hold it to three obligations —
-   cursor discipline (strictly ascending, in-bounds keys), per-key value
+(* Scan conformance: hold one scan to three obligations — order
+   discipline (strictly ascending, in-bounds keys), per-key value
    agreement with the model (reconciling post-crash ambiguity exactly like
    point reads), and completeness (no tracked live key in range missing,
    no untracked key invented). *)
 let check_scan st ~lo ~hi =
-  let drain () =
-    let ( let* ) = Result.bind in
-    let* cursor = S.scan st.store ?lo ?hi () in
-    let rec go acc =
-      match S.scan_next cursor with
-      | Ok None -> Ok (List.rev acc)
-      | Ok (Some pair) -> go (pair :: acc)
-      | Error e -> Error e
-    in
-    go []
-  in
   let rec attempt n =
-    match drain () with Ok pairs -> Ok pairs | Error e -> if n > 0 then attempt (n - 1) else Error e
+    match S.scan st.store ?lo ?hi () with
+    | Ok pairs -> Ok pairs
+    | Error e -> if n > 0 then attempt (n - 1) else Error e
   in
   match attempt 3 with
   | Ok pairs ->

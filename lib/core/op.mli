@@ -27,8 +27,8 @@ type t =
   | DeleteBatch of string list
   | List
   | Scan of { lo : string option; hi : string option }
-      (** drain a {!Store.S.scan} cursor over [lo <= key <= hi]
-          ([None] = unbounded) and check it against the model *)
+      (** one {!Store.S.scan} over [lo <= key <= hi] ([None] =
+          unbounded), checked against the model *)
   | IndexFlush
   | SuperblockFlush
   | Compact

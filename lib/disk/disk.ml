@@ -59,7 +59,7 @@ type t = {
   extents : extent array;
   mutable obs : Obs.t;
   mutable m : metrics;
-  mutable shadow : Sanitize.Page_shadow.t option;
+  shadow : Sanitize.Page_shadow.t option;
   mutable random : random_faults option;
 }
 
@@ -94,7 +94,6 @@ let copy t =
     random = None;
   }
 
-let attach_shadow t shadow = t.shadow <- Some shadow
 let shadow t = t.shadow
 
 let obs t = t.obs

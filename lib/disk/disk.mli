@@ -35,8 +35,12 @@ type t
 (** [create ?obs ?shadow config] — a fresh, zeroed disk. Metrics
     ([disk.read], [disk.write], [disk.reset], [disk.bytes_written],
     [disk.fault_injected]) land in [obs] when given, else in a private
-    registry. [shadow] attaches a page-lifecycle sanitizer (see
-    {!attach_shadow}). *)
+    registry. [shadow] enables shadow checking of the disk's durable
+    view: successful writes and resets commit shadow state, and every
+    read attempt is checked (read-after-reset, stale epoch, unwritten
+    pages) — see {!Sanitize.Page_shadow}. The shadow observes the extent
+    lifecycle from the start; [copy] never carries it over (crash-state
+    clones are scratch space). *)
 val create : ?obs:Obs.t -> ?shadow:Sanitize.Page_shadow.t -> config -> t
 
 (** [copy t] — deep copy of the durable state (fault arming reset to
@@ -58,15 +62,7 @@ val attach_obs : t -> Obs.t -> unit
 
 (** {2 Page-lifecycle sanitizer} *)
 
-(** [attach_shadow t shadow] enables shadow checking of this disk's
-    durable view: successful writes and resets commit shadow state, and
-    every read attempt is checked (read-after-reset, stale epoch,
-    unwritten pages) — see {!Sanitize.Page_shadow}. Attach a shadow to a
-    fresh disk only: the shadow assumes it observes the extent lifecycle
-    from the beginning. [copy] never carries the shadow over (crash-state
-    clones are scratch space). *)
-val attach_shadow : t -> Sanitize.Page_shadow.t -> unit
-
+(** The shadow given to {!create}, if any. *)
 val shadow : t -> Sanitize.Page_shadow.t option
 
 (** [hard_ptr t ~extent] is the device write pointer: the number of bytes

@@ -149,7 +149,6 @@ let create ?obs ?trace ?(ft = default_ft) config =
 
 let node_count t = Array.length t.stores
 let obs t = t.obs
-let node_obs t ~node = S.obs t.stores.(node)
 let node_disk t ~node = S.disk t.stores.(node)
 let node_store t ~node = t.stores.(node)
 let write_quorum t = t.quorum
@@ -556,21 +555,15 @@ let scan t ?lo ?hi () =
     && match hi with None -> true | Some h -> String.compare key h <= 0
   in
   let module Sset = Set.Make (String) in
-  let drain store =
-    let* cursor = S.scan store ?lo ?hi () in
-    let rec go acc =
-      match S.scan_next cursor with
-      | Ok None -> Ok acc
-      | Ok (Some (key, _)) -> go (Sset.add key acc)
-      | Error e -> Error e
-    in
-    go Sset.empty
+  let scan_keys store =
+    let* pairs = S.scan store ?lo ?hi () in
+    Ok (Sset.of_list (List.map fst pairs))
   in
   let rec candidates node acc =
     if node = node_count t then Ok acc
     else if not (available t node) then candidates (node + 1) acc
     else
-      match attempt t node (fun () -> drain t.stores.(node)) with
+      match attempt t node (fun () -> scan_keys t.stores.(node)) with
       | Ok keys -> candidates (node + 1) (Sset.union keys acc)
       | Error e -> Error e
   in

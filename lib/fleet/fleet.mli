@@ -88,7 +88,8 @@ type ack = { replicas : int; lagging : int list }
 (** [create ?obs ?trace ?ft config] — fleet-level counters ([fleet.put],
     [fleet.retry], [fleet.quorum_ack], ...) land in [obs] or a fresh
     fleet-scoped registry; each node's store keeps its own per-instance
-    registry (see {!node_obs}), so two nodes' series never collide.
+    registry ([Store.Default.obs] of {!node_store}), so two nodes'
+    series never collide.
     [ft] defaults to {!default_ft}. [?trace] attaches a wire-trace
     recorder ({!Tracecheck.Trace.Recorder}, src ["fleet"]): every
     request-plane operation is recorded as an invocation/response
@@ -105,9 +106,6 @@ val write_quorum : t -> int
 
 (** The fleet-level registry. *)
 val obs : t -> Obs.t
-
-(** [node_obs t ~node] — the per-store registry of one node. *)
-val node_obs : t -> node:int -> Obs.t
 
 (** [node_store t ~node] — one node's store, for invariant checks and
     introspection in tests; request-plane traffic must go through the

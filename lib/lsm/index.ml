@@ -177,6 +177,16 @@ let load_run t (r : run_ref) =
     let* run = Result.map_error (fun e -> Corrupt e) (Run.decode chunk.Chunk.Chunk_format.payload) in
     Ok (memo_run t r.run_id (fun () -> Hashtbl.replace t.run_contents r.run_id run; run))
 
+(* Load [refs] in order, stopping at the first failure. *)
+let load_runs t refs =
+  List.fold_left
+    (fun acc r ->
+      let* runs = acc in
+      let* run = load_run t r in
+      Ok (run :: runs))
+    (Ok []) refs
+  |> Result.map List.rev
+
 (* Retired runs leave the memo table with the levels: nothing reads them
    again, and keeping them would hold every run ever written. *)
 let forget_runs t runs =
@@ -187,6 +197,13 @@ let forget_runs t runs =
 let unheld_memo_ids t =
   let held = List.map (fun r -> r.run_id) (all_runs t) in
   List.filter (fun id -> not (List.mem id held)) (Tbl.sorted_keys t.run_contents)
+
+(* The first neighbouring runs that overlap or are out of order: none in
+   a well-formed level >= 1. *)
+let rec unordered = function
+  | a :: (b :: _ as rest) ->
+    if String.compare a.max_key b.min_key >= 0 then Some (a, b) else unordered rest
+  | [] | [ _ ] -> None
 
 let run_covers r key = String.compare r.min_key key <= 0 && String.compare key r.max_key <= 0
 
@@ -218,15 +235,74 @@ let get t ~key =
   | Some (Entry.Put locs) -> Ok (Some locs)
   | Some Entry.Tombstone | None -> Ok None
 
-(* {2 Scan cursors}
+(* {2 Range scans}
 
-   A cursor is a k-way merge over snapshot sources captured at open: the
-   memtable bindings (priority 0, newest) and the in-range slice of every
-   run overlapping [lo, hi], in [all_runs] order (L0 newest-first, then
-   deeper levels). All chunk IO happens at open; [cursor_next] is pure. *)
+   A scan is a k-way merge over the sources in priority order: the
+   memtable's in-range bindings (newest), then the in-range slice of every
+   run overlapping [lo, hi] in [all_runs] order (L0 newest first, then
+   deeper levels). A binary heap orders the sources by (next key,
+   priority), so the first entry taken for a key is its newest and shadows
+   the rest, at O(log sources) per entry however many runs a reclamation
+   drain leaves in level 0. *)
 
-type source = { entries : (string * Entry.t) array; mutable pos : int }
-type cursor = { sources : source list  (** priority order: head shadows tail *) }
+type source = { entries : (string * Entry.t) array; mutable pos : int; prio : int }
+
+let head s = fst s.entries.(s.pos)
+
+(* [a] yields before [b]: a smaller next key, or the same key from a newer
+   source. *)
+let before a b =
+  match String.compare (head a) (head b) with 0 -> a.prio < b.prio | c -> c < 0
+
+let merge sources =
+  let heap =
+    List.mapi (fun prio entries -> { entries; pos = 0; prio }) sources
+    |> List.filter (fun s -> Array.length s.entries > 0)
+    |> Array.of_list
+  in
+  let n = ref (Array.length heap) in
+  let rec sift i =
+    let l = (2 * i) + 1 in
+    if l < !n then begin
+      let c = if l + 1 < !n && before heap.(l + 1) heap.(l) then l + 1 else l in
+      if before heap.(c) heap.(i) then begin
+        let s = heap.(i) in
+        heap.(i) <- heap.(c);
+        heap.(c) <- s;
+        sift c
+      end
+    end
+  in
+  for i = (!n / 2) - 1 downto 0 do
+    sift i
+  done;
+  (* Take the least entry and advance its source, which leaves the heap
+     once drained. *)
+  let take () =
+    let s = heap.(0) in
+    let entry = s.entries.(s.pos) in
+    s.pos <- s.pos + 1;
+    if s.pos = Array.length s.entries then begin
+      decr n;
+      heap.(0) <- heap.(!n)
+    end;
+    sift 0;
+    entry
+  in
+  let rec go last acc =
+    if !n = 0 then List.rev acc
+    else begin
+      let key, entry = take () in
+      let acc =
+        match (last, entry) with
+        | Some l, _ when String.equal l key -> acc
+        | _, Entry.Put locs -> (key, locs) :: acc
+        | _, Entry.Tombstone -> acc
+      in
+      go (Some key) acc
+    end
+  in
+  go None []
 
 let in_range ~lo ~hi k =
   (match lo with None -> true | Some l -> String.compare l k <= 0)
@@ -242,87 +318,8 @@ let scan t ~lo ~hi =
     (match lo with None -> true | Some l -> String.compare r.max_key l >= 0)
     && match hi with None -> true | Some h -> String.compare r.min_key h <= 0
   in
-  let* run_sources =
-    List.fold_left
-      (fun acc r ->
-        let* acc = acc in
-        if not (overlapping r) then Ok acc
-        else
-          let* run = load_run t r in
-          let entries =
-            Run.to_list run |> List.filter (fun (k, _) -> in_range ~lo ~hi k) |> Array.of_list
-          in
-          Ok ({ entries; pos = 0 } :: acc))
-      (Ok []) (all_runs t)
-  in
-  Ok { sources = { entries = mem; pos = 0 } :: List.rev run_sources }
-
-let rec cursor_next c =
-  let best =
-    List.fold_left
-      (fun best s ->
-        if s.pos >= Array.length s.entries then best
-        else
-          let k = fst s.entries.(s.pos) in
-          match best with Some b when String.compare b k <= 0 -> best | _ -> Some k)
-      None c.sources
-  in
-  match best with
-  | None -> None
-  | Some k ->
-    (* The first source holding [k] wins (newest shadow); every source
-       holding [k] advances past it. *)
-    let entry = ref None in
-    List.iter
-      (fun s ->
-        if s.pos < Array.length s.entries && String.equal (fst s.entries.(s.pos)) k then begin
-          if Option.is_none !entry then entry := Some (snd s.entries.(s.pos));
-          s.pos <- s.pos + 1
-        end)
-      c.sources;
-    (match !entry with
-    | Some (Entry.Put locs) -> Some (k, locs)
-    | Some Entry.Tombstone | None -> cursor_next c)
-
-let keys t =
-  let* c = scan t ~lo:None ~hi:None in
-  let rec drain acc =
-    match cursor_next c with None -> Ok (List.rev acc) | Some (k, _) -> drain (k :: acc)
-  in
-  drain []
-
-(* One pass over the sources, newest first: the first entry seen for a key
-   shadows the rest. Reclamation runs this once per extent it reclaims, and
-   a drain leaves a small level-0 run behind every other extent, so a [get]
-   per key, at keys x runs, would grow a drain's cost with its square.
-   Runs are loaded, and counters counted, as by [keys] and a [get] per key:
-   one scan, then one lookup per live key, resolved in the memtable or in a
-   run. *)
-let live_locators t =
-  Obs.Counter.incr t.m.m_scans;
-  let* runs =
-    List.fold_left
-      (fun acc r ->
-        let* acc = acc in
-        let* run = load_run t r in
-        Ok (run :: acc))
-      (Ok []) (all_runs t)
-  in
-  let seen = Hashtbl.create 1024 in
-  let live = ref [] in
-  let visit counter key entry =
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.replace seen key ();
-      match entry with
-      | Entry.Put locs ->
-        Obs.Counter.incr counter;
-        live := List.rev_append locs !live
-      | Entry.Tombstone -> ()
-    end
-  in
-  Smap.iter (fun key (entry, _) -> visit t.m.m_get_memtable key entry) t.memtable;
-  List.iter (Run.iter (visit t.m.m_get_run)) (List.rev runs);
-  Ok !live
+  let* runs = load_runs t (List.filter overlapping (all_runs t)) in
+  Ok (merge (mem :: List.map (fun run -> Run.slice run ~lo ~hi) runs))
 
 (* {2 Metadata} *)
 
@@ -535,15 +532,8 @@ let compact_step t ~level =
   let drop_tombstones =
     match deepest_populated t with Some d -> d <= target | None -> true
   in
-  let* contents =
-    List.fold_left
-      (fun acc r ->
-        let* acc = acc in
-        let* run = load_run t r in
-        Ok (run :: acc))
-      (Ok []) (victim :: overlapping)
-  in
-  let merged = Run.merge ~drop_tombstones (List.rev contents) in
+  let* contents = load_runs t (victim :: overlapping) in
+  let merged = Run.merge ~drop_tombstones contents in
   let source_deps = Dep.all (List.map (fun r -> r.dep) (victim :: overlapping)) in
   Obs.Counter.incr t.m.m_compact_partial;
   if Obs.tracing t.obs then
@@ -591,15 +581,8 @@ let compact_major t =
   match all_runs t with
   | [] | [ _ ] -> Ok Dep.trivial
   | runs ->
-    let* contents =
-      List.fold_left
-        (fun acc r ->
-          let* acc = acc in
-          let* run = load_run t r in
-          Ok (run :: acc))
-        (Ok []) runs
-    in
-    let merged = Run.merge ~drop_tombstones:true (List.rev contents) in
+    let* contents = load_runs t runs in
+    let merged = Run.merge ~drop_tombstones:true contents in
     let source_deps = Dep.all (List.map (fun r -> r.dep) runs) in
     if Run.is_empty merged then begin
       t.levels <- Array.make 1 [];
@@ -681,19 +664,12 @@ let level_invariants t =
   else begin
     let rec check_level i =
       if i >= Array.length t.levels then Ok ()
-      else begin
-        let rec disjoint = function
-          | a :: (b :: _ as rest) ->
-            if String.compare a.max_key b.min_key >= 0 then
-              err "level %d: runs %d and %d overlap or are unordered" i a.run_id b.run_id
-            else disjoint rest
-          | _ -> Ok ()
-        in
-        let* () = if i = 0 then Ok () else disjoint t.levels.(i) in
-        check_level (i + 1)
-      end
+      else
+        match unordered t.levels.(i) with
+        | Some (a, b) -> err "level %d: runs %d and %d overlap or are unordered" i a.run_id b.run_id
+        | None -> check_level (i + 1)
     in
-    let* () = check_level 0 in
+    let* () = check_level 1 in
     Conc.Rwlock.with_read t.run_lock (fun () ->
         let* () =
           List.fold_left
@@ -810,20 +786,12 @@ let recover t =
       (* The overlap-rejection gate: metadata describing an ill-formed
          tree (overlapping or unordered ranges in a level >= 1) is
          [Corrupt], never silently installed. *)
-      let rec disjoint_levels i = function
-        | [] -> Ok ()
-        | runs :: deeper ->
-          let rec disjoint = function
-            | a :: (b :: _ as rest) ->
-              if String.compare a.max_key b.min_key >= 0 then
-                Error (Corrupt (Codec.Invalid "level runs overlap or are unordered"))
-              else disjoint rest
-            | _ -> Ok ()
-          in
-          let* () = if i = 0 then Ok () else disjoint runs in
-          disjoint_levels (i + 1) deeper
+      let deeper = match levels with [] -> [] | _ :: deeper -> deeper in
+      let* () =
+        if List.exists (fun runs -> Option.is_some (unordered runs)) deeper then
+          Error (Corrupt (Codec.Invalid "level runs overlap or are unordered"))
+        else Ok ()
       in
-      let* () = disjoint_levels 0 levels in
       t.next_run_id <- next_run_id;
       t.levels <- (if levels = [] then Array.make 1 [] else Array.of_list levels);
       Ok ()

@@ -25,10 +25,9 @@
     own chunks) to keep references crash-consistently ordered ahead of the
     extent reset.
 
-    {b Scans.} {!scan} opens a cursor with snapshot-at-open semantics: a
+    {b Scans.} {!scan} returns a range's live entries as a sorted list: a
     k-way merge over the memtable and the in-range slice of every
-    overlapping run (all chunk IO happens at open). {!keys} is a thin
-    wrapper that drains a full-range cursor.
+    overlapping run.
 
     Fault site #3: metadata not flushed during shutdown after an extent
     reset. *)
@@ -89,30 +88,14 @@ val delete : t -> key:string -> Dep.t
     then at most one covering run per deeper level. *)
 val get : t -> key:string -> (Chunk.Locator.t list option, error) result
 
-(** All live keys, sorted: drains a full-range {!scan} cursor. *)
-val keys : t -> (string list, error) result
-
-(** The locators of every live key, in no particular order: what {!keys}
-    and a {!get} per key return, in one pass over the memtable and the
-    runs, whatever the number of runs. Loads runs and counts
-    [index.scan], [index.get.memtable] and [index.get.run] exactly as
-    that pair does. *)
-val live_locators : t -> (Chunk.Locator.t list, error) result
-
-(** {2 Scan cursors} *)
-
-type cursor
-
-(** [scan t ~lo ~hi] opens a cursor over the live entries with
-    [lo <= key <= hi] ([None] = unbounded). Snapshot-at-open: the memtable
-    is captured and every overlapping run is loaded before the cursor is
-    returned, so later mutations, flushes or compactions do not affect an
-    open cursor ({!cursor_next} never fails). Counts [index.scan]. *)
-val scan : t -> lo:string option -> hi:string option -> (cursor, error) result
-
-(** Next live entry in ascending key order ([None] when drained).
-    Tombstones are merged away, never yielded. *)
-val cursor_next : cursor -> (string * Chunk.Locator.t list) option
+(** [scan t ~lo ~hi] — the live entries with [lo <= key <= hi] ([None] =
+    unbounded), in ascending key order: a k-way merge of the memtable and
+    the in-range slice ({!Run.slice}) of every run whose recorded range
+    overlaps, newest source first, tombstones merged away. Loads the
+    overlapping runs in search order and counts [index.scan]. A full-range
+    scan is the store's listing and reclamation's liveness pass. *)
+val scan :
+  t -> lo:string option -> hi:string option -> ((string * Chunk.Locator.t list) list, error) result
 
 (** {2 Maintenance} *)
 

@@ -15,22 +15,36 @@ let of_pairs pairs =
 let length = Array.length
 let is_empty t = Array.length t = 0
 
-let find t key =
+(* Index of the first pair whose key is not below [key] ([length t] when
+   there is none): the binary search behind [find] and [slice]. *)
+let lower_bound t key =
   let rec go lo hi =
-    if lo >= hi then None
+    if lo >= hi then lo
     else begin
       let mid = (lo + hi) / 2 in
-      let k, e = t.(mid) in
-      match String.compare key k with
-      | 0 -> Some e
-      | c when c < 0 -> go lo mid
-      | _ -> go (mid + 1) hi
+      if String.compare (fst t.(mid)) key < 0 then go (mid + 1) hi else go lo mid
     end
   in
   go 0 (Array.length t)
 
+let find t key =
+  let i = lower_bound t key in
+  if i < Array.length t && String.equal (fst t.(i)) key then Some (snd t.(i)) else None
+
+let slice t ~lo ~hi =
+  let first = match lo with None -> 0 | Some l -> lower_bound t l in
+  let stop =
+    match hi with
+    | None -> Array.length t
+    | Some h ->
+      let i = lower_bound t h in
+      if i < Array.length t && String.equal (fst t.(i)) h then i + 1 else i
+  in
+  if first = 0 && stop = Array.length t then t
+  else if first >= stop then [||]
+  else Array.sub t first (stop - first)
+
 let to_list = Array.to_list
-let iter f t = Array.iter (fun (k, e) -> f k e) t
 
 let merge ~drop_tombstones runs =
   (* Head shadows tail: fold oldest-first so newer bindings overwrite. *)
@@ -48,17 +62,6 @@ let merge ~drop_tombstones runs =
 
 let min_key t = if Array.length t = 0 then None else Some (fst t.(0))
 let max_key t = if Array.length t = 0 then None else Some (fst t.(Array.length t - 1))
-
-let replace_locator t ~key ~old_loc ~new_loc =
-  match find t key with
-  | Some (Entry.Put locs) when List.exists (Chunk.Locator.equal old_loc) locs ->
-    let locs =
-      List.map (fun l -> if Chunk.Locator.equal l old_loc then new_loc else l) locs
-    in
-    let copy = Array.copy t in
-    Array.iteri (fun i (k, _) -> if String.equal k key then copy.(i) <- (k, Entry.Put locs)) copy;
-    Some copy
-  | Some (Entry.Put _) | Some Entry.Tombstone | None -> None
 
 let encode t =
   let w = Codec.Writer.create ~capacity:(64 * (Array.length t + 1)) () in

@@ -18,11 +18,14 @@ val is_empty : t -> bool
 (** [find t key] — binary search. *)
 val find : t -> string -> Entry.t option
 
+(** [slice t ~lo ~hi] — the pairs with [lo <= key <= hi] ([None] =
+    unbounded), in key order, found by the binary search behind {!find}.
+    A range covering the whole run returns the run's own array, copying
+    nothing; callers only read it. *)
+val slice : t -> lo:string option -> hi:string option -> (string * Entry.t) array
+
 (** All pairs in key order. *)
 val to_list : t -> (string * Entry.t) list
-
-(** [iter f t] calls [f key entry] on every pair in key order. *)
-val iter : (string -> Entry.t -> unit) -> t -> unit
 
 (** [merge ~drop_tombstones newest_first] merges runs (head shadows tail).
     [drop_tombstones:true] is valid only when no older entry for any merged
@@ -36,11 +39,6 @@ val merge : drop_tombstones:bool -> t list -> t
 val min_key : t -> string option
 
 val max_key : t -> string option
-
-(** [replace_locator t ~key ~old_loc ~new_loc] — a copy with one locator
-    substituted, or [None] if [key]'s entry does not reference [old_loc]. *)
-val replace_locator :
-  t -> key:string -> old_loc:Chunk.Locator.t -> new_loc:Chunk.Locator.t -> t option
 
 val encode : t -> string
 val decode : string -> (t, Util.Codec.error) result

@@ -46,6 +46,5 @@ let mock_put t ~payload =
   Hashtbl.replace t.live (Full locator) payload;
   locator
 
-let mock_is_live t ~locator = Hashtbl.mem t.live (Full locator)
 let drop t ~locator = Hashtbl.remove t.live (key_of locator)
 let size t = Hashtbl.length t.live

@@ -40,6 +40,3 @@ val size : t -> int
     window of slots, so a busy test eventually receives a locator that is
     still live. *)
 val mock_put : t -> payload:string -> Chunk.Locator.t
-
-(** [mock_is_live t ~locator] — the mock's liveness view. *)
-val mock_is_live : t -> locator:Chunk.Locator.t -> bool

@@ -114,8 +114,3 @@ let resolve_read t ~key ~observed =
     Ok ()
   end
   else reconcile t ~key ~observed
-
-let staged_deps t =
-  Util.Tbl.fold_sorted
-    (fun key r acc -> List.fold_left (fun acc v -> (key, v.dep) :: acc) acc r.history)
-    t []

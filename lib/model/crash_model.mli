@@ -78,7 +78,3 @@ val needs_reconcile : t -> key:string -> bool
     newest staged value, only the flag is cleared (dependency tracking
     continues); otherwise the model reconciles to the observed survivor. *)
 val resolve_read : t -> key:string -> observed:string option -> (unit, violation) result
-
-(** All dependencies staged since the last reconciliation, newest first
-    (for the forward-progress check). *)
-val staged_deps : t -> (string * Dep.t) list

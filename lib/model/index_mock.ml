@@ -24,33 +24,16 @@ let get t ~key =
   | Some (locs, _) -> Ok (Some locs)
   | None -> Ok None
 
-let keys t =
-  Ok (Util.Tbl.sorted_keys ~compare:String.compare t.table)
-
-let live_locators t =
-  Ok (Util.Tbl.fold_sorted (fun _ (locs, _) acc -> List.rev_append locs acc) t.table [])
-
-type cursor = { mutable remaining : (string * Chunk.Locator.t list) list }
-
 let scan t ~lo ~hi =
   let in_range k =
     (match lo with None -> true | Some l -> String.compare l k <= 0)
     && match hi with None -> true | Some h -> String.compare k h <= 0
   in
-  let remaining =
-    Util.Tbl.fold_sorted
-      (fun k (locs, _) acc -> if in_range k then (k, locs) :: acc else acc)
-      t.table []
-    |> List.rev
-  in
-  Ok { remaining }
-
-let cursor_next c =
-  match c.remaining with
-  | [] -> None
-  | pair :: rest ->
-    c.remaining <- rest;
-    Some pair
+  Util.Tbl.fold_sorted
+    (fun k (locs, _) acc -> if in_range k then (k, locs) :: acc else acc)
+    t.table []
+  |> List.rev
+  |> Result.ok
 
 let configure_levels _t ~l0_trigger:_ ~level_ratio:_ = ()
 let compaction_due _t = false

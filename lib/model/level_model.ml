@@ -181,8 +181,6 @@ let scan t ~lo ~hi =
   Smap.fold (fun k e acc -> match e with Value v -> (k, v) :: acc | Tomb -> acc) m []
   |> List.rev
 
-let keys t = List.map fst (scan t ~lo:None ~hi:None)
-
 let invariants t =
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
   let rec check_runs = function

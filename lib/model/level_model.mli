@@ -6,8 +6,8 @@
     pairwise-disjoint ranges. Flush, partial compaction (victim into the
     overlapping runs of the next level), monolithic compaction and the
     tombstone-dropping rule (only when merging into the deepest populated
-    level) mirror the real index's policy, so observations — [get],
-    [scan], [keys] — must agree with it after any operation sequence.
+    level) mirror the real index's policy, so observations — [get] and
+    [scan] — must agree with it after any operation sequence.
 
     Run {e boundaries} are not modelled bit-for-bit (the real index splits
     flushes by payload budget); only observable equality and the per-level
@@ -46,7 +46,6 @@ val get : t -> key:string -> string option
     ascending. *)
 val scan : t -> lo:string option -> hi:string option -> (string * string) list
 
-val keys : t -> string list
 val memtable_size : t -> int
 val run_count : t -> int
 

@@ -50,7 +50,6 @@ let create ?obs ?trace ?(disks = 4) (config : S.config) =
 
 let disk_count t = Array.length t.stores
 let obs t = t.obs
-let store_obs t ~disk = S.obs t.stores.(disk)
 
 let request_counter t req =
   let slot, kind = request_kind req in
@@ -94,6 +93,15 @@ let metrics_of_store ~disk store =
           { Message.metric_name = s.Obs.name ^ ".sum"; labels = labels s.Obs.labels; value = sum };
         ])
     (Obs.snapshot (S.obs store))
+
+(* A scan page's lower bound. The continuation token is exclusive: page
+   N+1 starts strictly after the last key of page N, so the bound is the
+   tighter of [lo] and [after]. *)
+let effective_lo ~lo ~after =
+  match (lo, after) with
+  | Some l, Some a -> Some (if String.compare l a >= 0 then l else a)
+  | None, Some a -> Some a
+  | _, None -> lo
 
 let handle_inner t req =
   match req with
@@ -216,52 +224,6 @@ let handle_inner t req =
           let disk = disk_of_key t key in
           buckets.(disk) <- (i, op) :: buckets.(disk))
       ops;
-    let flush_put_run store run =
-      match run with
-      | [] -> ()
-      | _ -> (
-        let puts =
-          List.map
-            (function
-              | _, Message.Batch_put { key; value } -> (key, value)
-              | _, Message.Batch_delete _ -> assert false)
-            run
-        in
-        match S.put_batch store puts with
-        | Ok { S.results; barrier = _ } ->
-          List.iter2
-            (fun (i, _) result ->
-              match result with
-              | Ok _ -> ()
-              | Error e -> op_error i "%a" S.pp_error e)
-            run results
-        | Error e ->
-          let msg = Format.asprintf "%a" S.pp_error e in
-          List.iter (fun (i, _) -> op_error i "%s" msg) run)
-    in
-    let flush_delete_run store run =
-      match run with
-      | [] -> ()
-      | _ -> (
-        let keys =
-          List.map
-            (function
-              | _, Message.Batch_delete { key } -> key
-              | _, Message.Batch_put _ -> assert false)
-            run
-        in
-        match S.delete_batch store keys with
-        | Ok { S.results; barrier = _ } ->
-          List.iter2
-            (fun (i, _) result ->
-              match result with
-              | Ok _ -> ()
-              | Error e -> op_error i "%a" S.pp_error e)
-            run results
-        | Error e ->
-          let msg = Format.asprintf "%a" S.pp_error e in
-          List.iter (fun (i, _) -> op_error i "%s" msg) run)
-    in
     Array.iteri
       (fun disk bucket ->
         let store = t.stores.(disk) in
@@ -269,10 +231,28 @@ let handle_inner t req =
            put,put,delete,put becomes put_batch[2]; delete_batch[1];
            put_batch[1]. *)
         let flush_run run =
-          match run with
+          match List.rev run with
           | [] -> ()
-          | (_, Message.Batch_put _) :: _ -> flush_put_run store (List.rev run)
-          | (_, Message.Batch_delete _) :: _ -> flush_delete_run store (List.rev run)
+          | run -> (
+            let puts, dels =
+              List.partition_map
+                (function
+                  | _, Message.Batch_put { key; value } -> Either.Left (key, value)
+                  | _, Message.Batch_delete { key } -> Either.Right key)
+                run
+            in
+            (* A run holds one kind of op, so one of the two is empty. *)
+            match if dels = [] then S.put_batch store puts else S.delete_batch store dels with
+            | Ok { S.results; barrier = _ } ->
+              List.iter2
+                (fun (i, _) result ->
+                  match result with
+                  | Ok _ -> ()
+                  | Error e -> op_error i "%a" S.pp_error e)
+                run results
+            | Error e ->
+              let msg = Format.asprintf "%a" S.pp_error e in
+              List.iter (fun (i, _) -> op_error i "%s" msg) run)
         in
         let same_kind a b =
           match (a, b) with
@@ -301,30 +281,11 @@ let handle_inner t req =
       let out_of_service = Array.exists (fun s -> not (S.in_service s)) t.stores in
       if out_of_service then err "scan unavailable: some disks out of service"
       else begin
-        (* The continuation token is exclusive: page N+1 starts strictly
-           after the last key of page N, so the effective lower bound is
-           the tighter of [lo] and [after]. *)
-        let lo =
-          match (lo, after) with
-          | Some l, Some a -> Some (if String.compare l a >= 0 then l else a)
-          | None, Some a -> Some a
-          | _, None -> lo
-        in
-        let drain store =
-          let ( let* ) = Result.bind in
-          let* cursor = S.scan store ?lo ?hi () in
-          let rec go acc =
-            match S.scan_next cursor with
-            | Ok None -> Ok acc
-            | Ok (Some pair) -> go (pair :: acc)
-            | Error e -> Error e
-          in
-          go []
-        in
+        let lo = effective_lo ~lo ~after in
         let rec collect i acc =
           if i = Array.length t.stores then Ok acc
           else
-            match drain t.stores.(i) with
+            match S.scan t.stores.(i) ?lo ?hi () with
             | Ok pairs -> collect (i + 1) (List.rev_append pairs acc)
             | Error e -> Error e
         in
@@ -378,15 +339,9 @@ let trace_op = function
               | Message.Batch_delete { key } -> (key, None))
             ops))
   | Message.Scan_request { lo; hi; after; max_results = _ } ->
-    (* Record the effective lower bound, the continuation token folded
-       in, so the recorded interval matches the page actually served. *)
-    let lo =
-      match (lo, after) with
-      | Some l, Some a -> Some (if String.compare l a >= 0 then l else a)
-      | None, Some a -> Some a
-      | _, None -> lo
-    in
-    Some (Tracecheck.Trace.Scan { lo; hi })
+    (* Record the effective lower bound, so the recorded interval matches
+       the page actually served. *)
+    Some (Tracecheck.Trace.Scan { lo = effective_lo ~lo ~after; hi })
   | Message.List | Message.Remove_disk _ | Message.Return_disk _ | Message.Bulk_delete _
   | Message.Migrate _ | Message.Node_stats -> None
 

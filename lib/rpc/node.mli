@@ -10,7 +10,9 @@ type t
     (default 4). RPC-layer counters ([rpc.request] labelled by request
     kind, [rpc.error], [rpc.tick_error] and the [rpc.batch_ops]
     histogram) land in [obs] or a fresh rpc-scoped registry; each disk's
-    store keeps its own per-instance registry (see {!store_obs}). Per
+    store keeps its own per-instance registry ([Store.Default.obs] of
+    {!store}; [Node_stats] flattens them into {!Message.metric} samples
+    labelled [("disk", i)]). Per
     the repo convention (see [lib/obs/obs.mli]), [?obs] is the first
     optional argument. [?trace] attaches a wire-trace recorder
     ({!Tracecheck.Trace.Recorder}, src ["rpc"]): data-plane requests
@@ -25,10 +27,6 @@ val disk_count : t -> int
 
 (** The RPC-layer registry. *)
 val obs : t -> Obs.t
-
-(** [store_obs t ~disk] — one disk's store registry; [Node_stats] flattens
-    these into {!Message.metric} samples labelled [("disk", i)]. *)
-val store_obs : t -> disk:int -> Obs.t
 
 (** Deterministic steering: the disk serving a key, honouring explicit
     migrations. *)

@@ -139,15 +139,6 @@ module Semaphore = struct
       acquire t
     end
 
-  let try_acquire t =
-    yield ();
-    if t.count > 0 then begin
-      t.count <- t.count - 1;
-      note (Sanitize.Sem_acquire t.id);
-      true
-    end
-    else false
-
   let release t =
     (* The release is a scheduling point: without the yield, DFS never
        explores interleavings where a waiter wakes between the release and

@@ -95,7 +95,6 @@ module Semaphore : sig
 
   val create : int -> t
   val acquire : t -> unit
-  val try_acquire : t -> bool
 
   (** A scheduling point (so waiters can be explored waking between the
       release and the releaser's next access). *)

@@ -1,126 +1,4 @@
-module type S = sig
-  type t
-  type index_error
-
-  type error =
-    | Out_of_service
-    | No_space
-    | Io of Io_sched.error
-    | Index of index_error
-    | Chunk_error of Chunk.Chunk_store.error
-    | Superblock_error of Superblock.error
-    | Wrong_owner of string
-
-  val pp_error : Format.formatter -> error -> unit
-
-  (** Retry/health classification for the fleet's request plane; see
-      {!Io_sched.error_class}. *)
-  val error_class : error -> [ `Transient | `Permanent | `Resource | `Fatal ]
-
-  type config = {
-    disk : Disk.config;
-    max_chunk_payload : int;
-    superblock_cadence : int;
-    index_flush_threshold : int;
-    compact_threshold : int;
-    l0_trigger : int;
-    level_ratio : int;
-    auto_pump : int;
-    cache_pages : int;
-    cache_write_allocate : bool;
-    seed : int64;
-  }
-
-  val default_config : config
-  val test_config : config
-
-  (** [create ?obs cfg] — a fresh store. All layers (disk, scheduler,
-      cache, superblock, logrolls, chunk store, index, store) share one
-      metrics registry: [obs] when given, else a fresh per-store registry
-      with a small trace ring enabled. *)
-  val create : ?obs:Obs.t -> config -> t
-
-  (** [of_disk ?obs cfg disk] opens a stack on an existing disk; the disk's
-      metrics are re-homed onto the store's registry. *)
-  val of_disk : ?obs:Obs.t -> config -> Disk.t -> t
-
-  val config : t -> config
-  val disk : t -> Disk.t
-  val sched : t -> Io_sched.t
-  val chunk_store : t -> Chunk.Chunk_store.t
-
-  (** The unified registry covering every layer of this store. *)
-  val obs : t -> Obs.t
-  val put : t -> key:string -> value:string -> (Dep.t, error) result
-  val get : t -> key:string -> (string option, error) result
-  val delete : t -> key:string -> (Dep.t, error) result
-  val list : t -> (string list, error) result
-
-  (** A range-scan handle: the key set is pinned at open (snapshot over
-      memtable and runs), values are resolved per {!scan_next}. *)
-  type scan
-
-  (** [scan t ?lo ?hi ()] opens a cursor over live keys in
-      [lo <= key <= hi] (unbounded when omitted). *)
-  val scan : t -> ?lo:string -> ?hi:string -> unit -> (scan, error) result
-
-  (** Next [(key, value)] in ascending key order; [Ok None] when drained.
-      Value chunks are read at call time, so a concurrent reclaim can
-      surface as a per-entry error (exactly like {!get}). *)
-  val scan_next : scan -> ((string * string) option, error) result
-
-  (** Run count per level of the index (trailing empties trimmed). *)
-  val level_runs : t -> int list
-
-  (** The index's composed per-level invariant (see
-      {!Store_intf.INDEX.level_invariants}). *)
-  val level_invariants : t -> (unit, string) result
-
-  (** Raw index lookup (introspection for tests and tools). *)
-  val locators : t -> key:string -> (Chunk.Locator.t list option, error) result
-
-  (** Result of a group-committed batch: per-op outcomes in request order,
-      plus one barrier dependency that persists exactly when every
-      successful op of the batch does. *)
-  type batch_result = { results : (Dep.t, error) result list; barrier : Dep.t }
-
-  (** [put_batch t ops] applies N puts with group commit: one service
-      check, one memtable reservation, coalesced chunk allocation
-      ({!Chunk.Chunk_store.put_batch}) and one amortized maintenance pass
-      (superblock cadence, batched writeback) for the whole batch. The
-      outer [Error] is only [Out_of_service]; everything else is per-op.
-      Observationally equivalent to the sequential [put] loop, including
-      under a crash at any dependency-graph prefix. *)
-  val put_batch : t -> (string * string) list -> (batch_result, error) result
-
-  (** [delete_batch t keys] — the delete counterpart of {!put_batch}. *)
-  val delete_batch : t -> string list -> (batch_result, error) result
-  val flush_index : t -> (Dep.t, error) result
-  val flush_superblock : t -> (Dep.t, error) result
-  val compact : t -> (Dep.t, error) result
-  val reclaim : t -> ?extent:int -> ?avoid:int list -> unit -> (Dep.t option, error) result
-  val reclaim_ahead : t -> (int, error) result
-  val pump : t -> int -> int
-
-  type reboot_spec = {
-    flush_index_first : bool;
-    flush_superblock_first : bool;
-    persist_probability : float;
-    split_pages : bool;
-  }
-
-  val clean_reboot_spec : reboot_spec
-  val dirty_reboot : t -> rng:Util.Rng.t -> reboot_spec -> (unit, error) result
-  val clean_shutdown : t -> (unit, error) result
-  val recover : t -> (unit, error) result
-  val remove_from_service : t -> (unit, error) result
-  val return_to_service : t -> (unit, error) result
-  val in_service : t -> bool
-  val live_bytes : t -> extent:int -> (int, error) result
-  val reclaimable_extents : t -> (int * int) list
-  val index_memtable_size : t -> int
-  val index_run_count : t -> int
-end
+module type S = Store_intf.S
 
 (* Reserved extent layout: the superblock and LSM metadata each own an
    alternating pair; everything above is data. *)
@@ -306,7 +184,6 @@ module Make (Index : Store_intf.INDEX) = struct
   let chunk_store t = t.chunks
   let obs t = t.obs
   let in_service t = t.in_service
-  let index_memtable_size t = Index.memtable_size t.index
   let index_run_count t = Index.run_count t.index
 
   let ( let* ) = Result.bind
@@ -335,8 +212,8 @@ module Make (Index : Store_intf.INDEX) = struct
         Hashtbl.replace live loc.Chunk.Locator.extent (prev + footprint t loc)
       end
     in
-    let* locs = index_err (Index.live_locators t.index) in
-    List.iter add locs;
+    let* entries = index_err (Index.scan t.index ~lo:None ~hi:None) in
+    List.iter (fun (_, locs) -> List.iter add locs) entries;
     List.iter (fun (_, loc) -> add loc) (Index.run_locators t.index);
     Ok live
 
@@ -361,7 +238,7 @@ module Make (Index : Store_intf.INDEX) = struct
 
   exception Reclaim_abort of error
 
-  let reclaim t ?extent ?(avoid = []) () =
+  let reclaim t ?extent () =
     let* () = check_service t in
     (* Reclamation must not run against volatile staging: liveness here is
        judged through the memtable (shadowed drops, relocated staged
@@ -387,8 +264,7 @@ module Make (Index : Store_intf.INDEX) = struct
         (* In-flight extents hold chunks written by an ongoing multi-chunk
            put, not yet referenced by the index; a scan would wrongly
            classify them as dead. *)
-        let avoid = avoid @ t.in_flight in
-        match List.filter (fun (e, _) -> not (List.mem e avoid)) (reclaimable_extents t) with
+        match List.filter (fun (e, _) -> not (List.mem e t.in_flight)) (reclaimable_extents t) with
         | (e, _) :: _ -> Some e
         | [] -> None)
     in
@@ -471,8 +347,8 @@ module Make (Index : Store_intf.INDEX) = struct
 
   (* Reclamation that could not complete for lack of resources is "nothing
      reclaimed", not a hard failure. *)
-  let reclaim_soft ?extent ?avoid t =
-    match reclaim t ?extent ?avoid () with
+  let reclaim_soft ?extent t =
+    match reclaim t ?extent () with
     | Ok r -> Ok r
     | Error No_space -> Ok None
     | Error (Index e) when Index.error_is_no_space e -> Ok None
@@ -482,11 +358,11 @@ module Make (Index : Store_intf.INDEX) = struct
      reference the promise current at staging time, so they can only retire
      after the {e next} record — flushing once at the end would leave the
      last round's resets pending and the extents they cover unusable. *)
-  let rec drain_reclaim ?avoid t =
-    let* r = reclaim_soft ?avoid t in
+  let rec drain_reclaim t =
+    let* r = reclaim_soft t in
     unwedge_writeback t;
     match r with
-    | Some _ -> drain_reclaim ?avoid t
+    | Some _ -> drain_reclaim t
     | None -> Ok ()
 
   (* Reclamation that waits for an allocation to fail drains every extent
@@ -669,7 +545,7 @@ module Make (Index : Store_intf.INDEX) = struct
     Ok dep
 
   (* Resolve a locator list to the value bytes, checking shard ownership
-     of every chunk — shared by [get] and [scan_next]. *)
+     of every chunk — shared by [get] and [scan]. *)
   let read_value t ~key locs =
     let payload loc =
       let* chunk = chunk_err (Chunk.Chunk_store.get t.chunks loc) in
@@ -700,28 +576,20 @@ module Make (Index : Store_intf.INDEX) = struct
 
   (* {2 Range scans} *)
 
-  type scan = { cursor : Index.cursor; scan_store : t }
-
   let scan t ?lo ?hi () =
     let* () = check_service t in
     Obs.Counter.incr t.m.m_scans;
     if Obs.tracing t.obs then
       Obs.emit t.obs ~layer:"store" "scan"
         [ ("lo", Option.value ~default:"-" lo); ("hi", Option.value ~default:"-" hi) ];
-    let* cursor = index_err (Index.scan t.index ~lo ~hi) in
-    Ok { cursor; scan_store = t }
-
-  (* The cursor pinned the key set at open; the value chunks are read per
-     entry, so this can fail like [get] (e.g. a reclaim moved the chunk
-     after open — the index snapshot keeps the stale locator). *)
-  let scan_next s =
-    let t = s.scan_store in
-    let* () = check_service t in
-    match Index.cursor_next s.cursor with
-    | None -> Ok None
-    | Some (key, locs) ->
-      let* value = read_value t ~key locs in
-      Ok (Some (key, value))
+    let* entries = index_err (Index.scan t.index ~lo ~hi) in
+    let rec resolve acc = function
+      | [] -> Ok (List.rev acc)
+      | (key, locs) :: rest ->
+        let* value = read_value t ~key locs in
+        resolve ((key, value) :: acc) rest
+    in
+    resolve [] entries
 
   let level_runs t = Index.level_runs t.index
   let level_invariants t = Index.level_invariants t.index
@@ -816,7 +684,8 @@ module Make (Index : Store_intf.INDEX) = struct
 
   let list t =
     let* () = check_service t in
-    index_err (Index.keys t.index)
+    let* entries = index_err (Index.scan t.index ~lo:None ~hi:None) in
+    Ok (List.map fst entries)
 
   let locators t ~key = index_err (Index.get t.index ~key)
 
@@ -1331,8 +1200,8 @@ module Shared = struct
      values shadow the base scan, staged tombstones hide base entries.
      Same lock shape as [list] — all shard read locks (ascending) around
      the stack read lock, the established shard < stack order — so the
-     overlay and the base cursor snapshot are mutually consistent and the
-     result equals what [Store.Default.scan] would yield after a drain. *)
+     overlay and the base scan are mutually consistent and the result
+     equals what [Store.Default.scan] would yield after a drain. *)
   let scan t ?lo ?hi () =
     Obs.Counter.incr t.m.m_scans;
     let id = trace_invoke t (Tracecheck.Trace.Scan { lo; hi }) in
@@ -1344,14 +1213,7 @@ module Shared = struct
       Conc.Shard_table.with_all_read t.staging (fun tables ->
         Conc.Rwlock.with_read t.stack (fun () ->
             let ( let* ) = Result.bind in
-            let* s = Default.scan t.base ?lo ?hi () in
-            let rec drain acc =
-              match Default.scan_next s with
-              | Error _ as e -> e
-              | Ok None -> Ok (List.rev acc)
-              | Ok (Some pair) -> drain (pair :: acc)
-            in
-            let* base_pairs = drain [] in
+            let* base_pairs = Default.scan t.base ?lo ?hi () in
             let staged =
               Array.fold_left
                 (fun acc tbl ->

@@ -25,20 +25,15 @@ module type INDEX = sig
   val put : t -> key:string -> locators:Chunk.Locator.t list -> value_dep:Dep.t -> Dep.t
   val delete : t -> key:string -> Dep.t
   val get : t -> key:string -> (Chunk.Locator.t list option, error) result
-  val keys : t -> (string list, error) result
 
-  (** The locators of every live key, in no particular order: what [keys]
-      and a [get] per key return, in one pass. Reclamation's liveness scan
-      runs it once per extent it reclaims. *)
-  val live_locators : t -> (Chunk.Locator.t list, error) result
-
-  (** A snapshot-at-open range cursor over live entries ([lo <= key <= hi],
-      [None] = unbounded); all IO happens at open, so [cursor_next] is
-      total. *)
-  type cursor
-
-  val scan : t -> lo:string option -> hi:string option -> (cursor, error) result
-  val cursor_next : cursor -> (string * Chunk.Locator.t list) option
+  (** The live entries with [lo <= key <= hi] ([None] = unbounded), in
+      ascending key order. A full-range scan serves the store's listing
+      and reclamation's liveness pass. *)
+  val scan :
+    t ->
+    lo:string option ->
+    hi:string option ->
+    ((string * Chunk.Locator.t list) list, error) result
 
   (** [configure_levels t ~l0_trigger ~level_ratio] sets the levelled
       compaction policy ([l0_trigger = 0] = monolithic full merge). *)
@@ -90,4 +85,181 @@ module type INDEX = sig
   val recover : t -> (unit, error) result
   val memtable_size : t -> int
   val run_count : t -> int
+end
+
+(** The storage node for one disk over an {!INDEX}: what [Store.Make]
+    returns. *)
+module type S = sig
+  type t
+  type index_error
+
+  type error =
+    | Out_of_service
+    | No_space
+    | Io of Io_sched.error
+    | Index of index_error
+    | Chunk_error of Chunk.Chunk_store.error
+    | Superblock_error of Superblock.error
+    | Wrong_owner of string  (** chunk read back belongs to another shard *)
+
+  val pp_error : Format.formatter -> error -> unit
+
+  (** Retry/health classification for the fleet's request plane, walking
+      the nested error chain: [`Transient] retryable IO, [`Permanent]
+      failed medium (trips the circuit breaker), [`Resource] extent
+      exhaustion, [`Fatal] logic/corruption errors — see
+      {!Io_sched.error_class}. *)
+  val error_class : error -> [ `Transient | `Permanent | `Resource | `Fatal ]
+
+  type config = {
+    disk : Disk.config;
+    max_chunk_payload : int;  (** shard values split into chunks of at most this size *)
+    superblock_cadence : int;  (** flush the superblock every N mutations *)
+    index_flush_threshold : int;  (** auto-flush the memtable at this size (0 = manual) *)
+    compact_threshold : int;  (** auto-compact beyond this many runs (0 = manual) *)
+    l0_trigger : int;
+        (** level-0 run count that triggers a levelled compaction step
+            (0 = monolithic full-merge compaction) *)
+    level_ratio : int;  (** level [i >= 1] holds [level_ratio]{^ i} runs *)
+    auto_pump : int;  (** background writeback IOs issued per operation *)
+    cache_pages : int;
+    cache_write_allocate : bool;  (** populate the cache on writes (section 8.3 experiment) *)
+    seed : int64;
+  }
+
+  val default_config : config
+
+  (** Small geometry for property-based tests: few, small extents so
+      reclamation, extent exhaustion and crash corner cases are reachable
+      in short operation sequences. *)
+  val test_config : config
+
+  (** [create ?obs cfg] — a fresh store. One {!Obs.t} registry serves the
+      whole stack (disk, scheduler, cache, superblock, logrolls, chunk
+      store, index, store): [obs] when given, else a fresh per-store
+      registry with a small trace ring enabled, so two stores in a fleet
+      never share series. *)
+  val create : ?obs:Obs.t -> config -> t
+
+  (** [of_disk ?obs cfg disk] re-opens a store on an existing disk
+      (recovery path); the disk's accumulated metrics are re-homed onto
+      the store's registry. *)
+  val of_disk : ?obs:Obs.t -> config -> Disk.t -> t
+
+  val config : t -> config
+  val disk : t -> Disk.t
+  val sched : t -> Io_sched.t
+  val chunk_store : t -> Chunk.Chunk_store.t
+
+  (** The unified metrics registry and trace ring for this store. *)
+  val obs : t -> Obs.t
+
+  (** {2 Request plane} *)
+
+  val put : t -> key:string -> value:string -> (Dep.t, error) result
+  val get : t -> key:string -> (string option, error) result
+  val delete : t -> key:string -> (Dep.t, error) result
+  val list : t -> (string list, error) result
+
+  (** [scan t ?lo ?hi ()] — the live [(key, value)] pairs with
+      [lo <= key <= hi] (unbounded when omitted), in ascending key order:
+      one index scan, then the value chunks read in key order. A value
+      that cannot be read fails the whole scan, like {!get}. *)
+  val scan : t -> ?lo:string -> ?hi:string -> unit -> ((string * string) list, error) result
+
+  (** Run count per level of the index, trailing empty levels trimmed. *)
+  val level_runs : t -> int list
+
+  (** The index's composed per-level invariant: every level [>= 1] sorted
+      by min key with pairwise-disjoint ranges, run ids unique. [Error]
+      describes the first violation. *)
+  val level_invariants : t -> (unit, string) result
+
+  (** Raw index lookup (introspection for tests and tools). *)
+  val locators : t -> key:string -> (Chunk.Locator.t list option, error) result
+
+  (** {2 Batched request plane (group commit)}
+
+      Result of a batch: per-op outcomes in request order, plus one barrier
+      dependency that persists exactly when every successful op of the
+      batch does — the natural durability handle for group commit. *)
+  type batch_result = { results : (Dep.t, error) result list; barrier : Dep.t }
+
+  (** [put_batch t ops] applies N puts with group commit: one service
+      check, one memtable reservation (the batch flushes the memtable up
+      front if the N inserts would cross the threshold), coalesced chunk
+      allocation ({!Chunk.Chunk_store.put_batch} — per-extent groups, one
+      append and one superblock record per group) and one amortized
+      maintenance pass (superblock-cadence check, batched writeback via
+      {!Io_sched.submit_batch}) for the whole batch. When group allocation
+      hits resource pressure the batch falls back to the sequential per-op
+      path with its GC ladder, so per-op outcomes match the loop exactly.
+      The outer [Error] is only ever [Out_of_service].
+
+      Observationally equivalent to the sequential [put] loop, including
+      under a crash at any dependency-graph prefix — the batch conformance
+      property in [test/test_lfm.ml] checks this. *)
+  val put_batch : t -> (string * string) list -> (batch_result, error) result
+
+  (** [delete_batch t keys] — the delete counterpart of {!put_batch}. *)
+  val delete_batch : t -> string list -> (batch_result, error) result
+
+  (** {2 Background maintenance} *)
+
+  val flush_index : t -> (Dep.t, error) result
+  val flush_superblock : t -> (Dep.t, error) result
+  val compact : t -> (Dep.t, error) result
+
+  (** [reclaim t ?extent ()] garbage-collects one extent (the one with the
+      most reclaimable bytes when [extent] is omitted, never one holding
+      chunks of a put in progress). Returns [None] when nothing is worth
+      reclaiming or no evacuation headroom remains. *)
+  val reclaim : t -> ?extent:int -> unit -> (Dep.t option, error) result
+
+  (** [reclaim_ahead t]: when fewer than an eighth of the store's extents
+      are free, reclaims the 16 extents with the most garbage (fewer if
+      fewer hold any), each as one drain iteration; the number reclaimed.
+      A maintenance tick calls it so the disk does not fill: left to
+      allocation failure, reclamation drains every extent holding garbage
+      inside one call. *)
+  val reclaim_ahead : t -> (int, error) result
+
+  val pump : t -> int -> int
+
+  (** {2 Crash and recovery} *)
+
+  type reboot_spec = {
+    flush_index_first : bool;  (** flush the memtable before crashing *)
+    flush_superblock_first : bool;
+    persist_probability : float;  (** chance each eligible pending write persisted *)
+    split_pages : bool;  (** enable page-granular torn writes (block-level mode) *)
+  }
+
+  val clean_reboot_spec : reboot_spec
+
+  (** [dirty_reboot t ~rng spec] crashes (dropping volatile state and a
+      dependency-respecting subset of pending writes) and recovers. *)
+  val dirty_reboot : t -> rng:Util.Rng.t -> reboot_spec -> (unit, error) result
+
+  (** [clean_shutdown t] flushes everything and drains the scheduler;
+      afterwards every returned dependency must be persistent (the forward
+      progress property). *)
+  val clean_shutdown : t -> (unit, error) result
+
+  (** [recover t] rebuilds volatile state from the disk. *)
+  val recover : t -> (unit, error) result
+
+  (** {2 Control plane} *)
+
+  val remove_from_service : t -> (unit, error) result
+  val return_to_service : t -> (unit, error) result
+  val in_service : t -> bool
+
+  (** {2 Introspection} *)
+
+  val live_bytes : t -> extent:int -> (int, error) result
+  val reclaimable_extents : t -> (int * int) list
+  (** (extent, garbage bytes), sorted most-garbage-first *)
+
+  val index_run_count : t -> int
 end

@@ -33,21 +33,18 @@ module Writer = struct
     u64 t (Int64.of_int n)
 
   let raw_string = Buffer.add_string
-  let raw_bytes = Buffer.add_bytes
 
   let lstring t s =
     u32 t (Int32.of_int (String.length s));
     raw_string t s
 
   let contents = Buffer.contents
-  let to_bytes = Buffer.to_bytes
 end
 
 module Reader = struct
   type t = { data : string; mutable pos : int }
 
   let of_string ?(pos = 0) data = { data; pos }
-  let of_bytes ?pos b = of_string ?pos (Bytes.to_string b)
   let pos t = t.pos
   let remaining t = String.length t.data - t.pos
 

@@ -33,13 +33,11 @@ module Writer : sig
   val uint : t -> int -> unit
 
   val raw_string : t -> string -> unit
-  val raw_bytes : t -> bytes -> unit
 
   (** [lstring t s] encodes a u32 length prefix followed by the bytes. *)
   val lstring : t -> string -> unit
 
   val contents : t -> string
-  val to_bytes : t -> bytes
 end
 
 (** Cursor-based decoder over an immutable string; all reads are total.
@@ -50,7 +48,6 @@ module Reader : sig
   type t
 
   val of_string : ?pos:int -> string -> t
-  val of_bytes : ?pos:int -> bytes -> t
   val pos : t -> int
   val remaining : t -> int
   val u8 : t -> (int, error) result

@@ -50,6 +50,26 @@ let test_short_page_refetched () =
   Alcotest.(check string) "extended" "abcdef" (ok (Cache.read cache ~extent:0 ~off:0 ~len:6));
   Alcotest.(check int) "re-fetched" 2 (count cache "cache.miss")
 
+(* A failed re-fetch of an outgrown partial page drops the stale copy:
+   the page leaves the cache as it leaves Clean, so a later invalidation
+   records no transition out of Empty, and the next read fetches the
+   whole page. *)
+let test_failed_refetch_drops_stale_page () =
+  let disk, sched, cache = make () in
+  append sched ~extent:0 "abc";
+  ignore (ok (Cache.read cache ~extent:0 ~off:0 ~len:3));
+  append sched ~extent:0 "def";
+  Disk.fail_once disk ~extent:0;
+  (match Cache.read cache ~extent:0 ~off:0 ~len:6 with
+  | Error (Io_sched.Io Disk.Transient) -> ()
+  | _ -> Alcotest.fail "re-fetch must surface the injected fault");
+  Alcotest.(check (list (pair int int))) "stale copy dropped" [] (Cache.resident cache);
+  Cache.invalidate_all cache;
+  Alcotest.(check (list string)) "no illegal transitions" []
+    (List.map (Format.asprintf "%a" Conc.Cache_sm.pp_violation) (Cache.transition_violations cache));
+  Alcotest.(check string) "whole page re-read" "abcdef"
+    (ok (Cache.read cache ~extent:0 ~off:0 ~len:6))
+
 let test_note_reset_invalidates () =
   let _, sched, cache = make () in
   append sched ~extent:0 "old-data-in-page";
@@ -361,6 +381,8 @@ let () =
           Alcotest.test_case "cross page read" `Quick test_cross_page_read;
           Alcotest.test_case "read beyond pointer" `Quick test_read_beyond_pointer;
           Alcotest.test_case "short page re-fetched after append" `Quick test_short_page_refetched;
+          Alcotest.test_case "failed re-fetch drops stale page" `Quick
+            test_failed_refetch_drops_stale_page;
           Alcotest.test_case "reset invalidates" `Quick test_note_reset_invalidates;
           Alcotest.test_case "eviction" `Quick test_eviction;
           Alcotest.test_case "invalidate all" `Quick test_invalidate_all;

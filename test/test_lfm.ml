@@ -150,7 +150,7 @@ let batch_conformance_prop =
         QCheck.Test.fail_reportf "seed %d: %a" seed Lfm.Harness.pp_failure f)
 
 (* Scan conformance (the range-scan tentpole): sequences rich in Scan ops
-   must drain the stack-wide cursor to exactly the key/value pairs the
+   must return, through the whole stack, exactly the key/value pairs the
    reference model admits over [lo, hi] — in order, in bounds, with no
    phantom or missing keys. Running under the Crashing profile with the
    crash-enumeration hook extends the check across dependency-closed crash

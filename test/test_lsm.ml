@@ -24,6 +24,9 @@ let ok = function
 
 let loc k = { Chunk.Locator.extent = 4; epoch = 0; off = k * 32; frame_len = 10 }
 
+(* The live keys of a range, in order. *)
+let scan_keys ?lo ?hi index = List.map fst (ok (Lsm.Index.scan index ~lo ~hi))
+
 let test_put_get_memtable () =
   let _, _, _, _, index = make () in
   ignore (Lsm.Index.put index ~key:"a" ~locators:[ loc 1 ] ~value_dep:Dep.trivial);
@@ -64,7 +67,7 @@ let test_keys_across_memtable_and_runs () =
   ignore (Lsm.Index.put index ~key:"a" ~locators:[ loc 2 ] ~value_dep:Dep.trivial);
   ignore (Lsm.Index.put index ~key:"c" ~locators:[ loc 3 ] ~value_dep:Dep.trivial);
   ignore (Lsm.Index.delete index ~key:"b");
-  Alcotest.(check (list string)) "keys" [ "a"; "c" ] (ok (Lsm.Index.keys index))
+  Alcotest.(check (list string)) "keys" [ "a"; "c" ] (scan_keys index)
 
 let test_newer_run_shadows_older () =
   let _, _, _, _, index = make () in
@@ -347,36 +350,34 @@ let test_recover_levelled_tree () =
   ignore (ok (Lsm.Index.compact index));
   check_invariants index;
   let shape = Lsm.Index.level_runs index in
-  let keys_before = ok (Lsm.Index.keys index) in
+  let keys_before = scan_keys index in
   (match Superblock.flush sb with Ok _ -> () | Error _ -> Alcotest.fail "sb flush");
   (match Io_sched.flush sched with Ok () -> () | Error _ -> Alcotest.fail "sched flush");
   ignore (ok (Lsm.Index.recover index));
   check_invariants index;
   Alcotest.(check (list int)) "level shape recovered" shape (Lsm.Index.level_runs index);
-  Alcotest.(check (list string)) "keys recovered" keys_before (ok (Lsm.Index.keys index))
+  Alcotest.(check (list string)) "keys recovered" keys_before (scan_keys index)
 
-let test_scan_cursor_snapshot () =
+(* A scan merges the memtable over the runs (a staged put and a staged
+   tombstone shadow them), honours its bounds, and returns the state at
+   the call. *)
+let test_scan_snapshot () =
   let _, _, _, _, index = make () in
   Lsm.Index.configure_levels index ~l0_trigger:2 ~level_ratio:2;
   flush_kv index [ ("a", 1); ("c", 2) ];
   flush_kv index [ ("d", 3) ];
   ignore (Lsm.Index.put index ~key:"b" ~locators:[ loc 4 ] ~value_dep:Dep.trivial);
   ignore (Lsm.Index.delete index ~key:"c");
-  let drain c =
-    let rec go acc =
-      match Lsm.Index.cursor_next c with None -> List.rev acc | Some (k, _) -> go (k :: acc)
-    in
-    go []
-  in
-  let c = ok (Lsm.Index.scan index ~lo:None ~hi:None) in
-  (* Mutations after open must not leak into the snapshot. *)
+  let snapshot = scan_keys index in
   ignore (Lsm.Index.put index ~key:"e" ~locators:[ loc 5 ] ~value_dep:Dep.trivial);
-  Alcotest.(check (list string)) "snapshot at open" [ "a"; "b"; "d" ] (drain c);
-  let c2 = ok (Lsm.Index.scan index ~lo:(Some "b") ~hi:(Some "d")) in
-  Alcotest.(check (list string)) "bounded scan" [ "b"; "d" ] (drain c2)
+  Alcotest.(check (list string)) "memtable shadows the runs" [ "a"; "b"; "d" ] snapshot;
+  Alcotest.(check (list string)) "bounded scan" [ "b"; "d" ] (scan_keys ~lo:"b" ~hi:"d" index);
+  Alcotest.(check (list string)) "later put seen" [ "a"; "b"; "d"; "e" ] (scan_keys index)
 
 (* Property: the levelled index against the composed per-level reference
-   model — same ops, observably equal keys/scans, invariants maintained. *)
+   model — same ops, equal scans (keys and locators), invariants
+   maintained. The model's value for a key is the number of its index
+   locator. *)
 let prop_index_matches_level_model =
   QCheck.Test.make ~name:"levelled index conforms to Level_model" ~count:80
     QCheck.(int_bound 100_000)
@@ -387,23 +388,22 @@ let prop_index_matches_level_model =
       let rng = Rng.create (Int64.of_int seed) in
       let keys = [| "a"; "b"; "c"; "d"; "e"; "f" |] in
       let ok = ref true in
-      let scan_keys ~lo ~hi =
+      let scans_agree ~lo ~hi =
         match Lsm.Index.scan index ~lo ~hi with
-        | Error _ ->
-          ok := false;
-          []
-        | Ok c ->
-          let rec go acc =
-            match Lsm.Index.cursor_next c with None -> List.rev acc | Some (k, _) -> go (k :: acc)
-          in
-          go []
+        | Error _ -> false
+        | Ok entries ->
+          List.map
+            (fun (k, locs) ->
+              (k, String.concat "," (List.map (fun l -> string_of_int (l.Chunk.Locator.off / 32)) locs)))
+            entries
+          = Model.Level_model.scan model ~lo ~hi
       in
       for i = 0 to 49 do
         let key = Rng.pick rng keys in
         (match Rng.int rng 8 with
         | 0 | 1 | 2 ->
           ignore (Lsm.Index.put index ~key ~locators:[ loc (i mod 13) ] ~value_dep:Dep.trivial);
-          Model.Level_model.put model ~key ~value:(string_of_int i)
+          Model.Level_model.put model ~key ~value:(string_of_int (i mod 13))
         | 3 ->
           ignore (Lsm.Index.delete index ~key);
           Model.Level_model.delete model ~key
@@ -425,45 +425,32 @@ let prop_index_matches_level_model =
             | Some l, Some h when String.compare l h > 0 -> (Some h, Some l)
             | pair -> pair
           in
-          if scan_keys ~lo ~hi <> List.map fst (Model.Level_model.scan model ~lo ~hi) then
-            ok := false);
+          if not (scans_agree ~lo ~hi) then ok := false);
         (match Lsm.Index.level_invariants index with Ok () -> () | Error _ -> ok := false)
       done;
-      (match Lsm.Index.keys index with
-      | Ok ks -> if ks <> Model.Level_model.keys model then ok := false
-      | Error _ -> ok := false);
-      !ok)
+      !ok && scans_agree ~lo:None ~hi:None)
 
-(* Property: [live_locators] returns what [keys] and a [get] per key return,
-   and moves the same index counters, whatever mix of memtable, overlapping
-   level-0 runs and deeper levels holds the entries. *)
-let prop_live_locators_match_lookups =
-  QCheck.Test.make ~name:"live locators match keys and gets" ~count:100
+(* Property: a full-range scan returns, for every key, what [get] returns
+   (the live keys with their locators, in key order), whatever mix of
+   memtable, overlapping level-0 runs and deeper levels holds the
+   entries: the store's listing and liveness pass read this scan. *)
+let prop_full_scan_matches_gets =
+  QCheck.Test.make ~name:"full-range scan locators match gets" ~count:100
     QCheck.(int_bound 100_000)
     (fun seed ->
       let _, _, _, _, index = make () in
       Lsm.Index.configure_levels index ~l0_trigger:4 ~level_ratio:2;
       let rng = Rng.create (Int64.of_int seed) in
       let keys = [| "a"; "b"; "c"; "d"; "e"; "f"; "g" |] in
-      let counts () =
-        List.map
-          (Obs.counter_value (Lsm.Index.obs index))
-          [ "index.scan"; "index.get.memtable"; "index.get.run" ]
-      in
-      let counted f =
-        let before = counts () in
-        let r = f () in
-        (Option.map (List.sort compare) r, List.map2 ( - ) (counts ()) before)
-      in
+      (* [keys] is sorted; a failed get drops its key, so the scan (which
+         would fail as well) cannot match. *)
       let lookups () =
-        match Lsm.Index.keys index with
-        | Error _ -> None
-        | Ok ks ->
-          Some
-            (List.concat_map
-               (fun key ->
-                 match Lsm.Index.get index ~key with Ok (Some locs) -> locs | _ -> [])
-               ks)
+        List.filter_map
+          (fun key ->
+            match Lsm.Index.get index ~key with
+            | Ok (Some locs) -> Some (key, locs)
+            | Ok None | Error _ -> None)
+          (Array.to_list keys)
       in
       let ok = ref true in
       for i = 0 to 59 do
@@ -477,9 +464,9 @@ let prop_live_locators_match_lookups =
         | 4 | 5 -> ignore (Lsm.Index.flush index ~for_shutdown:false)
         | 6 -> ignore (Lsm.Index.compact index)
         | _ -> ());
-        let expected = counted lookups in
-        let actual = counted (fun () -> Result.to_option (Lsm.Index.live_locators index)) in
-        if actual <> expected then ok := false
+        match Lsm.Index.scan index ~lo:None ~hi:None with
+        | Ok scanned -> if scanned <> lookups () then ok := false
+        | Error _ -> ok := false
       done;
       !ok)
 
@@ -623,9 +610,9 @@ let () =
           Alcotest.test_case "relocation preserves levels" `Quick
             test_relocate_preserves_levels;
           Alcotest.test_case "recover levelled tree" `Quick test_recover_levelled_tree;
-          Alcotest.test_case "scan cursor snapshot" `Quick test_scan_cursor_snapshot;
+          Alcotest.test_case "scan cursor snapshot" `Quick test_scan_snapshot;
           QCheck_alcotest.to_alcotest prop_index_matches_level_model;
-          QCheck_alcotest.to_alcotest prop_live_locators_match_lookups;
+          QCheck_alcotest.to_alcotest prop_full_scan_matches_gets;
         ] );
       ( "runs",
         [

@@ -539,24 +539,11 @@ let test_shared_delete_batch () =
   Alcotest.(check (list string)) "durable key set after drain" [ "db" ]
     (ok (S.list (Sh.store sh)))
 
-(* The tentpole acceptance check, in-tree: a scan must yield byte-identical
-   results from the levelled Default store (cursor drain), the Shared
-   overlay (staged mutations applied over the drained scan), and the
-   composed per-level reference model — at arbitrary points of a random
-   workload, under arbitrary bounds, while flushes and compactions
-   rearrange the runs underneath. *)
-let drain_cursor s ?lo ?hi () =
-  match S.scan s ?lo ?hi () with
-  | Error e -> QCheck.Test.fail_reportf "scan open: %a" S.pp_error e
-  | Ok cursor ->
-    let rec go acc =
-      match S.scan_next cursor with
-      | Ok (Some kv) -> go (kv :: acc)
-      | Ok None -> List.rev acc
-      | Error e -> QCheck.Test.fail_reportf "scan_next: %a" S.pp_error e
-    in
-    go []
-
+(* A scan must return byte-identical results from the levelled Default
+   store, the Shared overlay (staged mutations applied over the base
+   scan), and the composed per-level reference model — at arbitrary points
+   of a random workload, under arbitrary bounds, while flushes and
+   compactions rearrange the runs underneath. *)
 let prop_scan_three_way_identity =
   QCheck.Test.make ~name:"scan identity: Default = Shared = level model" ~count:60
     QCheck.(int_bound 1_000_000)
@@ -576,7 +563,11 @@ let prop_scan_three_way_identity =
           | b -> b
         in
         let expected = Model.Level_model.scan lm ~lo ~hi in
-        let via_default = drain_cursor ref_s ?lo ?hi () in
+        let via_default =
+          match S.scan ref_s ?lo ?hi () with
+          | Ok pairs -> pairs
+          | Error e -> QCheck.Test.fail_reportf "scan: %a" S.pp_error e
+        in
         let via_shared =
           match Sh.scan sh ?lo ?hi () with
           | Ok pairs -> pairs
@@ -704,38 +695,29 @@ let test_shared_maint_worker_drains_live_traffic () =
       (ok (S.get (Sh.store sh) ~key))
   done
 
-(* An open Default cursor on the underlying store pins its snapshot while
-   the Shared maintenance plane rearranges everything underneath: shard
-   flushes push staged overwrites into the base and compact rewrites the
-   runs. The cursor must keep yielding exactly what was visible when it
-   opened, and a fresh Shared scan afterwards sees the maintained state.
-   (Reclaim is excluded mid-drain: it physically relocates extents, which
-   the scan contract documents as out of scope for an open cursor — it
-   runs after the drain instead.) *)
-let test_shared_maint_scan_cursor_pinned () =
+(* A Default scan of the underlying store keeps what it returned while the
+   Shared maintenance plane rearranges everything underneath: shard
+   flushes push staged overwrites into the base, compact rewrites the runs
+   and reclaim relocates chunks. A fresh Shared scan afterwards sees the
+   maintained state. *)
+let test_shared_maint_scan_pinned () =
   Faults.disable_all ();
   let sh = Sh.create ~shards:4 ~flush_chunk:2 S.default_config in
   let expect = List.init 8 (fun i -> (Printf.sprintf "sk%d" i, Printf.sprintf "sv%d" i)) in
   List.iter (fun (k, v) -> sh_ok (Sh.put sh ~key:k ~value:v)) expect;
   ignore (sh_ok (Sh.flush sh));
-  (* stage a second wave the cursor must NOT see *)
+  (* stage a second wave the scan must NOT see *)
   List.iter (fun (k, _) -> sh_ok (Sh.put sh ~key:k ~value:"overwritten")) expect;
   sh_ok (Sh.put sh ~key:"sz-late" ~value:"late");
-  let cursor = ok (S.scan (Sh.store sh) ()) in
-  let rec drain i acc =
-    match ok (S.scan_next cursor) with
-    | None -> List.rev acc
-    | Some kv ->
-      (* one maintenance-plane op between every two cursor steps *)
-      (match i mod 3 with
-      | 0 -> ignore (sh_ok (Sh.flush_shard sh (i mod 4)))
-      | 1 -> sh_ok (Sh.compact sh)
-      | _ -> ignore (sh_ok (Sh.flush sh)));
-      drain (i + 1) (kv :: acc)
-  in
-  let got = drain 0 [] in
-  Alcotest.(check (list (pair string string))) "cursor pinned its snapshot" expect got;
+  let got = ok (S.scan (Sh.store sh) ()) in
+  for i = 0 to 7 do
+    match i mod 3 with
+    | 0 -> ignore (sh_ok (Sh.flush_shard sh (i mod 4)))
+    | 1 -> sh_ok (Sh.compact sh)
+    | _ -> ignore (sh_ok (Sh.flush sh))
+  done;
   ignore (sh_ok (Sh.reclaim sh));
+  Alcotest.(check (list (pair string string))) "scan kept its snapshot" expect got;
   let after = sh_ok (Sh.scan sh ()) in
   let expected_after =
     List.map (fun (k, _) -> (k, "overwritten")) expect @ [ ("sz-late", "late") ]
@@ -870,8 +852,8 @@ let () =
             test_shared_maint_racing_linearizable;
           Alcotest.test_case "maint worker drains live traffic" `Quick
             test_shared_maint_worker_drains_live_traffic;
-          Alcotest.test_case "open cursor pinned during maintenance" `Quick
-            test_shared_maint_scan_cursor_pinned;
+          Alcotest.test_case "scan pinned across maintenance" `Quick
+            test_shared_maint_scan_pinned;
           Alcotest.test_case "maintenance ops match Default" `Quick
             test_shared_maint_matches_default_single_domain;
           Alcotest.test_case "dirty reboot drops staged entries" `Quick
