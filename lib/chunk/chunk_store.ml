@@ -98,17 +98,20 @@ let fresh_uuid t =
 
 let align_up n align = (n + align - 1) / align * align
 
+(* An extent appends may go to: not being reclaimed, no reset staged, not
+   quarantined. *)
+let usable t extent =
+  t.reclaiming <> Some extent
+  && (not (Io_sched.has_pending_reset t.sched ~extent))
+  && not (Io_sched.quarantined t.sched ~extent)
+
 (* Pick an extent with at least [need] bytes available: the open extent if
    it fits, otherwise the lowest recorded-Free extent (staging a reset first
    when it carries pre-crash bytes — safe because a durably recorded Free
    extent is guaranteed unreferenced). *)
 let allocate t ~need ~privileged =
   let fits extent = need <= Io_sched.capacity_left t.sched ~extent in
-  let usable extent =
-    t.reclaiming <> Some extent
-    && (not (Io_sched.has_pending_reset t.sched ~extent))
-    && not (Io_sched.quarantined t.sched ~extent)
-  in
+  let usable = usable t in
   match t.open_ext with
   | Some extent when fits extent && usable extent -> Ok extent
   | _ -> (
@@ -154,37 +157,6 @@ let allocate t ~need ~privileged =
 
 let ( let* ) = Result.bind
 
-let put ?(input = Dep.trivial) t ~owner ~payload =
-  let frame = Chunk_format.encode ~uuid:(fresh_uuid t) ~owner ~payload in
-  let flen = String.length frame in
-  let ps = Io_sched.page_size t.sched in
-  let padded = align_up flen ps in
-  if padded > Io_sched.extent_size t.sched then Error No_space
-  else begin
-    let pad = String.make (padded - flen) '\000' in
-    let privileged = match owner with Chunk_format.Index_run _ -> true | _ -> false in
-    let* extent = allocate t ~need:padded ~privileged in
-    let off = Io_sched.soft_ptr t.sched ~extent in
-    let* append_dep =
-      Result.map_error (fun e -> Io e)
-        (Io_sched.append t.sched ~extent ~data:(frame ^ pad) ~input)
-    in
-    (* No cache invalidation needed on append: extents are append-only, so
-       a cached page is always a prefix of the current content — except
-       after a reset, which is exactly what note_reset handles (and what
-       fault #2 breaks). Write-allocating caches insert the new pages. *)
-    Cache.fill t.cache ~extent ~off (frame ^ pad);
-    let pointer_dep = Superblock.note_append t.sb ~extent in
-    let locator =
-      { Locator.extent; epoch = Io_sched.epoch t.sched ~extent; off; frame_len = flen }
-    in
-    Obs.Counter.incr t.m.m_puts;
-    if Obs.tracing t.obs then
-      Obs.emit t.obs ~layer:"chunk" "put"
-        [ ("extent", string_of_int extent); ("bytes", string_of_int flen) ];
-    Ok (locator, Dep.and_ append_dep pointer_dep)
-  end
-
 (* Group commit for chunks. One group = a run of frames packed into a
    single extent, staged as ONE append and covered by ONE superblock record
    promise; every chunk of the group shares the merged write's dependency.
@@ -207,18 +179,17 @@ let put_batch ?(input = Dep.trivial) t ~items =
     List.map
       (fun (owner, payload) ->
         let frame = Chunk_format.encode ~uuid:(fresh_uuid t) ~owner ~payload in
-        (frame, align_up (String.length frame) ps))
+        (* Index runs may spend the reserve: see [allocate]. *)
+        let privileged =
+          match owner with Chunk_format.Index_run _ -> true | Chunk_format.Shard _ -> false
+        in
+        (frame, align_up (String.length frame) ps, privileged))
       items
   in
-  if List.exists (fun (_, padded) -> padded > esize) encoded then Error No_space
+  if List.exists (fun (_, padded, _) -> padded > esize) encoded then Error No_space
   else begin
     let results = ref [] in
     let group = ref None in
-    let usable extent =
-      t.reclaiming <> Some extent
-      && (not (Io_sched.has_pending_reset t.sched ~extent))
-      && not (Io_sched.quarantined t.sched ~extent)
-    in
     let flush_group () =
       match !group with
       | None -> Ok ()
@@ -229,6 +200,11 @@ let put_batch ?(input = Dep.trivial) t ~items =
           Result.map_error (fun e -> Io e)
             (Io_sched.append t.sched ~extent:g.g_extent ~data ~input)
         in
+        (* No cache invalidation needed on append: extents are append-only,
+           so a cached page is always a prefix of the current content —
+           except after a reset, which is exactly what note_reset handles
+           (and what fault #2 breaks). Write-allocating caches insert the
+           new pages. *)
         Cache.fill t.cache ~extent:g.g_extent ~off:g.g_start data;
         let pointer_dep = Superblock.note_append t.sb ~extent:g.g_extent in
         let dep = Dep.and_ append_dep pointer_dep in
@@ -260,13 +236,13 @@ let put_batch ?(input = Dep.trivial) t ~items =
     in
     let rec go = function
       | [] -> flush_group ()
-      | (frame, padded) :: rest ->
+      | (frame, padded, privileged) :: rest ->
         let flen = String.length frame in
         let pad = String.make (padded - flen) '\000' in
         let extended =
           match !group with
           | Some g
-            when usable g.g_extent
+            when usable t g.g_extent
                  && g.g_bytes + padded <= Io_sched.capacity_left t.sched ~extent:g.g_extent
             ->
             (* [capacity_left] reads the soft pointer, which the buffered
@@ -280,7 +256,7 @@ let put_batch ?(input = Dep.trivial) t ~items =
         if extended then go rest
         else
           let* () = flush_group () in
-          let* extent = allocate t ~need:padded ~privileged:false in
+          let* extent = allocate t ~need:padded ~privileged in
           group :=
             Some
               {
@@ -295,6 +271,10 @@ let put_batch ?(input = Dep.trivial) t ~items =
     let* () = go encoded in
     Ok (List.rev !results)
   end
+
+(* One result per item, so the head is the chunk's. *)
+let put ?input t ~owner ~payload =
+  Result.map List.hd (put_batch ?input t ~items:[ (owner, payload) ])
 
 let get t (loc : Locator.t) =
   Obs.Counter.incr t.m.m_gets;

@@ -48,9 +48,10 @@ val obs : t -> Obs.t
     exactly this kind of quantitatively justified bias). *)
 val set_uuid_bias : t -> float -> unit
 
-(** [put t ~owner ~payload] stores one chunk. [input] (default trivial) is
-    the soft-updates input dependency of the append — e.g. an index run
-    chunk depends on the value chunks its entries reference. *)
+(** [put t ~owner ~payload] stores one chunk: a one-item {!put_batch}.
+    [input] (default trivial) is the soft-updates input dependency of the
+    append — e.g. an index run chunk depends on the value chunks its
+    entries reference. *)
 val put :
   ?input:Dep.t ->
   t ->
@@ -64,9 +65,11 @@ val put :
     a group shares the merged write's dependency. Results are in item
     order. On a mid-batch error the already-staged groups are unreferenced
     garbage (their locators were never returned to an index), exactly like
-    an interrupted sequential put; reclamation collects them.
-    Observability: [chunk.batch_group] counts groups and
-    [chunk.batch_group_chunks] records chunks per group. *)
+    an interrupted sequential put; reclamation collects them. Index-run
+    chunks may spend the free-extent reserve kept for reclamation; shard
+    chunks may not. Observability: [chunk.batch_group] counts groups
+    (one-chunk groups of {!put} included) and [chunk.batch_group_chunks]
+    records chunks per group. *)
 val put_batch :
   ?input:Dep.t ->
   t ->

@@ -148,10 +148,6 @@ let check_list st =
     if read_tolerable st then ()
     else errf "list keeps failing with no fault armed: %a" S.pp_error e
 
-let bound_holds ~lo ~hi key =
-  (match lo with None -> true | Some l -> String.compare l key <= 0)
-  && match hi with None -> true | Some h -> String.compare key h <= 0
-
 (* Scan conformance: hold one scan to three obligations — order
    discipline (strictly ascending, in-bounds keys), per-key value
    agreement with the model (reconciling post-crash ambiguity exactly like
@@ -168,7 +164,7 @@ let check_scan st ~lo ~hi =
     ignore
       (List.fold_left
          (fun prev (key, _) ->
-           if not (bound_holds ~lo ~hi key) then
+           if not (Util.Key_range.mem ~lo ~hi key) then
              errf "scan yielded out-of-range key %S" key;
            (match prev with
            | Some p when String.compare p key >= 0 ->
@@ -179,7 +175,7 @@ let check_scan st ~lo ~hi =
     let tracked = Model.Crash_model.tracked_keys st.model in
     List.iter
       (fun key ->
-        if bound_holds ~lo ~hi key then begin
+        if Util.Key_range.mem ~lo ~hi key then begin
           let observed = List.assoc_opt key pairs in
           if Model.Crash_model.needs_reconcile st.model ~key then begin
             match Model.Crash_model.resolve_read st.model ~key ~observed with

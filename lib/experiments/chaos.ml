@@ -285,13 +285,9 @@ let apply ~trace fleet model violations idx op =
     | Ok pairs ->
       (* Every model key in range is judged by what the scan said about it:
          a yielded value, or absence — both must be admissible. *)
-      let in_range key =
-        (match lo with None -> true | Some l -> String.compare l key <= 0)
-        && match hi with None -> true | Some h -> String.compare key h <= 0
-      in
       Array.iter
         (fun key ->
-          if in_range key then begin
+          if Util.Key_range.mem ~lo ~hi key then begin
             let v = List.assoc_opt key pairs in
             if not (admissible model key v) then
               violate

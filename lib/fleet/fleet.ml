@@ -155,19 +155,12 @@ let write_quorum t = t.quorum
 let health t ~node = t.state.(node).health
 let tick t = t.clock <- t.clock + 1
 
-(* Wire-trace hooks. Recorder calls sit strictly outside every store and
-   disk operation (the trace lock is a leaf): the recorded interval
+(* Wire-trace hooks. Each request-plane operation runs inside
+   [Recorder.bracket], so recorder calls sit strictly outside every store
+   and disk operation (the trace lock is a leaf): the recorded interval
    brackets the whole fleet-level operation, retries and failover
    included. *)
-let trace_invoke t op =
-  match t.trace with
-  | None -> -1
-  | Some r -> Tracecheck.Trace.Recorder.invoke r ~src:"fleet" op
-
-let trace_respond t id outcome =
-  match t.trace with
-  | None -> ()
-  | Some r -> Tracecheck.Trace.Recorder.respond r ~src:"fleet" ~id outcome
+let ack_outcome = function Ok _ -> Tracecheck.Trace.Acked | Error _ -> Tracecheck.Trace.Failed
 
 let trace_mark ?node t kind =
   match t.trace with
@@ -322,8 +315,9 @@ let durable_delete store ~key =
 let put t ~key ~value =
   Obs.Counter.incr t.m.m_puts;
   tick t;
-  let tid = trace_invoke t (Tracecheck.Trace.Put { key; value }) in
-  let res =
+  Tracecheck.Trace.Recorder.bracket t.trace ~src:"fleet" (Tracecheck.Trace.Put { key; value })
+    ~outcome:ack_outcome
+  @@ fun () ->
   let nodes = placement t key in
   let acked = ref 0 and lagging = ref [] and first_err = ref None in
   List.iter
@@ -367,11 +361,6 @@ let put t ~key ~value =
     | Some e -> Error e
     | None -> Error (Quorum_not_met { key; acked = !acked; needed = t.quorum })
   end
-  in
-  (match res with
-  | Ok _ -> trace_respond t tid Tracecheck.Trace.Acked
-  | Error _ -> trace_respond t tid Tracecheck.Trace.Failed);
-  res
 
 (* Group commit across the fleet: keys are grouped by placement so each
    replica node sees one [put_batch] and pays the durable-acknowledgement
@@ -382,8 +371,14 @@ let put t ~key ~value =
 let put_many t ops =
   Obs.Counter.incr t.m.m_put_manys;
   tick t;
-  let tid = trace_invoke t (Tracecheck.Trace.Batch (List.map (fun (k, v) -> (k, Some v)) ops)) in
-  let res =
+  (* The fleet API reports one result for the whole group commit, so the
+     trace does too: all acked, or all indeterminate. *)
+  Tracecheck.Trace.Recorder.bracket t.trace ~src:"fleet"
+    (Tracecheck.Trace.Batch (List.map (fun (k, v) -> (k, Some v)) ops))
+    ~outcome:(function
+      | Ok () -> Tracecheck.Trace.Batch_done (List.map (fun _ -> true) ops)
+      | Error _ -> Tracecheck.Trace.Failed)
+  @@ fun () ->
   let buckets = Array.make (node_count t) [] in
   let credit = Hashtbl.create 16 in
   List.iter
@@ -465,13 +460,6 @@ let put_many t ops =
     match !first_err with
     | Some e -> Error e
     | None -> Error (Quorum_not_met { key; acked; needed = t.quorum }))
-  in
-  (* The fleet API reports one result for the whole group commit, so the
-     trace does too: all acked, or all indeterminate. *)
-  (match res with
-  | Ok () -> trace_respond t tid (Tracecheck.Trace.Batch_done (List.map (fun _ -> true) ops))
-  | Error _ -> trace_respond t tid Tracecheck.Trace.Failed);
-  res
 
 (* Failover read: walk the placement in rank order, skipping nodes the
    breaker has removed, and serve from the first replica that has the
@@ -484,8 +472,11 @@ let put_many t ops =
 let get t ~key =
   Obs.Counter.incr t.m.m_gets;
   tick t;
-  let tid = trace_invoke t (Tracecheck.Trace.Get { key }) in
-  let res =
+  Tracecheck.Trace.Recorder.bracket t.trace ~src:"fleet" (Tracecheck.Trace.Get { key })
+    ~outcome:(function
+      | Ok v -> Tracecheck.Trace.Got v
+      | Error _ -> Tracecheck.Trace.Unavailable)
+  @@ fun () ->
   let nodes = placement t key in
   let auth = dirty_auth t key in
   let serves = function
@@ -522,11 +513,6 @@ let get t ~key =
         | Error _ -> go (idx + 1) (skipped + 1) lagging rest)
   in
   go 0 0 [] nodes
-  in
-  (match res with
-  | Ok v -> trace_respond t tid (Tracecheck.Trace.Got v)
-  | Error _ -> trace_respond t tid Tracecheck.Trace.Unavailable);
-  res
 
 (* Fleet-wide range scan. Enumeration and resolution are split on purpose:
    the candidate key set is the union of every available node's local scan
@@ -548,12 +534,11 @@ let scan t ?lo ?hi () =
   (* The per-candidate resolution below goes through {!get}, so a traced
      scan also records its constituent point reads — each is a genuine
      request-plane read with a client-visible answer. *)
-  let tid = trace_invoke t (Tracecheck.Trace.Scan { lo; hi }) in
-  let res =
-  let in_range key =
-    (match lo with None -> true | Some l -> String.compare l key <= 0)
-    && match hi with None -> true | Some h -> String.compare key h <= 0
-  in
+  Tracecheck.Trace.Recorder.bracket t.trace ~src:"fleet" (Tracecheck.Trace.Scan { lo; hi })
+    ~outcome:(function
+      | Ok items -> Tracecheck.Trace.Scanned { items; complete = true }
+      | Error _ -> Tracecheck.Trace.Unavailable)
+  @@ fun () ->
   let module Sset = Set.Make (String) in
   let scan_keys store =
     let* pairs = S.scan store ?lo ?hi () in
@@ -583,7 +568,7 @@ let scan t ?lo ?hi () =
   let* keys = candidates 0 Sset.empty in
   let keys =
     List.fold_left
-      (fun acc key -> if in_range key then Sset.add key acc else acc)
+      (fun acc key -> if Util.Key_range.mem ~lo ~hi key then Sset.add key acc else acc)
       keys (dirty_keys t)
   in
   Sset.fold
@@ -593,11 +578,6 @@ let scan t ?lo ?hi () =
       match v with None -> Ok acc | Some v -> Ok ((key, v) :: acc))
     keys (Ok [])
   |> Result.map List.rev
-  in
-  (match res with
-  | Ok items -> trace_respond t tid (Tracecheck.Trace.Scanned { items; complete = true })
-  | Error _ -> trace_respond t tid Tracecheck.Trace.Unavailable);
-  res
 
 (* Deletes need the same durable acknowledgement as puts, on {e every}
    replica: without version history, a tombstone missing from one replica
@@ -606,26 +586,22 @@ let scan t ?lo ?hi () =
 let delete t ~key =
   Obs.Counter.incr t.m.m_deletes;
   tick t;
-  let tid = trace_invoke t (Tracecheck.Trace.Delete { key }) in
-  let res =
-    let nodes = placement t key in
-    if List.exists (fun node -> not (available t node)) nodes then
-      Error (Quorum_not_met { key; acked = 0; needed = t.config.replication })
-    else
-      let* () =
-        List.fold_left
-          (fun acc node ->
-            let* () = acc in
-            attempt t node (fun () -> durable_delete t.stores.(node) ~key))
-          (Ok ()) nodes
-      in
-      Hashtbl.remove t.dirty key;
-      Ok ()
-  in
-  (match res with
-  | Ok () -> trace_respond t tid Tracecheck.Trace.Acked
-  | Error _ -> trace_respond t tid Tracecheck.Trace.Failed);
-  res
+  Tracecheck.Trace.Recorder.bracket t.trace ~src:"fleet" (Tracecheck.Trace.Delete { key })
+    ~outcome:ack_outcome
+  @@ fun () ->
+  let nodes = placement t key in
+  if List.exists (fun node -> not (available t node)) nodes then
+    Error (Quorum_not_met { key; acked = 0; needed = t.config.replication })
+  else
+    let* () =
+      List.fold_left
+        (fun acc node ->
+          let* () = acc in
+          attempt t node (fun () -> durable_delete t.stores.(node) ~key))
+        (Ok ()) nodes
+    in
+    Hashtbl.remove t.dirty key;
+    Ok ()
 
 let crash_node t ~rng ~node =
   Obs.Counter.incr t.m.m_crashes;

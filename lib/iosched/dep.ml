@@ -18,7 +18,10 @@ and t =
   | And of t * t
   | Of_promise of promise
 
-and promise = { mutable bound : t option }
+and promise = { mutable bound : t option; mutable walk : walk }
+
+(* A walk's token: a fresh block per walk, compared physically. *)
+and walk = unit ref
 
 let trivial = Trivial
 
@@ -29,25 +32,30 @@ let and_ a b =
 
 let all deps = List.fold_left and_ Trivial deps
 
-(* Promises can alias (the same cadence promise flows into many deps), so
-   traversals track visited promises by physical identity to stay linear and
-   to survive accidental cycles. *)
-let rec eval ~on_write ~on_unbound ~combine ~base visited t =
-  match t with
-  | Trivial -> base
-  | Of_write w -> on_write w
-  | And (a, b) ->
-    combine
-      (fun () -> eval ~on_write ~on_unbound ~combine ~base visited a)
-      (fun () -> eval ~on_write ~on_unbound ~combine ~base visited b)
-  | Of_promise p ->
-    if List.memq p !visited then base
-    else begin
-      visited := p :: !visited;
-      match p.bound with
-      | None -> on_unbound p
-      | Some d -> eval ~on_write ~on_unbound ~combine ~base visited d
-    end
+(* No walk ever holds this token, so it marks a promise no walk has seen. *)
+let unwalked : walk = ref ()
+
+(* Promises can alias (the same cadence promise flows into many deps), so a
+   walk marks each promise it enters with its own token and enters it once:
+   linear in the graph, and safe on accidental cycles. Tokens are never
+   shared, so walks on different domains can at worst repeat work. *)
+let eval ~on_write ~on_unbound ~combine ~base t =
+  let walk = ref () in
+  let rec go t =
+    match t with
+    | Trivial -> base
+    | Of_write w -> on_write w
+    | And (a, b) -> combine (fun () -> go a) (fun () -> go b)
+    | Of_promise p ->
+      if p.walk == walk then base
+      else begin
+        p.walk <- walk;
+        match p.bound with
+        | None -> on_unbound p
+        | Some d -> go d
+      end
+  in
+  go t
 
 let persistent_under pred t =
   let on_write w =
@@ -58,7 +66,7 @@ let persistent_under pred t =
   in
   eval ~on_write ~on_unbound:(fun _ -> false)
     ~combine:(fun a b -> a () && b ())
-    ~base:true (ref []) t
+    ~base:true t
 
 let is_persistent t = persistent_under (fun _ -> false) t
 
@@ -75,7 +83,7 @@ let first_blocker t =
   eval ~on_write
     ~on_unbound:(fun p -> Some (Unbound p))
     ~combine:(fun a b -> match a () with None -> b () | found -> found)
-    ~base:None (ref []) t
+    ~base:None t
 
 let blocks = function
   | Not_durable w -> (match w.status with Durable -> false | Pending | Dropped | Failed -> true)
@@ -85,7 +93,7 @@ let has_failed t =
   let on_write w = match w.status with Dropped | Failed -> true | Pending | Durable -> false in
   eval ~on_write ~on_unbound:(fun _ -> false)
     ~combine:(fun a b -> a () || b ())
-    ~base:false (ref []) t
+    ~base:false t
 
 let writes t =
   let acc = ref [] in
@@ -94,8 +102,7 @@ let writes t =
     true
   in
   let (_ : bool) =
-    eval ~on_write ~on_unbound:(fun _ -> true) ~combine:(fun a b -> a () && b ()) ~base:true
-      (ref []) t
+    eval ~on_write ~on_unbound:(fun _ -> true) ~combine:(fun a b -> a () && b ()) ~base:true t
   in
   List.rev !acc
 
@@ -110,7 +117,7 @@ let pp fmt t =
 module Promise = struct
   type nonrec promise = promise
 
-  let create () = { bound = None }
+  let create () = { bound = None; walk = unwalked }
   let dep p = Of_promise p
 
   let bind p d =

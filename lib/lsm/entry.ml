@@ -20,8 +20,7 @@ let pp fmt = function
 let encode w = function
   | Put locs ->
     Codec.Writer.u8 w 0;
-    Codec.Writer.u32 w (Int32.of_int (List.length locs));
-    List.iter (Chunk.Locator.encode w) locs
+    Codec.Writer.list w Chunk.Locator.encode locs
   | Tombstone -> Codec.Writer.u8 w 1
 
 let encoded_size = function
@@ -33,17 +32,7 @@ let decode r =
   let* tag = Codec.Reader.u8 r in
   match tag with
   | 0 ->
-    let* count32 = Codec.Reader.u32 r in
-    let count = Int32.to_int count32 in
-    if count < 0 || count > 1 lsl 20 then Error (Codec.Invalid "locator count")
-    else begin
-      let rec go acc i =
-        if i = count then Ok (Put (List.rev acc))
-        else
-          let* loc = Chunk.Locator.decode r in
-          go (loc :: acc) (i + 1)
-      in
-      go [] 0
-    end
+    let+ locs = Codec.Reader.list ~max:(1 lsl 20) ~what:"locator" r Chunk.Locator.decode in
+    Put locs
   | 1 -> Ok Tombstone
   | _ -> Error (Codec.Invalid "entry tag")

@@ -79,8 +79,7 @@ type t = {
   max_run_payload : int;
 }
 
-let create ?(max_run_payload = 16 * 1024) ?(l0_trigger = 4) ?(level_ratio = 4) ?obs chunks
-    ~metadata_extents =
+let create ?(max_run_payload = 16 * 1024) ?obs chunks ~metadata_extents =
   let sched = Chunk.Chunk_store.sched chunks in
   let obs = match obs with Some o -> o | None -> Chunk.Chunk_store.obs chunks in
   {
@@ -107,8 +106,8 @@ let create ?(max_run_payload = 16 * 1024) ?(l0_trigger = 4) ?(level_ratio = 4) ?
     memtable = Smap.empty;
     memtable_count = 0;
     levels = Array.make 1 [];
-    l0_trigger = max 0 l0_trigger;
-    level_ratio = max 2 level_ratio;
+    l0_trigger = 4;
+    level_ratio = 4;
     next_run_id = 1;
     flush_promise = Dep.Promise.create ();
     run_contents = Hashtbl.create 16;
@@ -304,14 +303,12 @@ let merge sources =
   in
   go None []
 
-let in_range ~lo ~hi k =
-  (match lo with None -> true | Some l -> String.compare l k <= 0)
-  && match hi with None -> true | Some h -> String.compare k h <= 0
-
 let scan t ~lo ~hi =
   Obs.Counter.incr t.m.m_scans;
   let mem =
-    Smap.fold (fun k (e, _) acc -> if in_range ~lo ~hi k then (k, e) :: acc else acc) t.memtable []
+    Smap.fold
+      (fun k (e, _) acc -> if Key_range.mem ~lo ~hi k then (k, e) :: acc else acc)
+      t.memtable []
     |> List.rev |> Array.of_list
   in
   let overlapping r =
@@ -330,15 +327,14 @@ let encode_metadata t =
   in
   let w = Codec.Writer.create ~capacity:(16 + (run_count t * 16)) () in
   Codec.Writer.uint w t.next_run_id;
-  Codec.Writer.uint w nlevels;
-  for i = 0 to nlevels - 1 do
-    Codec.Writer.uint w (List.length t.levels.(i));
-    List.iter
-      (fun r ->
-        Codec.Writer.uint w r.run_id;
-        Chunk.Locator.encode w r.loc)
-      t.levels.(i)
-  done;
+  Codec.Writer.list ~count:Codec.Writer.uint w
+    (fun w runs ->
+      Codec.Writer.list ~count:Codec.Writer.uint w
+        (fun w r ->
+          Codec.Writer.uint w r.run_id;
+          Chunk.Locator.encode w r.loc)
+        runs)
+    (Array.to_list (Array.sub t.levels 0 nlevels));
   Codec.Writer.contents w
 
 (* Ranges are deliberately not persisted — a record stays O(1) bytes per
@@ -351,33 +347,20 @@ let decode_metadata payload =
   let open Codec.Syntax in
   let r = Codec.Reader.of_string payload in
   let* next_run_id = Codec.Reader.uint r in
-  let* nlevels = Codec.Reader.uint r in
-  if nlevels < 0 || nlevels > 64 then Error (Codec.Invalid "level count")
-  else begin
-    let rec read_run_list acc i =
-      if i = 0 then Ok (List.rev acc)
-      else
-        let* run_id = Codec.Reader.uint r in
-        let* loc = Chunk.Locator.decode r in
-        read_run_list ((run_id, loc) :: acc) (i - 1)
-    in
-    let rec read_levels acc i =
-      if i = nlevels then
-        let* () = Codec.Reader.expect_end r in
-        Ok (List.rev acc)
-      else
-        let* count = Codec.Reader.uint r in
-        if count < 0 || count > 1 lsl 16 then Error (Codec.Invalid "run count")
-        else
-          let* runs = read_run_list [] count in
-          read_levels (runs :: acc) (i + 1)
-    in
-    let* levels = read_levels [] 0 in
-    let ids = List.concat_map (List.map fst) levels in
-    if List.length (List.sort_uniq compare ids) <> List.length ids then
-      Error (Codec.Invalid "duplicate run id")
-    else Ok (next_run_id, levels)
-  end
+  let run r =
+    let* run_id = Codec.Reader.uint r in
+    let+ loc = Chunk.Locator.decode r in
+    (run_id, loc)
+  in
+  let* levels =
+    Codec.Reader.list ~count:Codec.Reader.uint ~max:64 ~what:"level" r (fun r ->
+        Codec.Reader.list ~count:Codec.Reader.uint ~max:(1 lsl 16) ~what:"run" r run)
+  in
+  let* () = Codec.Reader.expect_end r in
+  let ids = List.concat_map (List.map fst) levels in
+  if List.length (List.sort_uniq compare ids) <> List.length ids then
+    Error (Codec.Invalid "duplicate run id")
+  else Ok (next_run_id, levels)
 
 let append_metadata t ~input =
   Result.map_error (fun e -> Roll e) (Logroll.append t.roll ~payload:(encode_metadata t) ~input)

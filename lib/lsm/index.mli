@@ -47,12 +47,11 @@ val error_is_no_space : error -> bool
 (** See {!Io_sched.error_class}. *)
 val error_class : error -> [ `Transient | `Permanent | `Resource | `Fatal ]
 
-(** [create ?max_run_payload ?l0_trigger ?level_ratio ?obs chunks
-    ~metadata_extents] — runs are split so their serialized size stays at
-    or below [max_run_payload] (default 16 KiB), keeping each run chunk
-    small enough for its extent. [l0_trigger] (default 4; [0] = monolithic
-    mode) and [level_ratio] (default 4, clamped to >= 2) set the levelled
-    compaction policy; see {!configure_levels}. Metrics ([index.put],
+(** [create ?max_run_payload ?obs chunks ~metadata_extents] — runs are
+    split so their serialized size stays at or below [max_run_payload]
+    (default 16 KiB), keeping each run chunk small enough for its extent.
+    The levelled compaction policy starts at [l0_trigger = 4] and
+    [level_ratio = 4]; {!configure_levels} sets it. Metrics ([index.put],
     [index.flush], [index.run_bytes], coverage-linked [index.get.*] /
     [index.run_written] / [index.compact] / [index.compact.partial] /
     [index.scan], gauges [index.memtable_size] / [index.run_count] /
@@ -60,8 +59,6 @@ val error_class : error -> [ `Transient | `Permanent | `Resource | `Fatal ]
     registry. *)
 val create :
   ?max_run_payload:int ->
-  ?l0_trigger:int ->
-  ?level_ratio:int ->
   ?obs:Obs.t ->
   Chunk.Chunk_store.t ->
   metadata_extents:int * int ->

@@ -63,38 +63,31 @@ let merge ~drop_tombstones runs =
 let min_key t = if Array.length t = 0 then None else Some (fst t.(0))
 let max_key t = if Array.length t = 0 then None else Some (fst t.(Array.length t - 1))
 
+let encode_pair w (k, e) =
+  Codec.Writer.lstring w k;
+  Entry.encode w e
+
+let decode_pair r =
+  let open Codec.Syntax in
+  let* k = Codec.Reader.lstring r in
+  let+ e = Entry.decode r in
+  (k, e)
+
 let encode t =
   let w = Codec.Writer.create ~capacity:(64 * (Array.length t + 1)) () in
-  Codec.Writer.u32 w (Int32.of_int (Array.length t));
-  Array.iter
-    (fun (k, e) ->
-      Codec.Writer.lstring w k;
-      Entry.encode w e)
-    t;
+  Codec.Writer.list w encode_pair (Array.to_list t);
   Codec.Writer.contents w
 
 let decode s =
   let open Codec.Syntax in
   let r = Codec.Reader.of_string s in
-  let* count32 = Codec.Reader.u32 r in
-  let count = Int32.to_int count32 in
-  if count < 0 || count > 1 lsl 24 then Error (Codec.Invalid "run entry count")
-  else begin
-    let rec go acc i =
-      if i = count then
-        let* () = Codec.Reader.expect_end r in
-        Ok (Array.of_list (List.rev acc))
-      else
-        let* k = Codec.Reader.lstring r in
-        let* e = Entry.decode r in
-        go ((k, e) :: acc) (i + 1)
-    in
-    let* arr = go [] 0 in
-    (* Reject unsorted or duplicated keys: the binary search depends on
-       order, and on-disk bytes are untrusted. *)
-    let ok = ref true in
-    for i = 1 to Array.length arr - 1 do
-      if String.compare (fst arr.(i - 1)) (fst arr.(i)) >= 0 then ok := false
-    done;
-    if !ok then Ok arr else Error (Codec.Invalid "run keys not strictly sorted")
-  end
+  let* pairs = Codec.Reader.list ~max:(1 lsl 24) ~what:"run entry" r decode_pair in
+  let* () = Codec.Reader.expect_end r in
+  let arr = Array.of_list pairs in
+  (* Reject unsorted or duplicated keys: the binary search depends on
+     order, and on-disk bytes are untrusted. *)
+  let ok = ref true in
+  for i = 1 to Array.length arr - 1 do
+    if String.compare (fst arr.(i - 1)) (fst arr.(i)) >= 0 then ok := false
+  done;
+  if !ok then Ok arr else Error (Codec.Invalid "run keys not strictly sorted")

@@ -25,12 +25,8 @@ let get t ~key =
   | None -> Ok None
 
 let scan t ~lo ~hi =
-  let in_range k =
-    (match lo with None -> true | Some l -> String.compare l k <= 0)
-    && match hi with None -> true | Some h -> String.compare k h <= 0
-  in
   Util.Tbl.fold_sorted
-    (fun k (locs, _) acc -> if in_range k then (k, locs) :: acc else acc)
+    (fun k (locs, _) acc -> if Util.Key_range.mem ~lo ~hi k then (k, locs) :: acc else acc)
     t.table []
   |> List.rev
   |> Result.ok

@@ -7,28 +7,19 @@ type run = { lo : string; hi : string; entries : (string * entry) list }
 type t = {
   mutable memtable : entry Smap.t;
   mutable levels : run list list;
-  mutable l0_trigger : int;
-  mutable level_ratio : int;
+  l0_trigger : int;
+  level_ratio : int;
 }
 
 let create ?(l0_trigger = 4) ?(level_ratio = 4) () =
   { memtable = Smap.empty; levels = [ [] ]; l0_trigger = max 0 l0_trigger;
     level_ratio = max 2 level_ratio }
 
-let configure_levels t ~l0_trigger ~level_ratio =
-  t.l0_trigger <- max 0 l0_trigger;
-  t.level_ratio <- max 2 level_ratio
-
 let put t ~key ~value = t.memtable <- Smap.add key (Value value) t.memtable
 let delete t ~key = t.memtable <- Smap.add key Tomb t.memtable
 
 let all_runs t = List.concat t.levels
 let run_count t = List.length (all_runs t)
-let memtable_size t = Smap.cardinal t.memtable
-
-let level_runs t =
-  let rec trim = function 0 :: rest -> trim rest | l -> List.rev l in
-  trim (List.rev (List.map List.length t.levels))
 
 let run_of_map m =
   match (Smap.min_binding_opt m, Smap.max_binding_opt m) with
@@ -144,28 +135,8 @@ let compact t =
 
 (* {2 Observations} *)
 
-let find_run run key =
-  if String.compare key run.lo < 0 || String.compare run.hi key < 0 then None
-  else List.assoc_opt key run.entries
-
-let get t ~key =
-  let entry =
-    match Smap.find_opt key t.memtable with
-    | Some e -> Some e
-    | None ->
-      let rec search = function
-        | [] -> None
-        | r :: rest -> ( match find_run r key with Some e -> Some e | None -> search rest)
-      in
-      search (all_runs t)
-  in
-  match entry with Some (Value v) -> Some v | Some Tomb | None -> None
-
 let scan t ~lo ~hi =
-  let in_range k =
-    (match lo with None -> true | Some l -> String.compare l k <= 0)
-    && match hi with None -> true | Some h -> String.compare k h <= 0
-  in
+  let in_range = Util.Key_range.mem ~lo ~hi in
   (* Compose: fold the levels oldest-first (deepest up), then the memtable
      newest, so newer bindings overwrite — the per-level composition. *)
   let m =

@@ -91,10 +91,6 @@ let max_op_value_bytes = 256 * 1024
 let max_lagging_nodes = 4096
 let max_scan_items = 1 lsl 16
 
-let encode_strings w keys =
-  Codec.Writer.u32 w (Int32.of_int (List.length keys));
-  List.iter (Codec.Writer.lstring w) keys
-
 (* Optional strings travel as a one-byte presence flag + lstring, so the
    empty string and "absent" stay distinguishable on the wire. *)
 let encode_opt_string w = function
@@ -113,71 +109,33 @@ let decode_opt_string r =
     Some s
   | _ -> Error (Codec.Invalid "option presence flag")
 
-let decode_strings r =
-  let open Codec.Syntax in
-  let* count32 = Codec.Reader.u32 r in
-  let count = Int32.to_int count32 in
-  if count < 0 || count > max_keys then Error (Codec.Invalid "string count")
-  else begin
-    let rec go acc i =
-      if i = count then Ok (List.rev acc)
-      else
-        let* s = Codec.Reader.lstring r in
-        go (s :: acc) (i + 1)
-    in
-    go [] 0
-  end
-
 let max_metrics = 1 lsl 16
 let max_labels = 64
+
+let encode_pair w (k, v) =
+  Codec.Writer.lstring w k;
+  Codec.Writer.lstring w v
+
+let decode_pair r =
+  let open Codec.Syntax in
+  let* k = Codec.Reader.lstring r in
+  let+ v = Codec.Reader.lstring r in
+  (k, v)
 
 (* Values travel as IEEE-754 bits so floats round-trip exactly. *)
 let encode_metric w m =
   Codec.Writer.lstring w m.metric_name;
-  Codec.Writer.u8 w (List.length m.labels);
-  List.iter
-    (fun (k, v) ->
-      Codec.Writer.lstring w k;
-      Codec.Writer.lstring w v)
-    m.labels;
+  Codec.Writer.list ~count:Codec.Writer.u8 w encode_pair m.labels;
   Codec.Writer.u64 w (Int64.bits_of_float m.value)
 
 let decode_metric r =
   let open Codec.Syntax in
   let* metric_name = Codec.Reader.lstring r in
-  let* nlabels = Codec.Reader.u8 r in
-  if nlabels > max_labels then Error (Codec.Invalid "label count")
-  else begin
-    let rec labels acc i =
-      if i = nlabels then Ok (List.rev acc)
-      else
-        let* k = Codec.Reader.lstring r in
-        let* v = Codec.Reader.lstring r in
-        labels ((k, v) :: acc) (i + 1)
-    in
-    let* labels = labels [] 0 in
-    let+ bits = Codec.Reader.u64 r in
-    { metric_name; labels; value = Int64.float_of_bits bits }
-  end
-
-let encode_metrics w metrics =
-  Codec.Writer.u32 w (Int32.of_int (List.length metrics));
-  List.iter (encode_metric w) metrics
-
-let decode_metrics r =
-  let open Codec.Syntax in
-  let* count32 = Codec.Reader.u32 r in
-  let count = Int32.to_int count32 in
-  if count < 0 || count > max_metrics then Error (Codec.Invalid "metric count")
-  else begin
-    let rec go acc i =
-      if i = count then Ok (List.rev acc)
-      else
-        let* m = decode_metric r in
-        go (m :: acc) (i + 1)
-    in
-    go [] 0
-  end
+  let* labels =
+    Codec.Reader.list ~count:Codec.Reader.u8 ~max:max_labels ~what:"label" r decode_pair
+  in
+  let+ bits = Codec.Reader.u64 r in
+  { metric_name; labels; value = Int64.float_of_bits bits }
 
 let encode_batch_op w = function
   | Batch_put { key; value } ->
@@ -201,61 +159,27 @@ let decode_batch_op r =
     Batch_delete { key }
   | _ -> Error (Codec.Invalid "batch op kind")
 
-let encode_batch_ops w ops =
-  Codec.Writer.u32 w (Int32.of_int (List.length ops));
-  List.iter (encode_batch_op w) ops
+let encode_status w = function
+  | Op_ok -> Codec.Writer.u8 w 0
+  | Op_error msg ->
+    Codec.Writer.u8 w 1;
+    Codec.Writer.lstring w msg
+  | Op_quorum { acked } ->
+    Codec.Writer.u8 w 2;
+    Codec.Writer.uint w acked
 
-let decode_batch_ops r =
+let decode_status r =
   let open Codec.Syntax in
-  let* count32 = Codec.Reader.u32 r in
-  let count = Int32.to_int count32 in
-  if count < 0 || count > max_batch_ops then Error (Codec.Invalid "batch op count")
-  else begin
-    let rec go acc i =
-      if i = count then Ok (List.rev acc)
-      else
-        let* op = decode_batch_op r in
-        go (op :: acc) (i + 1)
-    in
-    go [] 0
-  end
-
-let encode_statuses w statuses =
-  Codec.Writer.u32 w (Int32.of_int (List.length statuses));
-  List.iter
-    (fun s ->
-      match s with
-      | Op_ok -> Codec.Writer.u8 w 0
-      | Op_error msg ->
-        Codec.Writer.u8 w 1;
-        Codec.Writer.lstring w msg
-      | Op_quorum { acked } ->
-        Codec.Writer.u8 w 2;
-        Codec.Writer.uint w acked)
-    statuses
-
-let decode_statuses r =
-  let open Codec.Syntax in
-  let* count32 = Codec.Reader.u32 r in
-  let count = Int32.to_int count32 in
-  if count < 0 || count > max_batch_ops then Error (Codec.Invalid "status count")
-  else begin
-    let rec go acc i =
-      if i = count then Ok (List.rev acc)
-      else
-        let* tag = Codec.Reader.u8 r in
-        match tag with
-        | 0 -> go (Op_ok :: acc) (i + 1)
-        | 1 ->
-          let* msg = Codec.Reader.lstring r in
-          go (Op_error msg :: acc) (i + 1)
-        | 2 ->
-          let* acked = Codec.Reader.uint r in
-          go (Op_quorum { acked } :: acc) (i + 1)
-        | _ -> Error (Codec.Invalid "op status tag")
-    in
-    go [] 0
-  end
+  let* tag = Codec.Reader.u8 r in
+  match tag with
+  | 0 -> Ok Op_ok
+  | 1 ->
+    let+ msg = Codec.Reader.lstring r in
+    Op_error msg
+  | 2 ->
+    let+ acked = Codec.Reader.uint r in
+    Op_quorum { acked }
+  | _ -> Error (Codec.Invalid "op status tag")
 
 let with_frame body =
   let w = Codec.Writer.create () in
@@ -285,7 +209,7 @@ let encode_request req =
         Codec.Writer.uint w disk
       | Bulk_delete { keys } ->
         Codec.Writer.u8 w 6;
-        encode_strings w keys
+        Codec.Writer.list w Codec.Writer.lstring keys
       | Node_stats -> Codec.Writer.u8 w 7
       | Migrate { key; to_disk } ->
         Codec.Writer.u8 w 8;
@@ -293,7 +217,7 @@ let encode_request req =
         Codec.Writer.uint w to_disk
       | Batch_request { ops } ->
         Codec.Writer.u8 w 9;
-        encode_batch_ops w ops
+        Codec.Writer.list w encode_batch_op ops
       | Scan_request { lo; hi; after; max_results } ->
         Codec.Writer.u8 w 10;
         encode_opt_string w lo;
@@ -326,7 +250,7 @@ let decode_request s =
       let+ disk = Codec.Reader.uint r in
       Return_disk { disk }
     | 6 ->
-      let+ keys = decode_strings r in
+      let+ keys = Codec.Reader.list ~max:max_keys ~what:"string" r Codec.Reader.lstring in
       Bulk_delete { keys }
     | 7 -> Ok Node_stats
     | 8 ->
@@ -334,7 +258,7 @@ let decode_request s =
       let+ to_disk = Codec.Reader.uint r in
       Migrate { key; to_disk }
     | 9 ->
-      let+ ops = decode_batch_ops r in
+      let+ ops = Codec.Reader.list ~max:max_batch_ops ~what:"batch op" r decode_batch_op in
       Batch_request { ops }
     | 10 ->
       let* lo = decode_opt_string r in
@@ -362,33 +286,27 @@ let encode_response resp =
         Codec.Writer.lstring w v
       | Keys keys ->
         Codec.Writer.u8 w 2;
-        encode_strings w keys
+        Codec.Writer.list w Codec.Writer.lstring keys
       | Stats { disks; in_service; keys; metrics } ->
         Codec.Writer.u8 w 3;
         Codec.Writer.uint w disks;
         Codec.Writer.uint w in_service;
         Codec.Writer.uint w keys;
-        encode_metrics w metrics
+        Codec.Writer.list w encode_metric metrics
       | Error_response msg ->
         Codec.Writer.u8 w 4;
         Codec.Writer.lstring w msg
       | Batch_response { statuses } ->
         Codec.Writer.u8 w 5;
-        encode_statuses w statuses
+        Codec.Writer.list w encode_status statuses
       | Quorum_ack { acked; lagging } ->
         Codec.Writer.u8 w 6;
         Codec.Writer.uint w acked;
-        Codec.Writer.u32 w (Int32.of_int (List.length lagging));
-        List.iter (Codec.Writer.uint w) lagging
+        Codec.Writer.list w Codec.Writer.uint lagging
       | Scan_response { items; more } ->
         Codec.Writer.u8 w 7;
         Codec.Writer.u8 w (if more then 1 else 0);
-        Codec.Writer.u32 w (Int32.of_int (List.length items));
-        List.iter
-          (fun (k, v) ->
-            Codec.Writer.lstring w k;
-            Codec.Writer.lstring w v)
-          items)
+        Codec.Writer.list w encode_pair items)
 
 let decode_response s =
   let open Codec.Syntax in
@@ -407,34 +325,26 @@ let decode_response s =
         Value (Some v)
       | _ -> Error (Codec.Invalid "value presence flag"))
     | 2 ->
-      let+ keys = decode_strings r in
+      let+ keys = Codec.Reader.list ~max:max_keys ~what:"string" r Codec.Reader.lstring in
       Keys keys
     | 3 ->
       let* disks = Codec.Reader.uint r in
       let* in_service = Codec.Reader.uint r in
       let* keys = Codec.Reader.uint r in
-      let+ metrics = decode_metrics r in
+      let+ metrics = Codec.Reader.list ~max:max_metrics ~what:"metric" r decode_metric in
       Stats { disks; in_service; keys; metrics }
     | 4 ->
       let+ msg = Codec.Reader.lstring r in
       Error_response msg
     | 5 ->
-      let+ statuses = decode_statuses r in
+      let+ statuses = Codec.Reader.list ~max:max_batch_ops ~what:"status" r decode_status in
       Batch_response { statuses }
     | 6 ->
       let* acked = Codec.Reader.uint r in
-      let* count32 = Codec.Reader.u32 r in
-      let count = Int32.to_int count32 in
-      if count < 0 || count > max_lagging_nodes then Error (Codec.Invalid "lagging count")
-      else begin
-        let rec go acc i =
-          if i = count then Ok (Quorum_ack { acked; lagging = List.rev acc })
-          else
-            let* node = Codec.Reader.uint r in
-            go (node :: acc) (i + 1)
-        in
-        go [] 0
-      end
+      let+ lagging =
+        Codec.Reader.list ~max:max_lagging_nodes ~what:"lagging" r Codec.Reader.uint
+      in
+      Quorum_ack { acked; lagging }
     | 7 -> (
       let* more_flag = Codec.Reader.u8 r in
       let* more =
@@ -443,19 +353,8 @@ let decode_response s =
         | 1 -> Ok true
         | _ -> Error (Codec.Invalid "scan more flag")
       in
-      let* count32 = Codec.Reader.u32 r in
-      let count = Int32.to_int count32 in
-      if count < 0 || count > max_scan_items then Error (Codec.Invalid "scan item count")
-      else begin
-        let rec go acc i =
-          if i = count then Ok (Scan_response { items = List.rev acc; more })
-          else
-            let* k = Codec.Reader.lstring r in
-            let* v = Codec.Reader.lstring r in
-            go ((k, v) :: acc) (i + 1)
-        in
-        go [] 0
-      end)
+      let+ items = Codec.Reader.list ~max:max_scan_items ~what:"scan item" r decode_pair in
+      Scan_response { items; more })
     | _ -> Error (Codec.Invalid "response tag")
   in
   let* () = Codec.Reader.expect_end r in

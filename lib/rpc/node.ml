@@ -369,15 +369,13 @@ let trace_outcome req resp =
 
 let handle t req =
   Obs.Counter.incr (request_counter t req);
-  let traced =
-    match t.trace with
-    | None -> None
-    | Some r ->
-      Option.map
-        (fun op -> (r, Tracecheck.Trace.Recorder.invoke r ~src:"rpc" op))
-        (trace_op req)
+  let resp =
+    match trace_op req with
+    | None -> handle_inner t req
+    | Some op ->
+      Tracecheck.Trace.Recorder.bracket t.trace ~src:"rpc" op ~outcome:(trace_outcome req)
+        (fun () -> handle_inner t req)
   in
-  let resp = handle_inner t req in
   (match resp with
   | Message.Error_response _ -> Obs.Counter.incr t.m_errors
   | Message.Batch_response { statuses } ->
@@ -387,10 +385,6 @@ let handle t req =
         | Message.Op_ok | Message.Op_quorum _ -> ())
       statuses
   | _ -> ());
-  (match traced with
-  | Some (r, id) ->
-    Tracecheck.Trace.Recorder.respond r ~src:"rpc" ~id (trace_outcome req resp)
-  | None -> ());
   resp
 
 let handle_wire t bytes =

@@ -846,35 +846,29 @@ module Shared = struct
   let shards t = Conc.Shard_table.shards t.staging
   let staged_count t = Conc.Shard_table.size t.staging
 
-  (* Wire-trace hooks. Recorder calls sit strictly outside the staging
-     and stack lock closures (the trace lock is a leaf); the recorded
-     interval therefore contains the operation's linearization point. *)
-  let trace_invoke t op =
-    match t.trace with
-    | None -> -1
-    | Some r -> Tracecheck.Trace.Recorder.invoke r ~src:"shared" op
+  (* Wire-trace hooks. Each operation runs inside [Recorder.bracket], so
+     recorder calls sit strictly outside the staging and stack lock
+     closures (the trace lock is a leaf); the recorded interval therefore
+     contains the operation's linearization point.
 
-  let trace_respond t id outcome =
-    match t.trace with
-    | None -> ()
-    | Some r -> Tracecheck.Trace.Recorder.respond r ~src:"shared" ~id outcome
-
-  (* Staging under the shard write lock is the linearization point of a
+     Staging under the shard write lock is the linearization point of a
      mutation: once the lock is released the new value is visible to
      every get of the key, whether or not it has been flushed down. *)
   let put t ~key ~value =
     Obs.Counter.incr t.m.m_puts;
-    let id = trace_invoke t (Tracecheck.Trace.Put { key; value }) in
+    Tracecheck.Trace.Recorder.bracket t.trace ~src:"shared" (Tracecheck.Trace.Put { key; value })
+      ~outcome:(fun _ -> Tracecheck.Trace.Acked)
+    @@ fun () ->
     Conc.Shard_table.with_key_write t.staging key (fun tbl ->
         Hashtbl.replace tbl key (Some value));
-    trace_respond t id Tracecheck.Trace.Acked;
     Ok ()
 
   let delete t ~key =
     Obs.Counter.incr t.m.m_deletes;
-    let id = trace_invoke t (Tracecheck.Trace.Delete { key }) in
+    Tracecheck.Trace.Recorder.bracket t.trace ~src:"shared" (Tracecheck.Trace.Delete { key })
+      ~outcome:(fun _ -> Tracecheck.Trace.Acked)
+    @@ fun () ->
     Conc.Shard_table.with_key_write t.staging key (fun tbl -> Hashtbl.replace tbl key None);
-    trace_respond t id Tracecheck.Trace.Acked;
     Ok ()
 
   (* The shard read lock is held across BOTH the staged probe and the
@@ -883,19 +877,17 @@ module Shared = struct
      the window where the key is in neither place. *)
   let get t ~key =
     Obs.Counter.incr t.m.m_gets;
-    let id = trace_invoke t (Tracecheck.Trace.Get { key }) in
-    let res =
-      Conc.Shard_table.with_key_read t.staging key (fun tbl ->
-          match Hashtbl.find_opt tbl key with
-          | Some v ->
-            Obs.Counter.incr t.m.m_staged_hits;
-            Ok v
-          | None -> Conc.Rwlock.with_read t.stack (fun () -> Default.get t.base ~key))
-    in
-    (match res with
-    | Ok v -> trace_respond t id (Tracecheck.Trace.Got v)
-    | Error _ -> trace_respond t id Tracecheck.Trace.Unavailable);
-    res
+    Tracecheck.Trace.Recorder.bracket t.trace ~src:"shared" (Tracecheck.Trace.Get { key })
+      ~outcome:(function
+        | Ok v -> Tracecheck.Trace.Got v
+        | Error _ -> Tracecheck.Trace.Unavailable)
+    @@ fun () ->
+    Conc.Shard_table.with_key_read t.staging key (fun tbl ->
+        match Hashtbl.find_opt tbl key with
+        | Some v ->
+          Obs.Counter.incr t.m.m_staged_hits;
+          Ok v
+        | None -> Conc.Rwlock.with_read t.stack (fun () -> Default.get t.base ~key))
 
   (* Per-op outcomes of a staged batch, aligned with the per-op
      [Store_intf.S.batch_result] shape: staging itself cannot fail per op
@@ -921,21 +913,20 @@ module Shared = struct
               List.iter (fun (k, v) -> Hashtbl.replace tbl k v) (List.rev group)))
       by_shard
 
+  let traced_batch t entries =
+    Tracecheck.Trace.Recorder.bracket t.trace ~src:"shared" (Tracecheck.Trace.Batch entries)
+      ~outcome:(fun _ -> Tracecheck.Trace.Batch_done (List.map (fun _ -> true) entries))
+    @@ fun () ->
+    stage_batch t entries;
+    Ok { results = List.map (fun _ -> Ok ()) entries }
+
   let put_batch t ops =
     Obs.Counter.incr t.m.m_puts;
-    let entries = List.map (fun (k, v) -> (k, Some v)) ops in
-    let id = trace_invoke t (Tracecheck.Trace.Batch entries) in
-    stage_batch t entries;
-    trace_respond t id (Tracecheck.Trace.Batch_done (List.map (fun _ -> true) ops));
-    Ok { results = List.map (fun _ -> Ok ()) ops }
+    traced_batch t (List.map (fun (k, v) -> (k, Some v)) ops)
 
   let delete_batch t keys =
     Obs.Counter.incr t.m.m_deletes;
-    let entries = List.map (fun k -> (k, None)) keys in
-    let id = trace_invoke t (Tracecheck.Trace.Batch entries) in
-    stage_batch t entries;
-    trace_respond t id (Tracecheck.Trace.Batch_done (List.map (fun _ -> true) keys));
-    Ok { results = List.map (fun _ -> Ok ()) keys }
+    traced_batch t (List.map (fun k -> (k, None)) keys)
 
   let first_batch_error (r : Default.batch_result) =
     List.find_map (function Error e -> Some e | Ok _ -> None) r.Default.results
@@ -1171,69 +1162,51 @@ module Shared = struct
       !(worker.stats)
   end
 
+  (* The staged overlay on a sorted base listing of elements keyed by
+     [key]: staged values (made elements by [staged]) shadow base elements
+     of the same key, staged tombstones hide them. Only staged keys inside
+     [lo, hi] apply. Each key lives in exactly one shard table, so the
+     staged keys are distinct. *)
+  let overlay tables ~lo ~hi ~key ~staged base =
+    let overrides =
+      Array.fold_left
+        (fun acc tbl ->
+          Util.Tbl.fold_sorted
+            (fun k v acc -> if Util.Key_range.mem ~lo ~hi k then (k, v) :: acc else acc)
+            tbl acc)
+        [] tables
+    in
+    let overridden = Hashtbl.create 16 in
+    List.iter (fun (k, _) -> Hashtbl.replace overridden k ()) overrides;
+    let kept = List.filter (fun x -> not (Hashtbl.mem overridden (key x))) base in
+    let adds = List.filter_map (fun (k, v) -> Option.map (staged k) v) overrides in
+    List.sort (fun a b -> String.compare (key a) (key b)) (adds @ kept)
+
   (* Staged overlay on top of the base listing. All shard read locks are
      held (ascending) around the stack read, so the overlay and the base
      snapshot are mutually consistent. *)
   let list t =
     Conc.Shard_table.with_all_read t.staging (fun tables ->
         Conc.Rwlock.with_read t.stack (fun () ->
-            match Default.list t.base with
-            | Error _ as e -> e
-            | Ok base_keys ->
-              let adds, tombs =
-                Array.fold_left
-                  (fun (adds, tombs) tbl ->
-                    Util.Tbl.fold_sorted
-                      (fun k v (adds, tombs) ->
-                        match v with
-                        | Some _ -> (k :: adds, tombs)
-                        | None -> (adds, k :: tombs))
-                      tbl (adds, tombs))
-                  ([], []) tables
-              in
-              let live =
-                List.filter (fun k -> not (List.mem k adds || List.mem k tombs)) base_keys
-              in
-              Ok (List.sort_uniq compare (adds @ live))))
+            Result.map
+              (overlay tables ~lo:None ~hi:None ~key:Fun.id ~staged:(fun k _ -> k))
+              (Default.list t.base)))
 
-  (* Materialized range scan with the staged overlay applied: staged
-     values shadow the base scan, staged tombstones hide base entries.
-     Same lock shape as [list] — all shard read locks (ascending) around
-     the stack read lock, the established shard < stack order — so the
-     overlay and the base scan are mutually consistent and the result
-     equals what [Store.Default.scan] would yield after a drain. *)
+  (* Materialized range scan with the staged overlay applied. Same lock
+     shape as [list] — all shard read locks (ascending) around the stack
+     read lock, the established shard < stack order — so the overlay and
+     the base scan are mutually consistent and the result equals what
+     [Store.Default.scan] would yield after a drain. *)
   let scan t ?lo ?hi () =
     Obs.Counter.incr t.m.m_scans;
-    let id = trace_invoke t (Tracecheck.Trace.Scan { lo; hi }) in
-    let in_range k =
-      (match lo with None -> true | Some l -> String.compare l k <= 0)
-      && match hi with None -> true | Some h -> String.compare k h <= 0
-    in
-    let res =
-      Conc.Shard_table.with_all_read t.staging (fun tables ->
+    Tracecheck.Trace.Recorder.bracket t.trace ~src:"shared" (Tracecheck.Trace.Scan { lo; hi })
+      ~outcome:(function
+        | Ok items -> Tracecheck.Trace.Scanned { items; complete = true }
+        | Error _ -> Tracecheck.Trace.Unavailable)
+    @@ fun () ->
+    Conc.Shard_table.with_all_read t.staging (fun tables ->
         Conc.Rwlock.with_read t.stack (fun () ->
-            let ( let* ) = Result.bind in
-            let* base_pairs = Default.scan t.base ?lo ?hi () in
-            let staged =
-              Array.fold_left
-                (fun acc tbl ->
-                  Util.Tbl.fold_sorted
-                    (fun k v acc -> if in_range k then (k, v) :: acc else acc)
-                    tbl acc)
-                [] tables
-            in
-            (* Each key lives in exactly one shard table, so [staged] has
-               no duplicate keys. *)
-            let overridden = Hashtbl.create 16 in
-            List.iter (fun (k, _) -> Hashtbl.replace overridden k ()) staged;
-            let kept = List.filter (fun (k, _) -> not (Hashtbl.mem overridden k)) base_pairs in
-            let adds =
-              List.filter_map (fun (k, v) -> Option.map (fun v -> (k, v)) v) staged
-            in
-            Ok (List.sort (fun (a, _) (b, _) -> String.compare a b) (adds @ kept))))
-    in
-    (match res with
-    | Ok items -> trace_respond t id (Tracecheck.Trace.Scanned { items; complete = true })
-    | Error _ -> trace_respond t id Tracecheck.Trace.Unavailable);
-    res
+            Result.map
+              (overlay tables ~lo ~hi ~key:fst ~staged:(fun k v -> (k, v)))
+              (Default.scan t.base ?lo ?hi ())))
 end

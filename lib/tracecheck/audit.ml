@@ -154,10 +154,6 @@ let apply st = function
     in
     if admissible then Some st else None
 
-let in_range ~lo ~hi k =
-  (match lo with None -> true | Some l -> String.compare l k <= 0)
-  && match hi with None -> true | Some h -> String.compare k h <= 0
-
 (* A completed scan, for the cross-key snapshot test: the interval and
    what it claimed about every judged key. *)
 type scan_rec = {
@@ -186,7 +182,7 @@ let scan_structure r ~lo ~hi items =
           }
       else go rest
   in
-  match List.find_opt (fun (k, _) -> not (in_range ~lo ~hi k)) items with
+  match List.find_opt (fun (k, _) -> not (Util.Key_range.mem ~lo ~hi k)) items with
   | Some (k, _) ->
     Some
       {
@@ -254,7 +250,7 @@ let collect ops =
         let judged =
           if complete then
             List.filter_map
-              (fun k -> if in_range ~lo ~hi k then Some (k, List.assoc_opt k items) else None)
+              (fun k -> if Util.Key_range.mem ~lo ~hi k then Some (k, List.assoc_opt k items) else None)
               (Util.Tbl.sorted_keys ~compare:String.compare universe)
           else List.map (fun (k, v) -> (k, Some v)) items
         in

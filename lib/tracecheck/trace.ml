@@ -241,6 +241,15 @@ module Recorder = struct
     end
     else record t ~src (Respond { id; outcome })
 
+  let bracket r ~src op ~outcome f =
+    match r with
+    | None -> f ()
+    | Some t ->
+      let id = invoke t ~src op in
+      let res = f () in
+      respond t ~src ~id (outcome res);
+      res
+
   let mark t ~src ?(node = -1) kind = record t ~src (Mark { kind; node })
 
   let entries t = Conc.Rwlock.with_read t.trace_lock (fun () -> List.rev t.log)

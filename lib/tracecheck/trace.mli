@@ -92,6 +92,13 @@ module Recorder : sig
   val invoke : t -> src:string -> ?client:int -> op -> int
 
   val respond : t -> src:string -> id:int -> outcome -> unit
+
+  (** [bracket r ~src op ~outcome f] runs [f ()] between an {!invoke} of
+      [op] and a {!respond} with [outcome] of its result, both on [r];
+      with no recorder it only runs [f ()]. An exception from [f]
+      propagates with no respond: the caller never heard back. *)
+  val bracket : t option -> src:string -> op -> outcome:('a -> outcome) -> (unit -> 'a) -> 'a
+
   val mark : t -> src:string -> ?node:int -> marker -> unit
 
   (** The kept log, ts-ascending. *)

@@ -38,6 +38,10 @@ module Writer = struct
     u32 t (Int32.of_int (String.length s));
     raw_string t s
 
+  let list ?(count = fun t n -> u32 t (Int32.of_int n)) t f xs =
+    count t (List.length xs);
+    List.iter (f t) xs
+
   let contents = Buffer.contents
 end
 
@@ -106,6 +110,22 @@ module Reader = struct
       let len = Int32.to_int len32 in
       if len < 0 || len > max then Error (Invalid "length prefix out of range")
       else take t len
+
+  let list ?(count = fun t -> Result.map Int32.to_int (u32 t)) ~max ~what t f =
+    match count t with
+    | Error _ as e -> e
+    | Ok n ->
+      if n < 0 || n > max then Error (Invalid (what ^ " count"))
+      else begin
+        let rec go acc i =
+          if i = n then Ok (List.rev acc)
+          else
+            match f t with
+            | Error _ as e -> e
+            | Ok x -> go (x :: acc) (i + 1)
+        in
+        go [] 0
+      end
 
   let magic t expected =
     let n = String.length expected in

@@ -3,7 +3,13 @@
     Every on-disk and on-wire format in the repository is built from these
     primitives. Decoding never raises: a truncated or corrupt input yields
     [Error], reproducing the paper's panic-freedom requirement for
-    deserializers running on untrusted bytes (section 7). *)
+    deserializers running on untrusted bytes (section 7).
+
+    Every length-prefixed list is written by {!Writer.list} and read by
+    {!Reader.list}: a count (a u32 unless the format passes another
+    width), then the elements in order. The reader bounds the count
+    before decoding any element, so a corrupt count cannot drive a large
+    allocation. *)
 
 type error =
   | Truncated of { wanted : int; available : int }
@@ -37,6 +43,10 @@ module Writer : sig
   (** [lstring t s] encodes a u32 length prefix followed by the bytes. *)
   val lstring : t -> string -> unit
 
+  (** [list ?count t f xs] writes [List.length xs] with [count] (default
+      a u32), then each element with [f]. *)
+  val list : ?count:(t -> int -> unit) -> t -> (t -> 'a -> unit) -> 'a list -> unit
+
   val contents : t -> string
 end
 
@@ -68,6 +78,14 @@ module Reader : sig
       lengths above [max] (default 1 GiB) to bound allocation on corrupt
       input. *)
   val lstring : ?max:int -> t -> (string, error) result
+
+  (** [list ?count ~max ~what t f] reads what {!Writer.list} wrote, with
+      the writer's [count]. A count outside [\[0, max\]] fails as
+      [Invalid (what ^ " count")]; the first element [f] fails on fails
+      the list. *)
+  val list :
+    ?count:(t -> (int, error) result) -> max:int -> what:string -> t ->
+    (t -> ('a, error) result) -> ('a list, error) result
 
   (** [magic t expected] consumes [String.length expected] bytes and checks
       them. *)

@@ -670,6 +670,129 @@ let prop_cached_blocker =
       done;
       true)
 
+(* The dependency walks against the list-based walk they replaced. A
+   random graph is drawn as a [shape] (writes of every status, promises
+   left unbound or bound to shapes that reach other promises or
+   themselves, so aliased and cyclic), built into real deps, and walked
+   as a shape too, entering each promise once per walk by searching a
+   visited list. [persistent_under], [is_persistent], [has_failed],
+   [writes] and the leaf [first_blocker] names must all agree. *)
+type shape = S_trivial | S_write of int | S_and of shape * shape | S_promise of int
+
+let prop_walks_match_list_walk =
+  QCheck.Test.make ~name:"dependency walks match the list-based walk" ~count:500
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.of_int seed in
+      let nw = 1 + Rng.int rng 6 and np = 1 + Rng.int rng 5 in
+      let all_statuses = [| Dep.Pending; Dep.Durable; Dep.Dropped; Dep.Failed |] in
+      let statuses = Array.init nw (fun _ -> Rng.pick rng all_statuses) in
+      let chosen = Array.init nw (fun _ -> Rng.bool rng) in
+      let rec shape depth =
+        match Rng.int rng 4 with
+        | 0 -> S_write (Rng.int rng nw)
+        | 1 -> S_promise (Rng.int rng np)
+        | 2 when depth > 0 -> S_and (shape (depth - 1), shape (depth - 1))
+        | _ -> if Rng.bool rng then S_trivial else S_write (Rng.int rng nw)
+      in
+      let bindings = Array.init np (fun _ -> if Rng.int rng 4 = 0 then None else Some (shape 3)) in
+      let root = shape 4 in
+      let writes =
+        Array.init nw (fun i ->
+            let w =
+              Dep.make_write ~id:i ~extent:0 ~kind:(Dep.Reset { epoch = 0 }) ~input:Dep.trivial
+            in
+            if statuses.(i) <> Dep.Pending then Dep.set_status w statuses.(i);
+            w)
+      in
+      let promises = Array.init np (fun _ -> Dep.Promise.create ()) in
+      let rec build = function
+        | S_trivial -> Dep.trivial
+        | S_write i -> Dep.of_write writes.(i)
+        | S_and (a, b) -> Dep.and_ (build a) (build b)
+        | S_promise k -> Dep.Promise.dep promises.(k)
+      in
+      Array.iteri (fun k b -> Option.iter (fun s -> Dep.Promise.bind promises.(k) (build s)) b)
+        bindings;
+      let dep = build root in
+      let walk ~on_write ~on_unbound ~combine ~base =
+        let visited = ref [] in
+        let rec go = function
+          | S_trivial -> base
+          | S_write i -> on_write i
+          | S_and (a, b) -> combine (fun () -> go a) (fun () -> go b)
+          | S_promise k ->
+            if List.mem k !visited then base
+            else begin
+              visited := k :: !visited;
+              match bindings.(k) with None -> on_unbound k | Some s -> go s
+            end
+        in
+        go root
+      in
+      let conj a b = a () && b () in
+      let under pred =
+        walk ~base:true ~combine:conj ~on_unbound:(fun _ -> false) ~on_write:(fun i ->
+            match statuses.(i) with
+            | Dep.Durable -> true
+            | Dep.Pending -> pred i
+            | Dep.Dropped | Dep.Failed -> false)
+      in
+      let failed =
+        walk ~base:false ~combine:(fun a b -> a () || b ()) ~on_unbound:(fun _ -> false)
+          ~on_write:(fun i -> match statuses.(i) with Dep.Dropped | Dep.Failed -> true | _ -> false)
+      in
+      let covered =
+        let acc = ref [] in
+        let (_ : bool) =
+          walk ~base:true ~combine:conj ~on_unbound:(fun _ -> true) ~on_write:(fun i ->
+              acc := i :: !acc;
+              true)
+        in
+        List.rev !acc
+      in
+      let blocker =
+        walk ~base:None
+          ~combine:(fun a b -> match a () with None -> b () | found -> found)
+          ~on_unbound:(fun k -> Some (`Promise k))
+          ~on_write:(fun i -> if statuses.(i) = Dep.Durable then None else Some (`Write i))
+      in
+      if Dep.persistent_under (fun w -> chosen.(w.Dep.id)) dep <> under (fun i -> chosen.(i)) then
+        QCheck.Test.fail_reportf "persistent_under differs";
+      if Dep.is_persistent dep <> under (fun _ -> false) then
+        QCheck.Test.fail_reportf "is_persistent differs";
+      if Dep.has_failed dep <> failed then QCheck.Test.fail_reportf "has_failed differs";
+      if List.map (fun (w : Dep.write) -> w.Dep.id) (Dep.writes dep) <> covered then
+        QCheck.Test.fail_reportf "writes differ";
+      (* Name the real blocker by what makes it stop blocking: settling its
+         write (restored afterwards), else binding its promise. *)
+      let named =
+        match Dep.first_blocker dep with
+        | None -> None
+        | Some b ->
+          let settles i =
+            statuses.(i) <> Dep.Durable
+            && begin
+              Dep.set_status writes.(i) Dep.Durable;
+              let stopped = not (Dep.blocks b) in
+              Dep.set_status writes.(i) statuses.(i);
+              stopped
+            end
+          in
+          let binds k =
+            (not (Dep.Promise.is_bound promises.(k)))
+            && begin
+              Dep.Promise.bind promises.(k) Dep.trivial;
+              not (Dep.blocks b)
+            end
+          in
+          match List.find_opt settles (List.init nw Fun.id) with
+          | Some i -> Some (`Write i)
+          | None -> Option.map (fun k -> `Promise k) (List.find_opt binds (List.init np Fun.id))
+      in
+      if named <> blocker then QCheck.Test.fail_reportf "first_blocker differs";
+      true)
+
 let () =
   Alcotest.run "iosched"
     [
@@ -712,6 +835,7 @@ let () =
           Alcotest.test_case "pump issue order is uniform" `Quick test_pump_order_uniform;
           Alcotest.test_case "queue invariants after every op" `Quick test_queue_invariants_hold;
           QCheck_alcotest.to_alcotest prop_cached_blocker;
+          QCheck_alcotest.to_alcotest prop_walks_match_list_walk;
         ] );
       ( "failures",
         [

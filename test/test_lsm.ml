@@ -375,9 +375,9 @@ let test_scan_snapshot () =
   Alcotest.(check (list string)) "later put seen" [ "a"; "b"; "d"; "e" ] (scan_keys index)
 
 (* Property: the levelled index against the composed per-level reference
-   model — same ops, equal scans (keys and locators), invariants
-   maintained. The model's value for a key is the number of its index
-   locator. *)
+   model — same ops, equal scans (keys and locators), and both sides'
+   per-level invariants hold after every step. The model's value for a
+   key is the number of its index locator. *)
 let prop_index_matches_level_model =
   QCheck.Test.make ~name:"levelled index conforms to Level_model" ~count:80
     QCheck.(int_bound 100_000)
@@ -426,7 +426,12 @@ let prop_index_matches_level_model =
             | pair -> pair
           in
           if not (scans_agree ~lo ~hi) then ok := false);
-        (match Lsm.Index.level_invariants index with Ok () -> () | Error _ -> ok := false)
+        (match Lsm.Index.level_invariants index with
+        | Ok () -> ()
+        | Error msg -> QCheck.Test.fail_reportf "step %d: index level invariants: %s" i msg);
+        match Model.Level_model.invariants model with
+        | Ok () -> ()
+        | Error msg -> QCheck.Test.fail_reportf "step %d: model level invariants: %s" i msg
       done;
       !ok && scans_agree ~lo:None ~hi:None)
 
@@ -544,6 +549,46 @@ let prop_entry_encoded_size =
       Lsm.Entry.encode w e;
       Lsm.Entry.encoded_size e = Codec.Writer.length w)
 
+(* Paper section 7: the run and entry decoders read untrusted on-disk
+   bytes, so they must be total — an [Error] on any input, never an
+   exception. Each property feeds arbitrary bytes, and a valid encoding of
+   a random value with a few bytes overwritten and its tail cut, so the
+   element decoders and the checks after them are reached too. *)
+let mangle rng s =
+  let b = Bytes.of_string s in
+  for _ = 1 to Rng.int rng 3 do
+    let n = Bytes.length b in
+    if n > 0 then Bytes.set b (Rng.int rng n) (Char.chr (Rng.int rng 256))
+  done;
+  Bytes.sub_string b 0 (Bytes.length b - Rng.int rng (1 + Bytes.length b / 4))
+
+let prop_run_decode_total =
+  let module Smap = Map.Make (String) in
+  QCheck.Test.make ~name:"Run.decode total on arbitrary bytes" ~count:3000
+    QCheck.(pair (string_of_size Gen.(0 -- 120)) (int_bound 1_000_000))
+    (fun (s, seed) ->
+      let rng = Rng.of_int seed in
+      let pairs =
+        List.init (Rng.int rng 6) (fun _ ->
+            (String.make (1 + Rng.int rng 2) (Char.chr (97 + Rng.int rng 4)), random_entry rng))
+        |> List.fold_left (fun m (k, e) -> Smap.add k e m) Smap.empty
+        |> Smap.bindings
+      in
+      let _ = Lsm.Run.decode s in
+      let _ = Lsm.Run.decode (mangle rng (Lsm.Run.encode (Lsm.Run.of_pairs pairs))) in
+      true)
+
+let prop_entry_decode_total =
+  QCheck.Test.make ~name:"Entry.decode total on arbitrary bytes" ~count:3000
+    QCheck.(pair (string_of_size Gen.(0 -- 80)) (int_bound 1_000_000))
+    (fun (s, seed) ->
+      let rng = Rng.of_int seed in
+      let w = Codec.Writer.create () in
+      Lsm.Entry.encode w (random_entry rng);
+      let _ = Lsm.Entry.decode (Codec.Reader.of_string s) in
+      let _ = Lsm.Entry.decode (Codec.Reader.of_string (mangle rng (Codec.Writer.contents w))) in
+      true)
+
 (* [Run.of_pairs] takes strictly ascending pairs as they are, and
    rejects anything else: every caller hands over a memtable's bindings or
    a merged run's pairs. *)
@@ -617,6 +662,8 @@ let () =
       ( "runs",
         [
           QCheck_alcotest.to_alcotest prop_entry_encoded_size;
+          QCheck_alcotest.to_alcotest prop_run_decode_total;
+          QCheck_alcotest.to_alcotest prop_entry_decode_total;
           QCheck_alcotest.to_alcotest prop_of_pairs_ascending;
         ] );
       ( "reclamation callbacks",

@@ -580,7 +580,7 @@ let prop_scan_three_way_identity =
       in
       for step = 0 to 119 do
         let key = Rng.pick rng keys in
-        match Rng.int rng 12 with
+        (match Rng.int rng 12 with
         | 0 | 1 | 2 | 3 | 4 -> (
           let value = Printf.sprintf "v%d-%d" seed step in
           Model.Level_model.put lm ~key ~value;
@@ -606,7 +606,10 @@ let prop_scan_three_way_identity =
           match S.compact ref_s with
           | Ok _ -> ()
           | Error e -> QCheck.Test.fail_reportf "compact: %a" S.pp_error e)
-        | _ -> compare_scans step
+        | _ -> compare_scans step);
+        match Model.Level_model.invariants lm with
+        | Ok () -> ()
+        | Error msg -> QCheck.Test.fail_reportf "step %d: model level invariants: %s" step msg
       done;
       compare_scans 120;
       (match S.level_invariants ref_s with
