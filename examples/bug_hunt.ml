@@ -26,11 +26,7 @@ let () =
       Format.printf "DETECTED: %a@." Smc.pp_violation v;
       Format.printf "replaying the schedule reproduces it: %b@."
         (match Conc.Conc_detect.harness fault with
-        | Some h ->
-          Faults.enable fault;
-          let r = Smc.replay h v.Smc.schedule <> None in
-          Faults.disable fault;
-          r
+        | Some h -> Faults.only fault (fun () -> Smc.replay h v.Smc.schedule <> None)
         | None -> false)
     | None -> Format.printf "not found in %d schedules@." outcome.Smc.schedules_run)
   | _ -> (

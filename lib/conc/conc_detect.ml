@@ -110,10 +110,8 @@ let get_harness fault =
 
 let detect ?sanitize strategy fault =
   let h = get_harness fault in
-  Faults.disable_all ();
   Faults.reset_counters ();
-  Faults.enable fault;
-  Fun.protect ~finally:(fun () -> Faults.disable fault) (fun () -> Smc.explore ?sanitize strategy h)
+  Faults.only fault (fun () -> Smc.explore ?sanitize strategy h)
 
 let check_correct ?sanitize strategy fault =
   let h = get_harness fault in

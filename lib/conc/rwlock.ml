@@ -20,13 +20,6 @@ module Spec = struct
     | Writer_enter
     | Writer_exit
 
-  let label_name = function
-    | Reader_enter -> "reader_enter"
-    | Reader_exit -> "reader_exit"
-    | Writer_declare -> "writer_declare"
-    | Writer_enter -> "writer_enter"
-    | Writer_exit -> "writer_exit"
-
   let labels = [ Reader_enter; Reader_exit; Writer_declare; Writer_enter; Writer_exit ]
 
   let step s = function
@@ -203,6 +196,9 @@ module Model = struct
     Smc.Mutex.unlock t.m
 
   let release_read t = ignore (Smc.Cell.update t.readers (fun r -> r - 1))
+
+  (* [declare_write] then [complete_write] = [acquire_write], split so the
+     writer-preference harness below can act between the two. *)
   let declare_write t = ignore (Smc.Cell.update t.pending (fun p -> p + 1))
 
   (* The writer holds the mutex for its whole critical section: no reader

@@ -50,8 +50,6 @@ module Spec : sig
     | Writer_enter  (** guard: pending > 0, no readers, no writer *)
     | Writer_exit
 
-  val label_name : label -> string
-
   (** [step s l] — the successor state, or [None] when [l]'s guard fails
       in [s]. *)
   val step : state -> label -> state option
@@ -134,12 +132,6 @@ module Model : sig
   val create : ?name:string -> unit -> t
   val acquire_read : t -> unit
   val release_read : t -> unit
-
-  (** [declare_write] then [complete_write] = [acquire_write], split so
-      harnesses can observe the WriterPending state between the two. *)
-  val declare_write : t -> unit
-
-  val complete_write : t -> unit
   val acquire_write : t -> unit
   val release_write : t -> unit
   val with_read : t -> (unit -> 'a) -> 'a

@@ -227,18 +227,3 @@ let run ~seed ~length =
      let op = List.hd !ops in
      outcome := Failed { step = List.length !ops - 1; op; message });
   (List.rev !ops, !outcome)
-
-let hunt ?(domains = 1) fault ~max_sequences ~seed =
-  (* Toggles are hoisted outside the (possibly parallel) hunt: flipped
-     once before and once after, never from inside a task. *)
-  Faults.disable_all ();
-  Faults.enable fault;
-  Fun.protect
-    ~finally:(fun () -> Faults.disable fault)
-    (fun () ->
-      let results =
-        Par.search ~domains ~start:0 ~count:max_sequences ~stop:Fun.id (fun i ->
-            match run ~seed:(seed + i) ~length:40 with _, Failed _ -> true | _, Passed -> false)
-      in
-      if List.exists Fun.id results then (true, List.length results)
-      else (false, max_sequences))

@@ -31,12 +31,6 @@ val pp_failure : Format.formatter -> failure -> unit
 type outcome = Passed | Failed of failure
 
 (** [run ~seed ~length] generates and checks one component-level
-    sequence. Deterministic per seed. *)
+    sequence. Deterministic per seed, so a hunt shards it across domains:
+    {!Detect.hunt} over [run] (see [Experiments.Component_level]). *)
 val run : seed:int -> length:int -> op list * outcome
-
-(** [hunt ?domains fault ~max_sequences ~seed] — enable [fault], run
-    sequences until a check fails. Returns [(found, sequences_run)].
-    [domains > 1] shards the hunt over a {!Par.search} (fault toggles
-    are hoisted outside the parallel section); the result is identical
-    to the sequential hunt for any domain count. *)
-val hunt : ?domains:int -> Faults.t -> max_sequences:int -> seed:int -> bool * int

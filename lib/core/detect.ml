@@ -46,21 +46,6 @@ type result = {
   min_stats : Minimize.stats option;
 }
 
-let pp_result fmt r =
-  Format.fprintf fmt "#%d [%s] %s after %d sequences (%d ops, defect fired %d times)"
-    (Faults.number r.fault)
-    (method_name (method_for r.fault))
-    (if r.found then "DETECTED" else "not found")
-    r.sequences r.total_ops r.fired;
-  (match r.failure with
-  | Some f -> Format.fprintf fmt "@,  failure: %a" Harness.pp_failure f
-  | None -> ());
-  match r.original, r.minimized with
-  | Some o, Some m ->
-    Format.fprintf fmt "@,  counterexample: %a@,  minimized to:   %a" Op.pp_summary o
-      Op.pp_summary m
-  | _ -> ()
-
 (* Fault-specific bias tuning: #10 needs the UUID/page-boundary corner
    case, so its runs raise the corresponding biases (the paper's
    "quantitative evidence" criterion for adopting a bias, section 4.2). *)
@@ -87,18 +72,21 @@ let empty_result fault =
 let detect_pbt config ~domains ~length ~max_sequences ~minimize ~seed fault profile =
   let bias = bias_for fault in
   let config = { config with Harness.uuid_bias = bias.Gen.uuid_magic } in
-  (* The hunt is a parallel early-exit sweep: the reported seed, sequence
-     count and counterexample come from the sequential prefix Par.search
-     guarantees, so they are identical for every domain count. Only [fired]
-     can see speculative evaluations beyond the failing seed. *)
-  let sw =
-    Harness.run_par ~domains ~stop_on_failure:true config ~profile ~bias ~length ~seed
-      ~count:max_sequences
+  (* The hunt is a parallel early exit: the failing seed, and so the
+     sequence count and counterexample, is the lowest one Par.first
+     guarantees, identical for every domain count. Only [fired] can see
+     speculative runs beyond it. *)
+  let hit =
+    Par.first ~domains ~start:seed ~count:max_sequences (fun s ->
+        match Harness.run_seed config ~profile ~bias ~length ~seed:s with
+        | ops, Harness.Failed failure -> Some (ops, failure)
+        | _, Harness.Passed -> None)
   in
-  match sw.Harness.first_failure with
+  (* Gen.sequence yields exactly [length] ops per seed. *)
+  match hit with
   | None ->
-    { (empty_result fault) with sequences = sw.Harness.checked; total_ops = sw.Harness.total_ops }
-  | Some (_failing_seed, ops, failure) ->
+    { (empty_result fault) with sequences = max_sequences; total_ops = max_sequences * length }
+  | Some (failing_seed, (ops, failure)) ->
     let minimized_ops, min_stats =
       if minimize then begin
         (* Minimization replays sequentially — reproducibility over speed. *)
@@ -112,11 +100,12 @@ let detect_pbt config ~domains ~length ~max_sequences ~minimize ~seed fault prof
       end
       else (None, None)
     in
+    let sequences = failing_seed - seed + 1 in
     {
       fault;
       found = true;
-      sequences = sw.Harness.checked;
-      total_ops = sw.Harness.total_ops;
+      sequences;
+      total_ops = sequences * length;
       fired = Faults.fired fault;
       failure = Some failure;
       original = Some (Op.summarize ops);
@@ -186,12 +175,8 @@ let detect_model_validation ~max_sequences ~seed fault =
 
 let detect ?(config = Harness.default_config) ?(domains = 1) ?(length = 60)
     ?(max_sequences = 10_000) ?(minimize = true) ~seed fault =
-  Faults.disable_all ();
   Faults.reset_counters ();
-  Faults.enable fault;
-  Fun.protect
-    ~finally:(fun () -> Faults.disable fault)
-    (fun () ->
+  Faults.only fault (fun () ->
       match method_for fault with
       | Pbt profile ->
         detect_pbt config ~domains ~length ~max_sequences ~minimize ~seed fault profile
@@ -202,13 +187,13 @@ let detect ?(config = Harness.default_config) ?(domains = 1) ?(length = 60)
         detect_model_validation ~max_sequences ~seed fault
       | Smc -> empty_result fault)
 
-let baseline ?(config = Harness.default_config) ?(length = 60) ~sequences ~seed profile =
-  Faults.disable_all ();
-  let failures = ref 0 in
-  for i = 0 to sequences - 1 do
-    let _, outcome =
-      Harness.run_seed config ~profile ~bias:Gen.default_bias ~length ~seed:(seed + i)
-    in
-    match outcome with Harness.Passed -> () | Harness.Failed _ -> incr failures
-  done;
-  !failures
+let hunt ?domains fault ~seed ~count task =
+  Faults.only fault (fun () ->
+      Par.first ?domains ~start:seed ~count task
+      |> Option.map (fun (hit, x) -> (hit - seed + 1, x)))
+
+let series ~trials ~max_sequences ~seed f =
+  List.init trials (fun k -> seed + (k * (max_sequences + 1)))
+  |> List.filter_map f |> List.sort compare
+
+let median = function [] -> None | hits -> Some (List.nth hits (List.length hits / 2))

@@ -34,17 +34,17 @@ type result = {
   min_stats : Minimize.stats option;
 }
 
-val pp_result : Format.formatter -> result -> unit
-
 (** [detect ?config ?domains ?length ?max_sequences ?minimize ~seed fault]
-    enables [fault], hunts for it, disables it again. For [Smc] faults the
-    result is [found = false] with zero work — use the [conc] harnesses.
+    hunts [fault] with only it enabled ({!Faults.only}). For [Smc] faults
+    the result is [found = false] with zero work — use the [conc]
+    harnesses.
 
     [domains] (default 1) shards the property-based hunt across OCaml
-    domains via {!Harness.run_par}: the reported sequence count and
-    counterexample are the sequential prefix's, identical for every domain
-    count, and minimization always replays sequentially. Model-validation
-    hunts use one shared random stream and stay sequential. *)
+    domains with {!Par.first} over {!Harness.run_seed}: the reported
+    sequence count and counterexample are the lowest failing seed's,
+    identical for every domain count, and minimization always replays
+    sequentially. Model-validation hunts use one shared random stream and
+    stay sequential. *)
 val detect :
   ?config:Harness.config ->
   ?domains:int ->
@@ -55,8 +55,22 @@ val detect :
   Faults.t ->
   result
 
-(** [baseline ?config ?length ~sequences ~seed profile] runs the same
-    checkers with no fault enabled; any failure is a bug in this
-    repository. Returns the number of sequences that failed (expect 0). *)
-val baseline :
-  ?config:Harness.config -> ?length:int -> sequences:int -> seed:int -> Gen.profile -> int
+(** {2 Hunts for the experiments} *)
+
+(** [hunt ?domains fault ~seed ~count task] runs [task] on the seeds of
+    [[seed, seed + count)] with only [fault] enabled ({!Faults.only}) and
+    stops at the lowest seed whose task gives [Some x]. It returns the
+    number of seeds up to and including that one, with [x]; [None] when
+    no seed in the budget hits. [domains] (default 1) shards the hunt with
+    {!Par.first}; the result is the same for every domain count. *)
+val hunt :
+  ?domains:int -> Faults.t -> seed:int -> count:int -> (int -> 'a option) -> (int * 'a) option
+
+(** [series ~trials ~max_sequences ~seed f] runs [f] on the first seed of
+    each trial's block, [seed + k * (max_sequences + 1)] for [k] from 0 to
+    [trials - 1], in that order, and returns the hits [f] reports, sorted
+    ascending. A trial that misses gives [None] and no hit. *)
+val series : trials:int -> max_sequences:int -> seed:int -> (int -> int option) -> int list
+
+(** [median hits] is the upper median of sorted [hits], [None] when empty. *)
+val median : int list -> int option

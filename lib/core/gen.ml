@@ -37,6 +37,8 @@ let unbiased =
     scan_weight = 0;
   }
 
+(* Mutable generation state; threading it keeps generation deterministic
+   per seed. *)
 type state = {
   mutable known_keys : string list;  (** keys put at least once *)
   mutable in_service : bool;
@@ -76,6 +78,7 @@ let reboot_type rng =
     split_pages = Rng.bool rng;
   }
 
+(* [op ... state] draws the next operation and updates [state]. *)
 let op ~rng ~bias ~profile ~page_size ~extent_count state =
   if not state.in_service then begin
     (* Out of service: mostly return quickly, with a few rejected requests

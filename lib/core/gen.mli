@@ -45,23 +45,6 @@ val default_bias : bias
 (** All biases off: uniform keys, uniform sizes. *)
 val unbiased : bias
 
-(** Mutable generation state (the set of keys put so far, service
-    status); threading it keeps generation deterministic per seed. *)
-type state
-
-val initial_state : unit -> state
-
-(** [op ~rng ~bias ~profile ~page_size ~extent_count state] draws the next
-    operation and updates [state]. *)
-val op :
-  rng:Util.Rng.t ->
-  bias:bias ->
-  profile:profile ->
-  page_size:int ->
-  extent_count:int ->
-  state ->
-  Op.t
-
 (** [sequence ~rng ~bias ~profile ~page_size ~extent_count ~length] draws a
     whole test input. *)
 val sequence :

@@ -476,17 +476,15 @@ let run_seed config ~profile ~bias ~length ~seed =
 (* {2 Parallel seed sweeps} *)
 
 type sweep = {
-  checked : int;
   total_ops : int;
   failures : int;
   first_failure : (int * Op.t list * failure) option;
 }
 
-let empty_sweep = { checked = 0; total_ops = 0; failures = 0; first_failure = None }
+let empty_sweep = { total_ops = 0; failures = 0; first_failure = None }
 
 let record_outcome sw ~seed ~ops outcome =
   {
-    checked = sw.checked + 1;
     total_ops = sw.total_ops + List.length ops;
     failures = (sw.failures + match outcome with Failed _ -> 1 | Passed -> 0);
     first_failure =
@@ -495,53 +493,27 @@ let record_outcome sw ~seed ~ops outcome =
       | None, Failed f -> Some (seed, ops, f));
   }
 
-let run_par ?obs ?(domains = 1) ?(stop_on_failure = false) config ~profile ~bias ~length
-    ~seed ~count =
-  if stop_on_failure && Option.is_some obs then
-    invalid_arg
-      "Harness.run_par: ?obs cannot be combined with ~stop_on_failure:true (workers race \
-       ahead speculatively, so aggregated metrics would not be reproducible)";
-  if stop_on_failure then begin
-    (* Early-exit hunt: Par.search returns exactly the sequential prefix up
-       to the lowest failing seed, so the reported counterexample is the
-       same one a sequential hunt finds, for any domain count. *)
-    let results =
-      Par.search ~domains ~start:seed ~count
-        ~stop:(function _, Failed _ -> true | _, Passed -> false)
-        (fun s ->
-          let ops, outcome = run_seed config ~profile ~bias ~length ~seed:s in
-          (ops, outcome))
-    in
-    let sw, _ =
-      List.fold_left
-        (fun (sw, s) (ops, outcome) -> (record_outcome sw ~seed:s ~ops outcome, s + 1))
-        (empty_sweep, seed) results
-    in
-    sw
-  end
-  else
-    let sw, reg =
-      Par.sweep ~domains ~start:seed ~count
-        ~init:(fun () ->
-          (empty_sweep, Option.map (fun _ -> Obs.create ~scope:"sweep" ()) obs))
-        ~step:(fun (sw, reg) s ->
-          let ops, outcome, store = run_seed_core config ~profile ~bias ~length ~seed:s in
-          Option.iter (fun r -> Obs.merge_into ~into:r (S.obs store)) reg;
-          (record_outcome sw ~seed:s ~ops outcome, reg))
-        ~merge:(fun (a, ra) (b, rb) ->
-          (* segments arrive in ascending seed order, so keeping [a]'s first
-             failure and merging [rb] last reproduces the sequential
-             aggregation exactly (gauges adopt the later value) *)
-          Option.iter (fun ra -> Option.iter (fun rb -> Obs.merge_into ~into:ra rb) rb) ra;
-          ( {
-              checked = a.checked + b.checked;
-              total_ops = a.total_ops + b.total_ops;
-              failures = a.failures + b.failures;
-              first_failure =
-                (match a.first_failure with Some _ -> a.first_failure | None -> b.first_failure);
-            },
-            ra ))
-        ()
-    in
-    Option.iter (fun into -> Option.iter (fun r -> Obs.merge_into ~into r) reg) obs;
-    sw
+let run_par ?obs ?(domains = 1) config ~profile ~bias ~length ~seed ~count =
+  let sw, reg =
+    Par.sweep ~domains ~start:seed ~count
+      ~init:(fun () -> (empty_sweep, Option.map (fun _ -> Obs.create ~scope:"sweep" ()) obs))
+      ~step:(fun (sw, reg) s ->
+        let ops, outcome, store = run_seed_core config ~profile ~bias ~length ~seed:s in
+        Option.iter (fun r -> Obs.merge_into ~into:r (S.obs store)) reg;
+        (record_outcome sw ~seed:s ~ops outcome, reg))
+      ~merge:(fun (a, ra) (b, rb) ->
+        (* segments arrive in ascending seed order, so keeping [a]'s first
+           failure and merging [rb] last reproduces the sequential
+           aggregation exactly (gauges adopt the later value) *)
+        Option.iter (fun ra -> Option.iter (fun rb -> Obs.merge_into ~into:ra rb) rb) ra;
+        ( {
+            total_ops = a.total_ops + b.total_ops;
+            failures = a.failures + b.failures;
+            first_failure =
+              (match a.first_failure with Some _ -> a.first_failure | None -> b.first_failure);
+          },
+          ra ))
+      ()
+  in
+  Option.iter (fun into -> Option.iter (fun r -> Obs.merge_into ~into r) reg) obs;
+  sw

@@ -83,37 +83,31 @@ val run_seed :
 
 (** Aggregate result of sweeping a contiguous seed range. *)
 type sweep = {
-  checked : int;  (** seeds actually checked (= [count], or the early-exit prefix) *)
-  total_ops : int;  (** operations generated across checked seeds *)
-  failures : int;  (** failing seeds among those checked *)
+  total_ops : int;  (** operations generated across the swept seeds *)
+  failures : int;  (** failing seeds *)
   first_failure : (int * Op.t list * failure) option;
       (** the {e lowest} failing seed with its generated sequence and
           failure — identical for every domain count *)
 }
 
-(** [run_par ?obs ?domains ?stop_on_failure config ~profile ~bias ~length ~seed ~count]
+(** [run_par ?obs ?domains config ~profile ~bias ~length ~seed ~count]
     sweeps seeds [[seed, seed + count)] through {!run_seed}, sharded across
-    [domains] OCaml domains by {!Par} (default 1 = plain sequential loop;
-    parallelism is opt-in so existing seeded experiments replay verbatim).
+    [domains] OCaml domains by {!Par.sweep} (default 1 = plain sequential
+    loop; parallelism is opt-in so existing seeded experiments replay
+    verbatim).
 
     The result is byte-identical to a sequential sweep for any [domains]:
     each seed owns a private universe, and per-worker results are merged in
-    ascending seed order. With [stop_on_failure] (default false) the sweep
-    stops at the {e lowest} failing seed — workers race ahead
-    speculatively, but results above the lowest failure are discarded
-    ({!Par.search}), never reported — and [checked] counts that prefix.
-    Minimize the returned counterexample with {!Minimize.minimize}, which
-    replays sequentially.
+    ascending seed order. Every seed runs; to stop at the first failing
+    seed, hunt with {!Par.first} over {!run_seed} as {!Detect.detect}
+    does. Minimize the returned counterexample with {!Minimize.minimize},
+    which replays sequentially.
 
-    [?obs] aggregates every checked store's per-instance registry (in seed
-    order, see {!Obs.merge_into}) into the given registry. Combining [?obs]
-    with [~stop_on_failure:true] raises [Invalid_argument]: speculative
-    evaluations beyond the failing seed would leak into the aggregate
-    irreproducibly. *)
+    [?obs] aggregates every swept store's per-instance registry (in seed
+    order, see {!Obs.merge_into}) into the given registry. *)
 val run_par :
   ?obs:Obs.t ->
   ?domains:int ->
-  ?stop_on_failure:bool ->
   config ->
   profile:Gen.profile ->
   bias:Gen.bias ->

@@ -71,6 +71,7 @@ let is_failure = function
   | SuperblockFlush | Compact | Reclaim | Pump _ | RemoveFromService | ReturnToService
   | CleanReboot | DirtyReboot _ -> false
 
+(* Payload bytes carried by the operation (Put value size). *)
 let payload_bytes = function
   | Put (_, v) -> String.length v
   | PutBatch ops -> List.fold_left (fun acc (_, v) -> acc + String.length v) 0 ops

@@ -52,9 +52,6 @@ val is_reboot : t -> bool
 (** True for the failure-injection operations. *)
 val is_failure : t -> bool
 
-(** Payload bytes carried by the operation (Put value size). *)
-val payload_bytes : t -> int
-
 (** Summary of a sequence: length, crash count, total payload bytes — the
     quantities the paper's minimization anecdote reports. *)
 type summary = { ops : int; crashes : int; bytes : int }

@@ -17,24 +17,14 @@ type report = {
 let config = Lfm.Harness.default_config
 
 (* A detection hunt with an explicit bias (bypassing Detect's per-fault
-   tuning, which is the very thing being ablated). Sharded over a
-   Par.search when [domains > 1] — fault toggles stay hoisted outside
-   the parallel section and the result is seed-for-seed identical. *)
-let hunt ~domains ~bias ~profile ~max_sequences ~seed fault =
-  Faults.disable_all ();
-  Faults.enable fault;
-  Fun.protect
-    ~finally:(fun () -> Faults.disable fault)
-    (fun () ->
-      let config = { config with Lfm.Harness.uuid_bias = bias.Lfm.Gen.uuid_magic } in
-      let results =
-        Par.search ~domains ~start:0 ~count:max_sequences ~stop:Fun.id (fun i ->
-            match Lfm.Harness.run_seed config ~profile ~bias ~length:60 ~seed:(seed + i) with
-            | _, Lfm.Harness.Failed _ -> true
-            | _, Lfm.Harness.Passed -> false)
-      in
-      if List.exists Fun.id results then (true, List.length results)
-      else (false, max_sequences))
+   tuning, which is the very thing being ablated). *)
+let hunt ~domains ~bias ~profile ~max_sequences fault seed =
+  let config = { config with Lfm.Harness.uuid_bias = bias.Lfm.Gen.uuid_magic } in
+  Lfm.Detect.hunt ~domains fault ~seed ~count:max_sequences (fun s ->
+      match Lfm.Harness.run_seed config ~profile ~bias ~length:60 ~seed:s with
+      | _, Lfm.Harness.Failed _ -> Some ()
+      | _, Lfm.Harness.Passed -> None)
+  |> Option.map fst
 
 (* Coverage proxy: how often does a generated Get hit a previously-Put
    key? Without the bias the successful-Get path is barely exercised. *)
@@ -62,24 +52,17 @@ let get_hit_rate bias ~seed =
 let run ?(domains = 1) ?(max_sequences = 4_000) ?(trials = 8) ?(seed = 90_000) () =
   let t0 = Util.Wallclock.now_s () in
   let mk label bias profile fault =
-    let hits = ref [] in
-    for trial = 0 to trials - 1 do
-      let detected, sequences =
-        hunt ~domains ~bias ~profile ~max_sequences
-          ~seed:(seed + (trial * (max_sequences + 1)))
-          fault
-      in
-      if detected then hits := sequences :: !hits
-    done;
-    let hits = List.sort compare !hits in
+    let hits =
+      Lfm.Detect.series ~trials ~max_sequences ~seed
+        (hunt ~domains ~bias ~profile ~max_sequences fault)
+    in
     {
       label;
       bias;
       fault;
       detected = List.length hits;
       trials;
-      median_sequences =
-        (match hits with [] -> None | _ -> Some (List.nth hits (List.length hits / 2)));
+      median_sequences = Lfm.Detect.median hits;
     }
   in
   let page_on = { Lfm.Gen.default_bias with Lfm.Gen.page_size_values = 0.9 } in

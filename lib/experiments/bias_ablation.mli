@@ -23,7 +23,9 @@ type report = {
   seconds : float;
 }
 
-(** [domains] shards each hunt over that many racing domains via
-    {!Par.search}; the report is seed-for-seed identical to [domains = 1]. *)
+(** Trial [k] of an arm hunts the seed block of {!Lfm.Detect.series}.
+    [domains] shards each hunt over that many racing domains
+    ({!Lfm.Detect.hunt}); the report is seed-for-seed identical to
+    [domains = 1]. *)
 val run : ?domains:int -> ?max_sequences:int -> ?trials:int -> ?seed:int -> unit -> report
 val print : report -> unit

@@ -37,38 +37,31 @@ let run_arm ~label ~cache_pages ~max_sequences ~seed =
     }
   in
   let config = { Lfm.Harness.default_config with Lfm.Harness.store_config } in
-  Faults.disable_all ();
-  Faults.enable Faults.F17_cache_miss_path;
+  let page_size = store_config.Store.Default.disk.Disk.page_size in
+  let extent_count = store_config.Store.Default.disk.Disk.extent_count in
   Obs.Coverage.reset ();
-  Fun.protect
-    ~finally:(fun () -> Faults.disable_all ())
-    (fun () ->
-      let page_size = store_config.Store.Default.disk.Disk.page_size in
-      let extent_count = store_config.Store.Default.disk.Disk.extent_count in
-      let rec hunt i =
-        if i >= max_sequences then (false, max_sequences)
-        else begin
-          let rng = Util.Rng.create (Int64.of_int (seed + i)) in
-          let ops =
-            strip_service_ops
-              (Lfm.Gen.sequence ~rng ~bias:Lfm.Gen.default_bias ~profile:Lfm.Gen.Crash_free
-                 ~page_size ~extent_count ~length:60)
-          in
-          match Lfm.Harness.run config ops with
-          | Lfm.Harness.Failed _ -> (true, i + 1)
-          | Lfm.Harness.Passed -> hunt (i + 1)
-        end
-      in
-      let detected, sequences = hunt 0 in
-      {
-        label;
-        cache_pages;
-        detected;
-        sequences;
-        cache_misses = Obs.Coverage.count "cache.miss";
-        cache_hits = Obs.Coverage.count "cache.hit";
-        blind_spots = Obs.Coverage.blind_spots ~expected:expected_coverage ();
-      })
+  (* One domain, so the coverage counts cover exactly the sequences run. *)
+  let hit =
+    Lfm.Detect.hunt Faults.F17_cache_miss_path ~seed ~count:max_sequences (fun s ->
+        let rng = Util.Rng.create (Int64.of_int s) in
+        let ops =
+          strip_service_ops
+            (Lfm.Gen.sequence ~rng ~bias:Lfm.Gen.default_bias ~profile:Lfm.Gen.Crash_free
+               ~page_size ~extent_count ~length:60)
+        in
+        match Lfm.Harness.run config ops with
+        | Lfm.Harness.Failed _ -> Some ()
+        | Lfm.Harness.Passed -> None)
+  in
+  {
+    label;
+    cache_pages;
+    detected = Option.is_some hit;
+    sequences = (match hit with Some (n, ()) -> n | None -> max_sequences);
+    cache_misses = Obs.Coverage.count "cache.miss";
+    cache_hits = Obs.Coverage.count "cache.hit";
+    blind_spots = Obs.Coverage.blind_spots ~expected:expected_coverage ();
+  }
 
 let run ?(max_sequences = 600) ?(seed = 77_000) () =
   let t0 = Util.Wallclock.now_s () in

@@ -502,10 +502,9 @@ let run ?(domains = 1) ?(campaigns = 200) ?(length = 40) ?(seed = 0) ?(capture =
 let teeth_window = 20
 
 let check_teeth ?(domains = 1) ?(campaigns = teeth_window) ?(length = 40) ?(seed = 0) () =
-  Faults.disable_all ();
   (* #18 is armed before the sweep and stays constant throughout — workers
      only read the toggle. *)
-  Faults.with_fault Faults.F18_quorum_ack_volatile (fun () ->
+  Faults.only Faults.F18_quorum_ack_volatile (fun () ->
       Par.sweep ~domains ~start:seed ~count:campaigns
         ~init:(fun () -> 0)
         ~step:(fun violations s ->

@@ -13,58 +13,29 @@ type report = {
   seconds : float;
 }
 
-let median hits =
-  match List.sort compare hits with
-  | [] -> None
-  | l -> Some (List.nth l (List.length l / 2))
-
-let component_row ~domains ~trials ~max_sequences ~seed fault =
-  let hits = ref [] in
-  for trial = 0 to trials - 1 do
-    let found, seqs =
-      Lfm.Chunk_harness.hunt ~domains fault ~max_sequences
-        ~seed:(seed + (trial * (max_sequences + 1)))
-    in
-    if found then hits := seqs :: !hits
-  done;
-  {
-    fault;
-    level = "component";
-    detected = List.length !hits;
-    trials;
-    median_sequences = median !hits;
-  }
-
-let store_row ~domains ~trials ~max_sequences ~seed fault =
-  let hits = ref [] in
-  for trial = 0 to trials - 1 do
-    let r =
-      Lfm.Detect.detect ~domains ~max_sequences ~minimize:false
-        ~seed:(seed + (trial * (max_sequences + 1)))
-        fault
-    in
-    if r.Lfm.Detect.found then hits := r.Lfm.Detect.sequences :: !hits
-  done;
-  {
-    fault;
-    level = "end-to-end";
-    detected = List.length !hits;
-    trials;
-    median_sequences = median !hits;
-  }
-
 let faults = [ Faults.F1_reclaim_off_by_one; Faults.F5_reclaim_forgets_on_read_error ]
 
 let run ?(domains = 1) ?(trials = 10) ?(max_sequences = 2_000) ?(seed = 64_000) () =
   let t0 = Util.Wallclock.now_s () in
-  Faults.disable_all ();
+  let row fault level hunt =
+    let hits = Lfm.Detect.series ~trials ~max_sequences ~seed hunt in
+    { fault; level; detected = List.length hits; trials; median_sequences = Lfm.Detect.median hits }
+  in
+  let component fault seed =
+    Lfm.Detect.hunt ~domains fault ~seed ~count:max_sequences (fun s ->
+        match Lfm.Chunk_harness.run ~seed:s ~length:40 with
+        | _, Lfm.Chunk_harness.Failed _ -> Some ()
+        | _, Lfm.Chunk_harness.Passed -> None)
+    |> Option.map fst
+  in
+  let end_to_end fault seed =
+    let r = Lfm.Detect.detect ~domains ~max_sequences ~minimize:false ~seed fault in
+    if r.Lfm.Detect.found then Some r.Lfm.Detect.sequences else None
+  in
   let rows =
     List.concat_map
       (fun fault ->
-        [
-          component_row ~domains ~trials ~max_sequences ~seed fault;
-          store_row ~domains ~trials ~max_sequences ~seed fault;
-        ])
+        [ row fault "component" (component fault); row fault "end-to-end" (end_to_end fault) ])
       faults
   in
   (* Throughputs on the honest code. *)

@@ -58,26 +58,20 @@ let sequence ~seed ~length =
     ~extent_count:config.Lfm.Harness.store_config.Store.Default.disk.Disk.extent_count
     ~length
 
-(* Sharded over a Par.search when [domains > 1]: each task builds its
-   own crash-enumeration accumulator, toggles stay hoisted, and the
-   detection report is identical to the sequential hunt. *)
+(* Each task builds its own crash-enumeration accumulator, so the hunt
+   shards across domains with the same report as the sequential one. *)
 let hunt ~domains mode fault ~max_sequences ~seed =
-  Faults.disable_all ();
-  Faults.enable fault;
-  Fun.protect
-    ~finally:(fun () -> Faults.disable fault)
-    (fun () ->
-      let results =
-        Par.search ~domains ~start:0 ~count:max_sequences ~stop:Fun.id (fun i ->
-            let acc = ref empty_enum_stats in
-            let ops = transform mode (sequence ~seed:(seed + i) ~length:60) in
-            match Lfm.Harness.run (config_for mode acc) ops with
-            | Lfm.Harness.Failed _ -> true
-            | Lfm.Harness.Passed -> false)
-      in
-      if List.exists Fun.id results then
-        { fault; mode; detected = true; sequences = List.length results }
-      else { fault; mode; detected = false; sequences = max_sequences })
+  let hit =
+    Lfm.Detect.hunt ~domains fault ~seed ~count:max_sequences (fun s ->
+        let acc = ref empty_enum_stats in
+        let ops = transform mode (sequence ~seed:s ~length:60) in
+        match Lfm.Harness.run (config_for mode acc) ops with
+        | Lfm.Harness.Failed _ -> Some ()
+        | Lfm.Harness.Passed -> None)
+  in
+  match hit with
+  | Some (sequences, ()) -> { fault; mode; detected = true; sequences }
+  | None -> { fault; mode; detected = false; sequences = max_sequences }
 
 let throughput mode ~sequences ~seed =
   Faults.disable_all ();

@@ -17,8 +17,6 @@
 
 type mode = Coarse | Block_sampled | Block_exhaustive
 
-val mode_name : mode -> string
-
 type detection = {
   fault : Faults.t;
   mode : mode;
@@ -36,8 +34,8 @@ type report = {
 val run :
   ?domains:int -> ?faults:Faults.t list -> ?max_sequences:int -> ?throughput_sequences:int ->
   ?seed:int -> unit -> report
-(** [domains] shards each detection hunt over that many racing domains via
-    {!Par.search} (throughput measurement stays sequential); the report is
-    seed-for-seed identical to [domains = 1]. *)
+(** [domains] shards each detection hunt over that many racing domains
+    ({!Lfm.Detect.hunt}; throughput measurement stays sequential); the
+    report is seed-for-seed identical to [domains = 1]. *)
 
 val print : report -> unit

@@ -21,16 +21,11 @@ let run ?(domains = 1) ?(faults = default_faults) ?(trials = 20) ?(max_sequences
   let curves =
     List.map
       (fun fault ->
-        let hits = ref [] in
-        for trial = 0 to trials - 1 do
-          let r =
-            Lfm.Detect.detect ~domains ~max_sequences ~minimize:false
-              ~seed:(seed + (trial * (max_sequences + 1)))
-              fault
-          in
-          if r.Lfm.Detect.found then hits := r.Lfm.Detect.sequences :: !hits
-        done;
-        let hits = List.sort compare !hits in
+        let hits =
+          Lfm.Detect.series ~trials ~max_sequences ~seed (fun seed ->
+              let r = Lfm.Detect.detect ~domains ~max_sequences ~minimize:false ~seed fault in
+              if r.Lfm.Detect.found then Some r.Lfm.Detect.sequences else None)
+        in
         let probability =
           List.map
             (fun budget ->
@@ -51,11 +46,10 @@ let print report =
       List.iter2
         (fun budget p -> Printf.printf "  budget %5d: P(detect) = %.2f\n" budget p)
         c.budgets c.probability;
-      match c.hits with
-      | [] -> Printf.printf "  (never detected within budget)\n"
-      | hits ->
-        let n = List.length hits in
-        Printf.printf "  detected %d/%d trials; median sequences-to-detection: %d\n" n c.trials
-          (List.nth hits (n / 2)))
+      match Lfm.Detect.median c.hits with
+      | None -> Printf.printf "  (never detected within budget)\n"
+      | Some median ->
+        Printf.printf "  detected %d/%d trials; median sequences-to-detection: %d\n"
+          (List.length c.hits) c.trials median)
     report.curves;
   Printf.printf "(%.1f s total)\n" report.seconds

@@ -10,7 +10,7 @@
 type curve = {
   fault : Faults.t;
   trials : int;
-  hits : int list;  (** sequences-to-detection for the successful trials *)
+  hits : int list;  (** sequences-to-detection for the successful trials, sorted *)
   budgets : int list;
   probability : float list;  (** P(detected within budget), aligned with [budgets] *)
 }
@@ -23,7 +23,9 @@ type report = {
 val run :
   ?domains:int -> ?faults:Faults.t list -> ?trials:int -> ?max_sequences:int ->
   ?budgets:int list -> ?seed:int -> unit -> report
-(** [domains] shards each detection hunt over that many racing domains via
-    {!Par.search}; the report is seed-for-seed identical to [domains = 1]. *)
+(** Trial [k] hunts the seed block of {!Lfm.Detect.series}. [domains]
+    shards each detection hunt over that many racing domains
+    ({!Lfm.Detect.detect}); the report is seed-for-seed identical to
+    [domains = 1]. *)
 
 val print : report -> unit

@@ -20,31 +20,31 @@ type report = {
   seconds : float;
 }
 
-let strategies ~seed ~budget =
+let strategies ~budget =
   [
-    ("DFS", fun _trial -> Smc.Dfs { max_schedules = budget });
-    ("Random", fun trial -> Smc.Random_walk { seed = seed + trial; schedules = budget });
-    ("PCT d=3", fun trial -> Smc.Pct { seed = seed + trial; schedules = budget; depth = 3 });
+    ("DFS", fun _seed -> Smc.Dfs { max_schedules = budget });
+    ("Random", fun seed -> Smc.Random_walk { seed; schedules = budget });
+    ("PCT d=3", fun seed -> Smc.Pct { seed; schedules = budget; depth = 3 });
   ]
 
-let measure ~trials fault (name, mk) =
-  let hits = ref [] in
+(* An exploration draws every schedule from its one seed, so each trial's
+   seed block is a single seed ([~max_sequences:0]). *)
+let measure ~trials ~seed fault (name, mk) =
   let schedules_total = ref 0 in
   let t0 = Util.Wallclock.now_s () in
-  for trial = 0 to trials - 1 do
-    let outcome = Conc.Conc_detect.detect (mk trial) fault in
-    schedules_total := !schedules_total + outcome.Smc.schedules_run;
-    if outcome.Smc.violation <> None then hits := outcome.Smc.schedules_run :: !hits
-  done;
+  let hits =
+    Lfm.Detect.series ~trials ~max_sequences:0 ~seed (fun seed ->
+        let outcome = Conc.Conc_detect.detect (mk seed) fault in
+        schedules_total := !schedules_total + outcome.Smc.schedules_run;
+        Option.map (fun _ -> outcome.Smc.schedules_run) outcome.Smc.violation)
+  in
   let dt = Util.Wallclock.now_s () -. t0 in
-  let hits = List.sort compare !hits in
   {
     strategy = name;
     fault;
     detected = List.length hits;
     trials;
-    median_schedules =
-      (match hits with [] -> None | _ -> Some (List.nth hits (List.length hits / 2)));
+    median_schedules = Lfm.Detect.median hits;
     schedules_per_sec = float_of_int !schedules_total /. dt;
   }
 
@@ -65,7 +65,7 @@ let run ?(trials = 5) ?(schedule_budget = 100_000) ?(seed = 3_000) () =
   let results =
     List.concat_map
       (fun fault ->
-        List.map (measure ~trials fault) (strategies ~seed ~budget:schedule_budget))
+        List.map (measure ~trials ~seed fault) (strategies ~budget:schedule_budget))
       hunt_faults
   in
   let verifications =

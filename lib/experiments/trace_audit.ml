@@ -215,8 +215,7 @@ let f18_scenario ~seed =
   A.audit recorder
 
 let run_f18 ~campaigns ~seed =
-  Faults.disable_all ();
-  Faults.with_fault Faults.F18_quorum_ack_volatile (fun () ->
+  Faults.only Faults.F18_quorum_ack_volatile (fun () ->
       let detected = ref 0 in
       for s = seed to seed + campaigns - 1 do
         let report = f18_scenario ~seed:s in

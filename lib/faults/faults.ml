@@ -27,6 +27,7 @@ let all =
     F14_compaction_reclaim_race; F15_model_locator_reuse;
     F16_bulk_create_remove_race ]
 
+(* Extra seeded defects for experience-report experiments (#17, #18). *)
 let extras = [ F17_cache_miss_path; F18_quorum_ack_volatile ]
 
 let number = function
@@ -138,6 +139,10 @@ let with_fault f thunk =
   let prev = enabled f in
   enable f;
   Fun.protect ~finally:(fun () -> if not prev then disable f) thunk
+
+let only f thunk =
+  disable_all ();
+  with_fault f thunk
 
 let fired f = Atomic.get counters.(number f)
 let record_fired f = Atomic.incr counters.(number f)

@@ -12,11 +12,11 @@
     sites a one-line [if Faults.enabled F14 then ...].
 
     {b Domain-safety} (for parallel sweeps, [lib/par]): toggles
-    ({!enable}/{!disable}/{!disable_all}/{!with_fault}) must only be flipped
-    {e between} sweeps — parallel tasks may read [enabled] but never change
-    it; the sweep's spawn/join publishes the settings to every worker.
-    Firing counters ({!fired}/{!record_fired}) are atomics and may be bumped
-    from concurrent tasks; their totals are exact. *)
+    ({!enable}/{!disable}/{!disable_all}/{!with_fault}/{!only}) must only
+    be flipped {e between} sweeps — parallel tasks may read [enabled] but
+    never change it; the sweep's spawn/join publishes the settings to
+    every worker. Firing counters ({!fired}/{!record_fired}) are atomics
+    and may be bumped from concurrent tasks; their totals are exact. *)
 
 type t =
   (* Functional correctness (paper Fig. 5, #1-#5) *)
@@ -49,11 +49,8 @@ type t =
           the chaos campaign must catch (its teeth check). Not part of the
           Figure 5 catalog. *)
 
-(** The Figure 5 catalog (#1..#16), excluding extras. *)
+(** The Figure 5 catalog (#1..#16), without the extras #17 and #18. *)
 val all : t list
-
-(** Extra seeded defects for experience-report experiments (#17, #18). *)
-val extras : t list
 
 (** Paper catalog number (1..16). *)
 val number : t -> int
@@ -84,6 +81,11 @@ val disable_all : unit -> unit
 (** [with_fault f thunk] enables [f] for the duration of [thunk], restoring
     the previous setting afterwards (also on exception). *)
 val with_fault : t -> (unit -> 'a) -> 'a
+
+(** [only f thunk] runs [thunk] with [f] the one fault enabled: it disables
+    every fault, then runs [with_fault f thunk], so [f] is off again
+    afterwards. Every seeded-fault hunt toggles through it. *)
+val only : t -> (unit -> 'a) -> 'a
 
 (** [fired f] counts how many times the injection site executed its buggy
     branch since the last {!reset_counters}; used by tests to confirm a

@@ -850,6 +850,10 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* Repo-relative path and contents of every [.ml] file under [lib/], [bin/]
+   and [bench/] (skipping [_build]-style directories), sorted by path.
+   [test/] is out of scope on purpose: tests drive raw primitives and
+   clocks. *)
 let collect_files ~root =
   let acc = ref [] in
   let rec go rel abs =

@@ -108,12 +108,6 @@ val parse_dynamic_graph : string -> (string * string) list
 
 (** {2 Tree driving} *)
 
-(** [collect_files ~root] — repo-relative path and contents of every [.ml]
-    file under [lib/], [bin/] and [bench/] (skipping [_build]-style
-    directories), sorted by path. [test/] is intentionally out of scope:
-    tests drive raw primitives and clocks on purpose. *)
-val collect_files : root:string -> (string * string) list
-
 (** [run ~root ?waivers_path ?dynamic_graph_path ()] — scan the tree and
     return the post-waiver findings plus the report and stale waivers.
     [waivers_path] defaults to [<root>/lint/waivers] when that file

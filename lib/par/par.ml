@@ -37,8 +37,8 @@ let rec take d =
   else if Atomic.compare_and_set d r (pack (lo + 1) hi) then Some lo
   else take d
 
-(* [abandon d] empties [d] (search mode: the whole remaining range is
-   above the best hit, so nobody needs it). *)
+(* [abandon d] empties [d] ([first]: the whole remaining range is above
+   the lowest hit, so nobody needs it). *)
 let rec abandon d =
   let r = Atomic.get d in
   let lo = lo_of r and hi = hi_of r in
@@ -47,7 +47,7 @@ let rec abandon d =
 (* [steal deques ~me ~useful] moves the upper half of the largest
    remaining range (of at least 2 indices, so the victim keeps work) into
    [deques.(me)]. [useful lo] filters victims whose work is already known
-   to be dead (search mode). Returns false when no such victim exists —
+   to be dead ([first]). Returns false when no such victim exists —
    in-flight single indices cannot be stolen, but their owners never exit
    holding unprocessed work, so nothing is stranded. *)
 let rec steal deques ~me ~useful =
@@ -149,56 +149,41 @@ let sweep ?(domains = 1) ~start ~count ~init ~step ~merge () =
     | s :: rest -> List.fold_left (fun acc s -> merge acc s.acc) s.acc rest
   end
 
-(* {2 search} *)
+(* {2 first} *)
 
-let rec atomic_min cell i =
-  let cur = Atomic.get cell in
-  if i < cur && not (Atomic.compare_and_set cell cur i) then atomic_min cell i
-
-let search ?(domains = 1) ~start ~count ~stop task =
+let first ?(domains = 1) ~start ~count task =
   check_bounds ~start ~count;
-  if count = 0 then []
-  else if domains <= 1 then begin
-    let rec go i acc =
-      if i >= start + count then List.rev acc
-      else begin
-        let r = task i in
-        if stop r then List.rev (r :: acc) else go (i + 1) (r :: acc)
-      end
+  if domains <= 1 || count <= 1 then begin
+    let rec go i =
+      if i >= start + count then None
+      else match task i with Some x -> Some (i, x) | None -> go (i + 1)
     in
-    go start []
+    go start
   end
   else begin
     let workers = min domains count in
     let deques = initial_deques ~workers ~start ~count in
-    (* Lowest index found to satisfy [stop] so far. Only decreases, so an
-       index skipped because it exceeded [best] can never re-enter the
-       accepted prefix; and every index at or below the final [best] is
-       taken by some worker while [best] was still >= it, hence computed. *)
-    let best = Atomic.make max_int in
-    let results = Array.make count None in
+    (* The lowest hit found so far. Its index only decreases, so an index
+       skipped because it lay above the hit can never be the answer; and
+       every index below the final hit was taken while the hit was still
+       above it, hence run. *)
+    let hit = Atomic.make None in
+    let bound () = match Atomic.get hit with Some (j, _) -> j | None -> max_int in
+    let rec offer i x =
+      match Atomic.get hit with
+      | Some (j, _) when j <= i -> ()
+      | cur -> if not (Atomic.compare_and_set hit cur (Some (i, x))) then offer i x
+    in
     run_pool ~workers (fun me ->
         let my = deques.(me) in
-        let useful lo = lo <= Atomic.get best in
+        let useful lo = lo < bound () in
         let rec loop () =
           match take my with
           | Some i ->
-            if i <= Atomic.get best then begin
-              let r = task i in
-              results.(i - start) <- Some r;
-              if stop r then atomic_min best i
-            end
-            else abandon my;
+            if i < bound () then Option.iter (offer i) (task i) else abandon my;
             loop ()
           | None -> if steal deques ~me ~useful then loop ()
         in
         loop ());
-    let found = Atomic.get best in
-    let last = if found = max_int then start + count - 1 else found in
-    List.init
-      (last - start + 1)
-      (fun k ->
-        match results.(k) with
-        | Some r -> r
-        | None -> assert false (* prefix completeness, see [best] above *))
+    Atomic.get hit
   end

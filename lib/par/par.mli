@@ -72,27 +72,22 @@ val sweep :
   unit ->
   'acc
 
-(** [search ?domains ~start ~count ~stop task] runs [task] on indices of
-    [[start, start + count)] and returns {e the same prefix of results a
-    sequential early-exit loop computes}: results for [start, start+1, ...]
-    up to and including the {b lowest} index whose result satisfies [stop]
-    (all [count] results when none does), in index order.
+(** [first ?domains ~start ~count task] runs [task] on indices of
+    [[start, start + count)] and returns the {b lowest} index whose task
+    gives [Some x], with [x] — what the sequential early-exit loop returns —
+    or [None] when no task does.
 
     Workers race ahead speculatively, so indices {e above} the lowest hit
-    may get evaluated before the hit is known; their results are discarded
-    and the winner is always the lowest-index hit, never the first found in
-    wall-clock time. Side effects of such speculative evaluations are the
-    one visible difference from a sequential run — which is why the global
+    may run before the hit is known; their results are dropped and the
+    winner is always the lowest-index hit, never the first found in
+    wall-clock time. A worker whose whole range lies above the best hit so
+    far abandons it. Side effects of such speculative runs are the one
+    visible difference from a sequential run — which is why the global
     counters tasks touch are atomic totals but detection {e reports} are
-    built only from the returned prefix, and why minimization replays
-    sequentially afterwards. Tasks for indices below the current best hit
-    are never skipped; the prefix is complete.
+    built only from the hit, and why minimization replays sequentially
+    afterwards. Only the hit is held, never the results of the other
+    tasks. Exceptions raised by a task are re-raised in the caller after
+    all workers join.
 
     [domains] defaults to 1, which is exactly the sequential loop. *)
-val search :
-  ?domains:int ->
-  start:int ->
-  count:int ->
-  stop:('a -> bool) ->
-  (int -> 'a) ->
-  'a list
+val first : ?domains:int -> start:int -> count:int -> (int -> 'a option) -> (int * 'a) option

@@ -25,10 +25,6 @@ type race = {
   access : string;
 }
 
-let pp_race fmt r =
-  let a, b = r.tids in
-  Format.fprintf fmt "%s race on cell #%d between threads %d and %d" r.access r.loc a b
-
 (* {2 Vector clocks} *)
 
 module Vc = struct
@@ -76,8 +72,6 @@ module Lock_order = struct
   let add_edge t ~held ~acquired =
     if held <> acquired && not (Hashtbl.mem t.edges (held, acquired)) then
       Hashtbl.replace t.edges (held, acquired) ()
-
-  let edge_count t = Hashtbl.length t.edges
 
   let edges t = List.sort compare (List.of_seq (Seq.map fst (Hashtbl.to_seq t.edges)))
 
@@ -157,7 +151,6 @@ module Monitor = struct
     held : (int, Int_set.t ref) Hashtbl.t;  (** per-thread held mutexes *)
     mutable race : race option;
     mutable accesses : int;
-    mutable syncs : int;
   }
 
   let create ?lock_order ~races () =
@@ -172,12 +165,10 @@ module Monitor = struct
       held = Hashtbl.create 8;
       race = None;
       accesses = 0;
-      syncs = 0;
     }
 
   let race t = t.race
   let access_count t = t.accesses
-  let sync_count t = t.syncs
 
   let clock_of t tid =
     match Hashtbl.find_opt t.threads tid with
@@ -259,12 +250,11 @@ module Monitor = struct
 
   let on_event t ~tid ev =
     (* Coverage evidence for "zero findings" gates: how many plain
-       accesses the detector actually checked, and how many sync events it
-       consumed, whether or not races are tracked. *)
+       accesses the detector actually checked, whether or not races are
+       tracked. *)
     (match ev with
     | Read _ | Write _ -> t.accesses <- t.accesses + 1
-    | Rmw _ | Lock_acquire _ | Lock_release _ | Sem_acquire _ | Sem_release _ | Barrier ->
-      t.syncs <- t.syncs + 1);
+    | Rmw _ | Lock_acquire _ | Lock_release _ | Sem_acquire _ | Sem_release _ | Barrier -> ());
     (match (t.graph, ev) with
     | Some g, Lock_acquire l ->
       Int_set.iter (fun held -> Lock_order.add_edge g ~held ~acquired:l) !(held_of t tid)
@@ -407,11 +397,6 @@ module Page_shadow = struct
 
   let reports t = List.rev t.reports
   let report_count t = List.length t.reports + t.dropped
-  let clear_reports t =
-    t.reports <- [];
-    t.dropped <- 0
-
-  let state_of t ~extent ~page = t.extents.(extent).st.(page)
 
   let record t kind ~extent ~page =
     (match t.m with

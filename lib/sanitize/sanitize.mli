@@ -54,8 +54,6 @@ type race = {
   access : string;  (** ["write/write"], ["read/write"] or ["write/read"] *)
 }
 
-val pp_race : Format.formatter -> race -> unit
-
 (** Growable vector clocks (exposed for tests). *)
 module Vc : sig
   type t
@@ -67,7 +65,6 @@ module Vc : sig
   val join : t -> t -> unit
   val copy : t -> t
   val clear : t -> unit
-  val find_gt : t -> t -> int option
 end
 
 (** The lock-acquisition graph, accumulated across every schedule of an
@@ -77,7 +74,6 @@ module Lock_order : sig
 
   val create : unit -> t
   val add_edge : t -> held:int -> acquired:int -> unit
-  val edge_count : t -> int
 
   (** All accumulated [(held, acquired)] edges, sorted. Feeds the
       [lib/lint] static/dynamic lock-graph cross-check via
@@ -122,9 +118,6 @@ module Monitor : sig
       by this monitor, with races on or off. A clean result over zero accesses
       proves nothing — report the count next to the verdict. *)
   val access_count : t -> int
-
-  (** Synchronization events consumed (RMW, lock, semaphore, barrier). *)
-  val sync_count : t -> int
 end
 
 (** ASAN-style shadow state over the user-space disk: one lifecycle state
@@ -135,8 +128,6 @@ end
     layer below rejects it. Attach one shadow per disk view (durable
     {!Disk} or a volatile image) — never both, or writes double-count. *)
 module Page_shadow : sig
-  type page_state = Fresh | Written | Reset_quarantine
-
   type report_kind =
     | Stale_epoch_read of { expected : int; found : int }
         (** the page was recycled (reset + rewritten) after the reader's
@@ -190,6 +181,4 @@ module Page_shadow : sig
   val reports : t -> report list
 
   val report_count : t -> int
-  val clear_reports : t -> unit
-  val state_of : t -> extent:int -> page:int -> page_state
 end

@@ -124,6 +124,8 @@ let outcome_to_json = function
             items))
   | Unavailable -> "\"outcome\":\"unavailable\""
 
+(* One JSON object, no trailing newline — the JSONL schema documented in
+   README "Wire-trace validation". *)
 let entry_to_json e =
   let body =
     match e.ev with

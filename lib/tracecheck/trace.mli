@@ -67,13 +67,8 @@ type event =
 
 type entry = { ts : int; src : string; ev : event }
 
-val marker_name : marker -> string
 val pp_op : Format.formatter -> op -> unit
 val pp_entry : Format.formatter -> entry -> unit
-
-(** One JSON object, no trailing newline — the JSONL schema documented in
-    README "Wire-trace validation". *)
-val entry_to_json : entry -> string
 
 (** {2 The recorder} *)
 

@@ -288,9 +288,14 @@ let test_chunk_harness () =
   (* component-level detection of the reclamation faults *)
   List.iter
     (fun fault ->
-      let found, _ = Lfm.Chunk_harness.hunt fault ~max_sequences:2_000 ~seed:31 in
+      let hit =
+        Lfm.Detect.hunt fault ~seed:31 ~count:2_000 (fun s ->
+            match Lfm.Chunk_harness.run ~seed:s ~length:40 with
+            | _, Lfm.Chunk_harness.Failed _ -> Some ()
+            | _, Lfm.Chunk_harness.Passed -> None)
+      in
       Alcotest.(check bool) (Format.asprintf "%a found at component level" Faults.pp fault) true
-        found)
+        (Option.is_some hit))
     [ Faults.F1_reclaim_off_by_one; Faults.F5_reclaim_forgets_on_read_error ];
   (* determinism *)
   let a = Lfm.Chunk_harness.run ~seed:5 ~length:40 in

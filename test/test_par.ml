@@ -50,31 +50,60 @@ let test_sweep_exception_propagates () =
              ~merge:( + ) ())))
     (1 :: domain_counts)
 
-let test_search_prefix_matches_sequential () =
-  (* Several hit positions, including none and the very first index. *)
+let test_first_matches_sequential () =
+  (* Several hit positions, including none and the very first index; every
+     index at or above [hit] hits, so speculative runs above the lowest hit
+     also report hits that must be dropped. *)
   List.iter
     (fun hit ->
-      let task i = (i, i * i) in
-      let stop (i, _) = i = hit in
-      let expected = Par.search ~domains:1 ~start:10 ~count:300 ~stop task in
+      let task i = if i >= hit then Some (i * i) else None in
+      let expected = if hit < 310 then Some (hit, hit * hit) else None in
       List.iter
         (fun d ->
-          Alcotest.(check (list (pair int int)))
+          Alcotest.(check (option (pair int int)))
             (Printf.sprintf "hit %d, %d domains" hit d)
             expected
-            (Par.search ~domains:d ~start:10 ~count:300 ~stop task))
-        domain_counts)
-    [ 10; 11; 137; 309; 100_000 (* never *) ]
+            (Par.first ~domains:d ~start:10 ~count:300 task))
+        (1 :: domain_counts))
+    [ 10; 11; 137; 309; 100_000 (* never *) ];
+  Alcotest.(check (option (pair int int))) "count 0" None
+    (Par.first ~domains:4 ~start:0 ~count:0 (fun i -> Some i))
 
-let test_search_lowest_hit_wins () =
-  (* Two hits: the returned prefix must end at the lower one even though a
-     worker starting in the upper block reaches the higher hit first. *)
-  let stop i = i = 40 || i = 160 in
+let test_first_lowest_hit_wins () =
+  (* Two hits, 90 and 110. At 2 domains the upper worker starts at 100 and
+     reaches 110 within a few tasks; the task at 90 then waits until 110
+     has reported (or a second has passed), so the upper hit is always the
+     first found in wall-clock time. The answer must still be 90. *)
   List.iter
     (fun d ->
-      let prefix = Par.search ~domains:d ~start:0 ~count:200 ~stop (fun i -> i) in
-      Alcotest.(check int) "stops at the lowest hit" 41 (List.length prefix);
-      Alcotest.(check (list int)) "in order" (List.init 41 Fun.id) prefix)
+      let upper_done = Atomic.make false in
+      let task i =
+        if i = 110 then begin
+          Atomic.set upper_done true;
+          Some i
+        end
+        else if i = 90 then begin
+          let t0 = Unix.gettimeofday () in
+          while d > 1 && (not (Atomic.get upper_done)) && Unix.gettimeofday () -. t0 < 1.0 do
+            Domain.cpu_relax ()
+          done;
+          Some i
+        end
+        else None
+      in
+      Alcotest.(check (option (pair int int)))
+        (Printf.sprintf "lowest hit, %d domains" d)
+        (Some (90, 90))
+        (Par.first ~domains:d ~start:0 ~count:200 task))
+    (1 :: domain_counts)
+
+let test_first_exception_propagates () =
+  List.iter
+    (fun domains ->
+      Alcotest.check_raises "task exception re-raised" (Failure "boom") (fun () ->
+        ignore
+          (Par.first ~domains ~start:0 ~count:100 (fun i ->
+               if i = 57 then failwith "boom" else None))))
     (1 :: domain_counts)
 
 (* {2 Harness.run_par} *)
@@ -83,7 +112,6 @@ let config = Lfm.Harness.default_config
 let bias = Lfm.Gen.default_bias
 
 let check_sweep_equal msg (a : Lfm.Harness.sweep) (b : Lfm.Harness.sweep) =
-  Alcotest.(check int) (msg ^ ": checked") a.Lfm.Harness.checked b.Lfm.Harness.checked;
   Alcotest.(check int) (msg ^ ": total_ops") a.Lfm.Harness.total_ops b.Lfm.Harness.total_ops;
   Alcotest.(check int) (msg ^ ": failures") a.Lfm.Harness.failures b.Lfm.Harness.failures;
   match a.Lfm.Harness.first_failure, b.Lfm.Harness.first_failure with
@@ -107,7 +135,7 @@ let test_run_par_clean_sweep () =
       ~count:60
   in
   let seq = run 1 in
-  Alcotest.(check int) "all seeds checked" 60 seq.Lfm.Harness.checked;
+  Alcotest.(check int) "every seed swept" (60 * 30) seq.Lfm.Harness.total_ops;
   Alcotest.(check int) "clean" 0 seq.Lfm.Harness.failures;
   List.iter
     (fun d -> check_sweep_equal (Printf.sprintf "%d domains" d) seq (run d))
@@ -118,39 +146,46 @@ let test_run_par_finds_same_counterexample () =
      and the minimized counterexample derived from it must be identical —
      for every domain count. Seed/budget as in test_experiments, where #4
      is known to surface. *)
-  Faults.disable_all ();
-  Faults.enable Faults.F4_disk_return_loses_shards;
-  Fun.protect
-    ~finally:(fun () -> Faults.disable Faults.F4_disk_return_loses_shards)
-    (fun () ->
-      let run domains =
-        Lfm.Harness.run_par ~domains ~stop_on_failure:true config ~profile:Lfm.Gen.Crash_free
-          ~bias ~length:60 ~seed:5 ~count:300
-      in
-      let seq = run 1 in
-      Alcotest.(check bool) "found" true (seq.Lfm.Harness.first_failure <> None);
-      let minimized sw =
-        match sw.Lfm.Harness.first_failure with
-        | None -> []
-        | Some (_, ops, _) ->
+  let run domains =
+    Lfm.Detect.hunt ~domains Faults.F4_disk_return_loses_shards ~seed:5 ~count:300 (fun s ->
+        match
+          Lfm.Harness.run_seed config ~profile:Lfm.Gen.Crash_free ~bias ~length:60 ~seed:s
+        with
+        | ops, Lfm.Harness.Failed f -> Some (s, ops, f)
+        | _, Lfm.Harness.Passed -> None)
+  in
+  let render = function
+    | None -> "none"
+    | Some (seeds, (s, ops, f)) ->
+      Format.asprintf "%d seeds, seed %d: %s; %a" seeds s
+        (String.concat ";" (List.map (Format.asprintf "%a" Lfm.Op.pp) ops))
+        Lfm.Harness.pp_failure f
+  in
+  let minimized = function
+    | None -> []
+    | Some (_, (_, ops, _)) ->
+      Faults.with_fault Faults.F4_disk_return_loses_shards (fun () ->
           let still_fails ops =
             match Lfm.Harness.run config ops with
             | Lfm.Harness.Failed _ -> true
             | Lfm.Harness.Passed -> false
           in
-          fst (Lfm.Minimize.minimize ~still_fails ops)
-      in
-      let seq_min = minimized seq in
-      Alcotest.(check bool) "minimized nonempty" true (seq_min <> []);
-      List.iter
-        (fun d ->
-          let par = run d in
-          check_sweep_equal (Printf.sprintf "%d domains" d) seq par;
-          Alcotest.(check (list string))
-            (Printf.sprintf "minimized identical, %d domains" d)
-            (List.map (Format.asprintf "%a" Lfm.Op.pp) seq_min)
-            (List.map (Format.asprintf "%a" Lfm.Op.pp) (minimized par)))
-        domain_counts)
+          List.map (Format.asprintf "%a" Lfm.Op.pp) (fst (Lfm.Minimize.minimize ~still_fails ops)))
+  in
+  let seq = run 1 in
+  Alcotest.(check bool) "found" true (seq <> None);
+  Alcotest.(check bool) "fault off afterwards" false
+    (Faults.enabled Faults.F4_disk_return_loses_shards);
+  let seq_min = minimized seq in
+  Alcotest.(check bool) "minimized nonempty" true (seq_min <> []);
+  List.iter
+    (fun d ->
+      let par = run d in
+      Alcotest.(check string) (Printf.sprintf "same hit, %d domains" d) (render seq) (render par);
+      Alcotest.(check (list string))
+        (Printf.sprintf "minimized identical, %d domains" d)
+        seq_min (minimized par))
+    domain_counts
 
 let render_obs obs = Format.asprintf "%a" Obs.pp_snapshot obs
 
@@ -174,15 +209,6 @@ let test_run_par_obs_merge () =
         (Printf.sprintf "merged Obs snapshot identical, %d domains" d)
         seq_obs par_obs)
     domain_counts
-
-let test_run_par_obs_with_stop_rejected () =
-  Alcotest.(check bool) "Invalid_argument" true
-    (match
-       Lfm.Harness.run_par ~obs:(Obs.create ()) ~stop_on_failure:true config
-         ~profile:Lfm.Gen.Full ~bias ~length:10 ~seed:0 ~count:5
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
 
 (* {2 Detect and Chaos} *)
 
@@ -241,15 +267,15 @@ let () =
           Alcotest.test_case "sweep = sequential fold" `Quick test_sweep_matches_sequential;
           Alcotest.test_case "sweep bounds" `Quick test_sweep_empty_and_bounds;
           Alcotest.test_case "sweep exception" `Quick test_sweep_exception_propagates;
-          Alcotest.test_case "search prefix" `Quick test_search_prefix_matches_sequential;
-          Alcotest.test_case "search lowest hit" `Quick test_search_lowest_hit_wins;
+          Alcotest.test_case "search prefix" `Quick test_first_matches_sequential;
+          Alcotest.test_case "search lowest hit" `Quick test_first_lowest_hit_wins;
+          Alcotest.test_case "search exception" `Quick test_first_exception_propagates;
         ] );
       ( "harness",
         [
           Alcotest.test_case "clean sweep" `Quick test_run_par_clean_sweep;
           Alcotest.test_case "same counterexample" `Quick test_run_par_finds_same_counterexample;
           Alcotest.test_case "obs merge" `Quick test_run_par_obs_merge;
-          Alcotest.test_case "obs+stop rejected" `Quick test_run_par_obs_with_stop_rejected;
         ] );
       ( "checkers",
         [
