@@ -252,75 +252,64 @@ let maint_gate ~gate ~n ~shared_ops ~seed =
   Format.printf "  %a@." Experiments.Shared_lin.pp_report r;
   gate "maintenance-racing audit" (Experiments.Shared_lin.ok r)
 
-let shared_run ~domains ~shared_ops ~seed ~lint_graph =
-  Faults.disable_all ();
-  let n = if domains > 1 then domains else 4 in
+(* The gates of a --shared or --maint run: [body gate] runs the checks,
+   calling [gate name ok] on each, and a failing gate prints a FAILED
+   line. Exit status 0 when every gate passed. *)
+let gated label body =
   let failures = ref 0 in
-  let gate name ok =
-    if not ok then begin
-      incr failures;
-      Printf.printf "  %s: FAILED\n" name
-    end
-  in
-  Printf.printf "shared: rwlock protocol model (Smc; two-thread harnesses exhaustive)\n";
-  let model_reports = Conc.Rwlock.Check.model () in
-  List.iter (fun r -> Format.printf "  %a@." Conc.Rwlock.Check.pp_model_report r) model_reports;
-  gate "rwlock model" (Conc.Rwlock.Check.model_ok model_reports);
-  Printf.printf "shared: sharded hot-path model (FastTrack races + lock order)\n";
-  let shared_reports = Conc.Conc_shared.run () in
-  List.iter (fun r -> Format.printf "  %a@." Conc.Conc_shared.pp_report r) shared_reports;
-  gate "hot-path model" (Conc.Conc_shared.ok shared_reports);
-  (match lint_graph with
-  | Some path -> export_lint_graph path shared_reports
-  | None -> ());
-  Printf.printf "shared: real rwlock on %d racing domains (trace audit + linearizability)\n" n;
-  let impl_report = Conc.Rwlock.Check.impl ~domains:n ~seed () in
-  Format.printf "  %a@." Conc.Rwlock.Check.pp_impl_report impl_report;
-  gate "rwlock impl" (Conc.Rwlock.Check.impl_ok impl_report);
-  Printf.printf "shared: %d domains x %d ops against one shared store (audited)\n" n shared_ops;
-  let lin_report = Experiments.Shared_lin.run ~domains:n ~ops_per_domain:shared_ops ~seed () in
-  Format.printf "  %a@." Experiments.Shared_lin.pp_report lin_report;
-  gate "store linearizability" (Experiments.Shared_lin.ok lin_report);
-  maint_gate ~gate ~n ~shared_ops ~seed;
+  body (fun name ok ->
+      if not ok then begin
+        incr failures;
+        Printf.printf "  %s: FAILED\n" name
+      end);
   if !failures = 0 then begin
-    Printf.printf "shared-state conformance clean\n";
+    Printf.printf "%s clean\n" label;
     0
   end
   else begin
-    Printf.printf "shared-state conformance: %d gate(s) failed\n" !failures;
+    Printf.printf "%s: %d gate(s) failed\n" label !failures;
     1
   end
 
+(* The hot-path model gate of both --shared and --maint: the Conc_shared
+   harnesses (maintenance ones included) under FastTrack and lock-order
+   analysis, with the dynamic lock-graph export when asked. *)
+let hot_path_model ~gate ~lint_graph =
+  let reports = Conc.Conc_shared.run () in
+  List.iter (fun r -> Format.printf "  %a@." Conc.Conc_shared.pp_report r) reports;
+  gate "hot-path model" (Conc.Conc_shared.ok reports);
+  Option.iter (fun path -> export_lint_graph path reports) lint_graph
+
+let shared_run ~domains ~shared_ops ~seed ~lint_graph =
+  Faults.disable_all ();
+  let n = if domains > 1 then domains else 4 in
+  gated "shared-state conformance" (fun gate ->
+      Printf.printf "shared: rwlock protocol model (Smc; two-thread harnesses exhaustive)\n";
+      let model_reports = Conc.Rwlock.Check.model () in
+      List.iter (fun r -> Format.printf "  %a@." Conc.Rwlock.Check.pp_model_report r) model_reports;
+      gate "rwlock model" (Conc.Rwlock.Check.model_ok model_reports);
+      Printf.printf "shared: sharded hot-path model (FastTrack races + lock order)\n";
+      hot_path_model ~gate ~lint_graph;
+      Printf.printf "shared: real rwlock on %d racing domains (trace audit + linearizability)\n" n;
+      let impl_report = Conc.Rwlock.Check.impl ~domains:n ~seed () in
+      Format.printf "  %a@." Conc.Rwlock.Check.pp_impl_report impl_report;
+      gate "rwlock impl" (Conc.Rwlock.Check.impl_ok impl_report);
+      Printf.printf "shared: %d domains x %d ops against one shared store (audited)\n" n shared_ops;
+      let lin_report = Experiments.Shared_lin.run ~domains:n ~ops_per_domain:shared_ops ~seed () in
+      Format.printf "  %a@." Experiments.Shared_lin.pp_report lin_report;
+      gate "store linearizability" (Experiments.Shared_lin.ok lin_report);
+      maint_gate ~gate ~n ~shared_ops ~seed)
+
 (* [--maint]: the maintenance-plane subset of --shared, small enough for
-   a dedicated CI job: the hot-path model (maintenance harnesses
-   included, FastTrack attached, dynamic lock-graph export for the
-   lint cross-check) plus the maintenance-racing gate. *)
+   a dedicated CI job: the hot-path model plus the maintenance-racing
+   gate. *)
 let maint_run ~domains ~shared_ops ~seed ~lint_graph =
   Faults.disable_all ();
   let n = if domains > 1 then domains else 3 in
-  let failures = ref 0 in
-  let gate name ok =
-    if not ok then begin
-      incr failures;
-      Printf.printf "  %s: FAILED\n" name
-    end
-  in
-  Printf.printf "maint: hot-path model with maintenance harnesses (FastTrack + lock order)\n";
-  let shared_reports = Conc.Conc_shared.run () in
-  List.iter (fun r -> Format.printf "  %a@." Conc.Conc_shared.pp_report r) shared_reports;
-  gate "hot-path model" (Conc.Conc_shared.ok shared_reports);
-  (match lint_graph with
-  | Some path -> export_lint_graph path shared_reports
-  | None -> ());
-  maint_gate ~gate ~n ~shared_ops ~seed;
-  if !failures = 0 then begin
-    Printf.printf "maintenance-plane conformance clean\n";
-    0
-  end
-  else begin
-    Printf.printf "maintenance-plane conformance: %d gate(s) failed\n" !failures;
-    1
-  end
+  gated "maintenance-plane conformance" (fun gate ->
+      Printf.printf "maint: hot-path model with maintenance harnesses (FastTrack + lock order)\n";
+      hot_path_model ~gate ~lint_graph;
+      maint_gate ~gate ~n ~shared_ops ~seed)
 
 (* [--trace-audit]: E16 — capture wire traces from non-deterministic runs
    (chaos campaigns with faults armed, racing Store.Shared domains, the

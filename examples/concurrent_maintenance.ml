@@ -10,21 +10,17 @@ let fig4 () =
   Conc.Conc_index.put index ~key:1 ~value:10;
   Conc.Conc_index.put index ~key:2 ~value:20;
   Conc.Conc_index.compact index;
-  let done_ = Smc.Cell.make 0 in
-  Smc.spawn (fun () ->
-      Conc.Conc_index.reclaim index ~extent:0;
-      ignore (Smc.Cell.update done_ (fun d -> d + 1)));
-  Smc.spawn (fun () ->
-      Conc.Conc_index.compact index;
-      ignore (Smc.Cell.update done_ (fun d -> d + 1)));
-  Smc.spawn (fun () ->
-      Conc.Conc_index.put index ~key:1 ~value:11;
-      (match Conc.Conc_index.get index ~key:1 with
-      | Some 11 -> ()
-      | Some v -> failwith (Printf.sprintf "read-after-write broken: got %d" v)
-      | None -> failwith "read-after-write broken: entry lost");
-      ignore (Smc.Cell.update done_ (fun d -> d + 1)));
-  Smc.wait_until (fun () -> Smc.Cell.peek done_ = 3)
+  Smc.join
+    [
+      (fun () -> Conc.Conc_index.reclaim index ~extent:0);
+      (fun () -> Conc.Conc_index.compact index);
+      (fun () ->
+        Conc.Conc_index.put index ~key:1 ~value:11;
+        match Conc.Conc_index.get index ~key:1 with
+        | Some 11 -> ()
+        | Some v -> failwith (Printf.sprintf "read-after-write broken: got %d" v)
+        | None -> failwith "read-after-write broken: entry lost");
+    ]
 
 let show label outcome = Format.printf "%-34s %a@." label Smc.pp_outcome outcome
 

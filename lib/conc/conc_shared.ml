@@ -188,96 +188,74 @@ type report = { name : string; property : string; outcome : Smc.outcome }
 let pp_report fmt r =
   Format.fprintf fmt "%-16s %s: %a" r.name r.property Smc.pp_outcome r.outcome
 
-let explore budget body = Smc.explore ~sanitize:Sanitize.default (Smc.Dfs { max_schedules = budget }) body
+(* A harness: its body explored by DFS under [Sanitize.default]. *)
+let harness name property body budget =
+  {
+    name;
+    property;
+    outcome = Smc.explore ~sanitize:Sanitize.default (Smc.Dfs { max_schedules = budget }) body;
+  }
 
 (* Two writers on different shards plus a reader: shard isolation means
    the reader sees exactly its own shard's history. *)
-let h_cross_shard budget =
-  let outcome =
-    explore budget (fun () ->
-        let t = M.create ~shards:2 ~base:[ ("a", "old") ] () in
-        Smc.spawn (fun () -> M.put t 0 "a" "new");
-        Smc.spawn (fun () ->
-            M.put t 1 "b" "other";
-            M.delete t 1 "b");
-        Smc.spawn (fun () ->
-            (match M.get t 0 "a" with
-            | Some "old" | Some "new" -> ()
-            | v ->
-                failwith
-                  (Printf.sprintf "shard 0 read saw %s" (Option.value v ~default:"(absent)")));
-            match M.get t 1 "b" with
-            | None | Some "other" -> ()
-            | Some v -> failwith (Printf.sprintf "shard 1 read saw %s" v)))
-  in
-  {
-    name = "shared/cross";
-    property = "racing writers on distinct shards stay isolated";
-    outcome;
-  }
+let h_cross_shard =
+  harness "shared/cross" "racing writers on distinct shards stay isolated" (fun () ->
+      let t = M.create ~shards:2 ~base:[ ("a", "old") ] () in
+      Smc.spawn (fun () -> M.put t 0 "a" "new");
+      Smc.spawn (fun () ->
+          M.put t 1 "b" "other";
+          M.delete t 1 "b");
+      Smc.spawn (fun () ->
+          (match M.get t 0 "a" with
+          | Some "old" | Some "new" -> ()
+          | v ->
+              failwith
+                (Printf.sprintf "shard 0 read saw %s" (Option.value v ~default:"(absent)")));
+          match M.get t 1 "b" with
+          | None | Some "other" -> ()
+          | Some v -> failwith (Printf.sprintf "shard 1 read saw %s" v)))
 
 (* Writer, flusher and reader on ONE shard: the get must return the old
    base value or the staged value, never a torn intermediate, and the
    staged probe + base read must be atomic against the flush. *)
-let h_same_shard budget =
-  let outcome =
-    explore budget (fun () ->
-        let t = M.create ~shards:1 ~base:[ ("k", "v1") ] () in
-        Smc.spawn (fun () -> M.put t 0 "k" "v2");
-        Smc.spawn (fun () -> M.flush_shard t 0);
-        Smc.spawn (fun () ->
-            match M.get t 0 "k" with
-            | Some "v1" | Some "v2" -> ()
-            | v ->
-                failwith
-                  (Printf.sprintf "same-shard read saw %s" (Option.value v ~default:"(absent)"))))
-  in
-  {
-    name = "shared/flush";
-    property = "get is atomic against a concurrent flush of its shard";
-    outcome;
-  }
+let h_same_shard =
+  harness "shared/flush" "get is atomic against a concurrent flush of its shard" (fun () ->
+      let t = M.create ~shards:1 ~base:[ ("k", "v1") ] () in
+      Smc.spawn (fun () -> M.put t 0 "k" "v2");
+      Smc.spawn (fun () -> M.flush_shard t 0);
+      Smc.spawn (fun () ->
+          match M.get t 0 "k" with
+          | Some "v1" | Some "v2" -> ()
+          | v ->
+              failwith
+                (Printf.sprintf "same-shard read saw %s" (Option.value v ~default:"(absent)"))))
 
 (* The full SimpleCacheSM lifecycle under contention: a miss-fill with
    the IO window open, a writer dirtying the entry, a flusher driving
    Dirty -> Writeback -> Clean/Dirty. Every transition is checked
    against Cache_sm.legal inside the harness. *)
-let h_cache_lifecycle budget =
-  let outcome =
-    explore budget (fun () ->
-        let c = C.create () in
-        Smc.spawn (fun () -> ignore (C.read c ~fetch:(fun () -> 7)));
-        Smc.spawn (fun () ->
-            C.write c 8;
-            C.flush c);
-        Smc.spawn (fun () ->
-            match C.read c ~fetch:(fun () -> 7) with
-            | 7 | 8 -> ()
-            | v -> failwith (Printf.sprintf "cache read saw %d" v)))
-  in
-  {
-    name = "shared/cache";
-    property = "cache entries only take legal SimpleCacheSM transitions";
-    outcome;
-  }
+let h_cache_lifecycle =
+  harness "shared/cache" "cache entries only take legal SimpleCacheSM transitions" (fun () ->
+      let c = C.create () in
+      Smc.spawn (fun () -> ignore (C.read c ~fetch:(fun () -> 7)));
+      Smc.spawn (fun () ->
+          C.write c 8;
+          C.flush c);
+      Smc.spawn (fun () ->
+          match C.read c ~fetch:(fun () -> 7) with
+          | 7 | 8 -> ()
+          | v -> failwith (Printf.sprintf "cache read saw %d" v)))
 
 (* A batch staging across two shards (nested write locks, ascending)
    races a flusher taking shard-then-stack: the global order
    shard 0 < shard 1 < stack must leave the lock graph acyclic. *)
-let h_batch_order budget =
-  let outcome =
-    explore budget (fun () ->
-        let t = M.create ~shards:2 () in
-        Smc.spawn (fun () -> M.put_batch_ordered t [ (0, "a", "x"); (1, "b", "y") ]);
-        Smc.spawn (fun () ->
-            M.flush_shard t 1;
-            M.flush_shard t 0))
-  in
-  {
-    name = "shared/order";
-    property = "batch staging and flush agree on the global lock order";
-    outcome;
-  }
+let h_batch_order =
+  harness "shared/order" "batch staging and flush agree on the global lock order" (fun () ->
+      let t = M.create ~shards:2 () in
+      Smc.spawn (fun () -> M.put_batch_ordered t [ (0, "a", "x"); (1, "b", "y") ]);
+      Smc.spawn (fun () ->
+          M.flush_shard t 1;
+          M.flush_shard t 0))
 
 (* Maintenance flusher vs foreground reads: with "a" -> "v2" staged on
    shard 0 before the race, a narrowed maintenance flush of shard 0 runs
@@ -285,63 +263,48 @@ let h_batch_order budget =
    flushed, through every chunk boundary) and a reader of shard 1 (must
    keep seeing its own staged value — the foreground traffic a narrowed
    flush is supposed to let through). *)
-let h_maint_flush budget =
-  let outcome =
-    explore budget (fun () ->
-        let t = M.create ~shards:2 ~base:[ ("a", "v1") ] () in
-        M.put t 0 "a" "v2";
-        M.put t 1 "b" "w";
-        Smc.spawn (fun () -> M.maint_flush_shard t 0);
-        Smc.spawn (fun () ->
-            match M.get t 0 "a" with
-            | Some "v2" -> ()
-            | v ->
-                failwith
-                  (Printf.sprintf "maint-racing read lost the ack: saw %s"
-                     (Option.value v ~default:"(absent)")));
-        Smc.spawn (fun () ->
-            match M.get t 1 "b" with
-            | Some "w" -> ()
-            | v ->
-                failwith
-                  (Printf.sprintf "other-shard read saw %s"
-                     (Option.value v ~default:"(absent)"))))
-  in
-  {
-    name = "shared/maint";
-    property = "acked values stay visible through a narrowed maintenance flush";
-    outcome;
-  }
+let h_maint_flush =
+  harness "shared/maint"
+    "acked values stay visible through a narrowed maintenance flush"
+    (fun () ->
+      let t = M.create ~shards:2 ~base:[ ("a", "v1") ] () in
+      M.put t 0 "a" "v2";
+      M.put t 1 "b" "w";
+      Smc.spawn (fun () -> M.maint_flush_shard t 0);
+      Smc.spawn (fun () ->
+          match M.get t 0 "a" with
+          | Some "v2" -> ()
+          | v ->
+              failwith
+                (Printf.sprintf "maint-racing read lost the ack: saw %s"
+                   (Option.value v ~default:"(absent)")));
+      Smc.spawn (fun () ->
+          match M.get t 1 "b" with
+          | Some "w" -> ()
+          | v ->
+              failwith
+                (Printf.sprintf "other-shard read saw %s"
+                   (Option.value v ~default:"(absent)"))))
 
 (* The maintenance domain (maint < shard < stack via the narrowed flush,
    maint < stack via compact) races a foreground flusher (shard < stack)
    and a cross-shard batch (shard 0 < shard 1): the accumulated lock
    graph over all four acquisition paths must stay acyclic. *)
-let h_maint_order budget =
-  let outcome =
-    explore budget (fun () ->
-        let t = M.create ~shards:2 ~base:[ ("c", "z") ] () in
-        Smc.spawn (fun () ->
-            M.maint_flush_shard t 1;
-            M.maint_compact t);
-        Smc.spawn (fun () -> M.put_batch_ordered t [ (0, "a", "x"); (1, "b", "y") ]);
-        Smc.spawn (fun () -> M.flush_shard t 0))
-  in
-  {
-    name = "shared/maint-order";
-    property = "maintenance and foreground agree on the order maint < shard < stack";
-    outcome;
-  }
+let h_maint_order =
+  harness "shared/maint-order"
+    "maintenance and foreground agree on the order maint < shard < stack"
+    (fun () ->
+      let t = M.create ~shards:2 ~base:[ ("c", "z") ] () in
+      Smc.spawn (fun () ->
+          M.maint_flush_shard t 1;
+          M.maint_compact t);
+      Smc.spawn (fun () -> M.put_batch_ordered t [ (0, "a", "x"); (1, "b", "y") ]);
+      Smc.spawn (fun () -> M.flush_shard t 0))
 
 let run ?(budget = 20_000) () =
-  [
-    h_cross_shard budget;
-    h_same_shard budget;
-    h_cache_lifecycle budget;
-    h_batch_order budget;
-    h_maint_flush budget;
-    h_maint_order budget;
-  ]
+  List.map
+    (fun h -> h budget)
+    [ h_cross_shard; h_same_shard; h_cache_lifecycle; h_batch_order; h_maint_flush; h_maint_order ]
 
 let ok reports =
   reports <> []

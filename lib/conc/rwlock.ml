@@ -243,16 +243,12 @@ module Check = struct
   let h_excl_writers () =
     let l = Model.create () in
     let data = Smc.Cell.make 0 in
-    let finished = Smc.Cell.make 0 in
     let writer () =
       Model.with_write l (fun () ->
           let v = Smc.Cell.get data in
-          Smc.Cell.set data (v + 1));
-      ignore (Smc.Cell.update finished (fun n -> n + 1))
+          Smc.Cell.set data (v + 1))
     in
-    Smc.spawn writer;
-    Smc.spawn writer;
-    Smc.wait_until (fun () -> Smc.Cell.peek finished = 2);
+    Smc.join [ writer; writer ];
     if Smc.Cell.peek data <> 2 then failwith "lost update: writers overlapped"
 
   (* Mutual exclusion, writer/reader: the reader must never observe the
@@ -301,26 +297,16 @@ module Check = struct
      schedule; a waiter never woken surfaces as a Deadlock violation. *)
   let wakeup_body ~writers ~readers () =
     let l = Model.create () in
-    let finished = Smc.Cell.make 0 in
-    let total = writers + readers in
     let writer () =
       Model.acquire_write l;
-      Model.release_write l;
-      ignore (Smc.Cell.update finished (fun n -> n + 1))
+      Model.release_write l
     in
     let reader () =
       Model.acquire_read l;
       Smc.yield ();
-      Model.release_read l;
-      ignore (Smc.Cell.update finished (fun n -> n + 1))
+      Model.release_read l
     in
-    for _ = 1 to writers do
-      Smc.spawn writer
-    done;
-    for _ = 1 to readers do
-      Smc.spawn reader
-    done;
-    Smc.wait_until (fun () -> Smc.Cell.peek finished = total)
+    Smc.join (List.init writers (fun _ -> writer) @ List.init readers (fun _ -> reader))
 
   let model ?(budget = 1_500_000) () =
     let sanitize = Sanitize.default in

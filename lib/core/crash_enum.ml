@@ -136,7 +136,10 @@ let enumerate ~store_config ~max_states ~include_torn store model =
   let stats = ref { states = 0; truncated = false; violations = 0; first_violation = None } in
   let rec product combo = function
     | [] ->
-      if !stats.states >= max_states then stats := { !stats with truncated = true }
+      (* A speculative hunt task overtaken by a lower hit stops here: its
+         verdict is dropped anyway. *)
+      if !stats.states >= max_states || Par.cancelled () then
+        stats := { !stats with truncated = true }
       else begin
         match evaluate ~store_config store model combo with
         | `Pruned -> ()  (* violates dependency closure: unreachable *)

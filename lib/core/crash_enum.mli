@@ -14,7 +14,9 @@
 
 type stats = {
   states : int;  (** crash states evaluated *)
-  truncated : bool;  (** hit the cap before exhausting the space *)
+  truncated : bool;
+      (** hit the cap before exhausting the space, or stopped because the
+          {!Par.first} task running it was overtaken ({!Par.cancelled}) *)
   violations : int;
   first_violation : string option;
 }

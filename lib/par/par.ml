@@ -151,6 +151,14 @@ let sweep ?(domains = 1) ~start ~count ~init ~step ~merge () =
 
 (* {2 first} *)
 
+(* Whether the [first] task running on this domain has been overtaken by
+   a lower hit. Each worker points it at its task's test before the task
+   and back at [never] after it, exceptions included: worker 0 is the
+   caller's own domain, whose later work must never see a stale test. *)
+let never () = false
+let overtaken = Domain.DLS.new_key (fun () -> never)
+let cancelled () = Domain.DLS.get overtaken ()
+
 let first ?(domains = 1) ~start ~count task =
   check_bounds ~start ~count;
   if domains <= 1 || count <= 1 then begin
@@ -180,7 +188,13 @@ let first ?(domains = 1) ~start ~count task =
         let rec loop () =
           match take my with
           | Some i ->
-            if i < bound () then Option.iter (offer i) (task i) else abandon my;
+            if i < bound () then begin
+              Domain.DLS.set overtaken (fun () -> bound () < i);
+              Fun.protect
+                ~finally:(fun () -> Domain.DLS.set overtaken never)
+                (fun () -> Option.iter (offer i) (task i))
+            end
+            else abandon my;
             loop ()
           | None -> if steal deques ~me ~useful then loop ()
         in

@@ -91,3 +91,10 @@ val sweep :
 
     [domains] defaults to 1, which is exactly the sequential loop. *)
 val first : ?domains:int -> start:int -> count:int -> (int -> 'a option) -> (int * 'a) option
+
+(** [cancelled ()] is true inside a {!first} task once a lower index has
+    hit, so the task's result will be dropped: a long task may poll it
+    and give up early. False everywhere else, in particular in a
+    sequential [first] (which never runs a task above its hit) and on the
+    caller's domain once [first] has returned. *)
+val cancelled : unit -> bool

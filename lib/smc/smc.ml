@@ -72,6 +72,19 @@ module Cell = struct
   let peek t = t.v
 end
 
+(* One counter cell, made here, bumped atomically as each thread's last
+   step; the caller blocks until every thread has bumped it. *)
+let join fs =
+  let finished = Cell.make 0 in
+  List.iter
+    (fun f ->
+      spawn (fun () ->
+          f ();
+          ignore (Cell.update finished (fun n -> n + 1))))
+    fs;
+  let n = List.length fs in
+  wait_until (fun () -> Cell.peek finished = n)
+
 (* Lock id -> user-facing name, for the lock-graph export. Ids rewind per
    schedule and per exploration, so [Hashtbl.replace] keeps the registry
    consistent: within one exploration a given id always names the same
@@ -371,10 +384,6 @@ let run_one ?monitor ~choose body =
        with Too_many_steps -> violation := Some (Exception "step budget exhausted (livelock?)"));
       (List.rev !trace, !step, !violation))
 
-(* Per-exploration sanitizer state: a monitor factory (fresh per schedule),
-   the lock-order graph accumulated across every schedule, and the running
-   total of plain accesses the monitors checked (coverage evidence for
-   "sanitizer clean" gates). *)
 let lock_names_for edges =
   let ids = List.sort_uniq compare (List.concat_map (fun (a, b) -> [ a; b ]) edges) in
   List.filter_map
@@ -382,6 +391,11 @@ let lock_names_for edges =
       Option.map (fun n -> (id, n)) (Hashtbl.find_opt lock_name_registry id))
     ids
 
+(* Per-exploration sanitizer state: a monitor factory (fresh per schedule)
+   and a summary of what the monitors saw across every schedule: the
+   cycles and edges of the accumulated lock-order graph, and the total of
+   plain accesses checked (coverage evidence for "sanitizer clean"
+   gates). *)
 let sanitize_setup sanitize =
   Hashtbl.reset lock_name_registry;
   match sanitize with
@@ -404,128 +418,71 @@ let sanitize_setup sanitize =
       last := Some m;
       Some m
     in
-    let cycles () = match graph with Some g -> Sanitize.Lock_order.cycles g | None -> [] in
-    let edges () = match graph with Some g -> Sanitize.Lock_order.edges g | None -> [] in
-    let accesses () =
-      !drained + match !last with Some m -> Sanitize.Monitor.access_count m | None -> 0
+    let summary () =
+      drain ();
+      match graph with
+      | Some g -> (Sanitize.Lock_order.cycles g, Sanitize.Lock_order.edges g, !drained)
+      | None -> ([], [], !drained)
     in
-    (mk, cycles, accesses, edges)
-  | _ -> ((fun () -> None), (fun () -> []), (fun () -> 0), fun () -> [])
+    (mk, summary)
+  | _ -> ((fun () -> None), fun () -> ([], [], 0))
 
-let finish ~schedules_run ~total_steps ~exhausted ~lock_cycles ~lock_edges ~sanitize_accesses
-    trace steps kind =
+(* {2 Strategies: schedule choosers on one loop}
+
+   [explore] runs schedules until the budget, the first violation or the
+   strategy's end. A strategy supplies only [chooser ()], built before
+   every schedule, and [clean trace steps], which sees every schedule
+   that ended without a violation and returns false once nothing is left
+   to explore. *)
+
+type scheduler = {
+  chooser : unit -> step:int -> runnable:int list -> int;
+  clean : (int * int) list -> int -> bool;
+}
+
+(* Forces the recorded choices, then runs the lowest thread. *)
+let prefix_chooser p ~step ~runnable:(_ : int list) =
+  if step < Array.length p then p.(step) else 0
+
+(* Iterative DFS over the schedule tree (the Loom analogue): re-execute
+   with a forced prefix, then advance the deepest branch point with
+   unexplored siblings; the tree is exhausted when none is left. *)
+let dfs () =
+  let prefix = ref [||] in
+  let rec advance arr i =
+    i >= 0
+    &&
+    let choice, arity = arr.(i) in
+    if choice + 1 < arity then begin
+      prefix := Array.init (i + 1) (fun j -> if j = i then choice + 1 else fst arr.(j));
+      true
+    end
+    else advance arr (i - 1)
+  in
   {
-    schedules_run;
-    total_steps;
-    exhausted;
-    violation = Some { kind; schedule = List.map fst trace; steps };
-    lock_cycles;
-    lock_edges;
-    lock_names = lock_names_for lock_edges;
-    sanitize_accesses;
+    chooser = (fun () -> prefix_chooser !prefix);
+    clean =
+      (fun trace _ ->
+        let arr = Array.of_list trace in
+        advance arr (Array.length arr - 1));
   }
 
-let explore_dfs ?sanitize ~max_schedules body =
-  (* Iterative DFS over the schedule tree: re-execute with a forced prefix,
-     then advance the deepest branch point with unexplored siblings. *)
-  let mk_monitor, cycles, accesses, edges = sanitize_setup sanitize in
-  let prefix = ref [||] in
-  let schedules = ref 0 in
-  let total_steps = ref 0 in
-  let result = ref None in
-  let exhausted = ref false in
-  while !result = None && not !exhausted && !schedules < max_schedules do
-    let p = !prefix in
-    let choose ~step ~runnable:(_ : int list) = if step < Array.length p then p.(step) else 0 in
-    let trace, steps, violation = run_one ?monitor:(mk_monitor ()) ~choose body in
-    incr schedules;
-    total_steps := !total_steps + steps;
-    match violation with
-    | Some kind ->
-      result :=
-        Some
-          (finish ~schedules_run:!schedules ~total_steps:!total_steps ~exhausted:false
-             ~lock_cycles:(cycles ()) ~lock_edges:(edges ()) ~sanitize_accesses:(accesses ())
-             trace steps kind)
-    | None ->
-      (* Find the deepest choice with an unexplored sibling. *)
-      let arr = Array.of_list trace in
-      let rec advance i =
-        if i < 0 then exhausted := true
-        else begin
-          let choice, arity = arr.(i) in
-          if choice + 1 < arity then begin
-            let next = Array.make (i + 1) 0 in
-            Array.blit (Array.map fst arr) 0 next 0 i;
-            next.(i) <- choice + 1;
-            prefix := next
-          end
-          else advance (i - 1)
-        end
-      in
-      advance (Array.length arr - 1)
-  done;
-  match !result with
-  | Some r -> r
-  | None ->
-    {
-      schedules_run = !schedules;
-      total_steps = !total_steps;
-      exhausted = !exhausted;
-      violation = None;
-      lock_cycles = cycles ();
-      lock_edges = edges ();
-      lock_names = lock_names_for (edges ());
-      sanitize_accesses = accesses ();
-    }
-
-let explore_random ?sanitize ~seed ~schedules body =
-  let mk_monitor, cycles, accesses, edges = sanitize_setup sanitize in
+let random_walk ~seed =
   let rng = Util.Rng.of_int seed in
-  let total_steps = ref 0 in
-  let result = ref None in
-  let run = ref 0 in
-  while !result = None && !run < schedules do
-    let choose ~step:_ ~runnable:ids = Util.Rng.int rng (List.length ids) in
-    let trace, steps, violation = run_one ?monitor:(mk_monitor ()) ~choose body in
-    incr run;
-    total_steps := !total_steps + steps;
-    match violation with
-    | Some kind ->
-      result :=
-        Some
-          (finish ~schedules_run:!run ~total_steps:!total_steps ~exhausted:false
-             ~lock_cycles:(cycles ()) ~lock_edges:(edges ()) ~sanitize_accesses:(accesses ())
-             trace steps kind)
-    | None -> ()
-  done;
-  match !result with
-  | Some r -> r
-  | None ->
-    {
-      schedules_run = !run;
-      total_steps = !total_steps;
-      exhausted = false;
-      violation = None;
-      lock_cycles = cycles ();
-      lock_edges = edges ();
-      lock_names = lock_names_for (edges ());
-      sanitize_accesses = accesses ();
-    }
+  let choose ~step:_ ~runnable = Util.Rng.int rng (List.length runnable) in
+  { chooser = (fun () -> choose); clean = (fun _ _ -> true) }
 
-(* PCT (Burckhardt et al., ASPLOS 2010): each thread gets a random
-   priority on first appearance; the highest-priority runnable thread runs;
-   at [depth - 1] randomly chosen steps the running thread's priority is
-   demoted below every other, forcing a context switch. Few random
-   decisions per run give the O(1/(n k^(d-1))) bug-finding guarantee. *)
-let explore_pct ?sanitize ~seed ~schedules ~depth body =
-  let mk_monitor, cycles, accesses, edges = sanitize_setup sanitize in
+(* PCT (Burckhardt et al., ASPLOS 2010), the Shuttle analogue: each thread
+   gets a random priority on first appearance; the highest-priority
+   runnable thread runs; at [depth - 1] randomly chosen steps the running
+   thread's priority is demoted below every other, forcing a context
+   switch. Few random decisions per run give the O(1/(n k^(d-1)))
+   bug-finding guarantee. The change points are drawn over the length of
+   the last clean run. *)
+let pct ~seed ~depth =
   let rng = Util.Rng.of_int seed in
-  let total_steps = ref 0 in
-  let result = ref None in
-  let run = ref 0 in
   let estimated_len = ref 256 in
-  while !result = None && !run < schedules do
+  let chooser () =
     let priorities : (int, float) Hashtbl.t = Hashtbl.create 8 in
     let lowest = ref 0.0 in
     let change_points : (int, unit) Hashtbl.t = Hashtbl.create 4 in
@@ -540,7 +497,7 @@ let explore_pct ?sanitize ~seed ~schedules ~depth body =
         Hashtbl.replace priorities id p;
         p
     in
-    let choose ~step ~runnable:ids =
+    fun ~step ~runnable:ids ->
       let best_pos = ref 0 and best_p = ref neg_infinity in
       List.iteri
         (fun pos id ->
@@ -556,43 +513,51 @@ let explore_pct ?sanitize ~seed ~schedules ~depth body =
         Hashtbl.replace priorities (List.nth ids !best_pos) !lowest
       end;
       !best_pos
-    in
-    let trace, steps, violation = run_one ?monitor:(mk_monitor ()) ~choose body in
-    incr run;
-    total_steps := !total_steps + steps;
-    estimated_len := max 16 steps;
-    match violation with
-    | Some kind ->
-      result :=
-        Some
-          (finish ~schedules_run:!run ~total_steps:!total_steps ~exhausted:false
-             ~lock_cycles:(cycles ()) ~lock_edges:(edges ()) ~sanitize_accesses:(accesses ())
-             trace steps kind)
-    | None -> ()
-  done;
-  match !result with
-  | Some r -> r
-  | None ->
-    {
-      schedules_run = !run;
-      total_steps = !total_steps;
-      exhausted = false;
-      violation = None;
-      lock_cycles = cycles ();
-      lock_edges = edges ();
-      lock_names = lock_names_for (edges ());
-      sanitize_accesses = accesses ();
-    }
+  in
+  {
+    chooser;
+    clean =
+      (fun _ steps ->
+        estimated_len := max 16 steps;
+        true);
+  }
 
 let explore ?sanitize strategy body =
-  match strategy with
-  | Dfs { max_schedules } -> explore_dfs ?sanitize ~max_schedules body
-  | Random_walk { seed; schedules } -> explore_random ?sanitize ~seed ~schedules body
-  | Pct { seed; schedules; depth } -> explore_pct ?sanitize ~seed ~schedules ~depth body
+  let mk_monitor, summary = sanitize_setup sanitize in
+  let budget, scheduler =
+    match strategy with
+    | Dfs { max_schedules } -> (max_schedules, dfs ())
+    | Random_walk { seed; schedules } -> (schedules, random_walk ~seed)
+    | Pct { seed; schedules; depth } -> (schedules, pct ~seed ~depth)
+  in
+  (* Returns (schedules run, total steps, exhausted, violation). *)
+  let rec loop run total =
+    if run >= budget then (run, total, false, None)
+    else begin
+      let choose = scheduler.chooser () in
+      let trace, steps, violation = run_one ?monitor:(mk_monitor ()) ~choose body in
+      let run = run + 1 and total = total + steps in
+      match violation with
+      | Some kind -> (run, total, false, Some { kind; schedule = List.map fst trace; steps })
+      | None when scheduler.clean trace steps -> loop run total
+      | None -> (run, total, true, None)
+    end
+  in
+  let schedules_run, total_steps, exhausted, violation = loop 0 0 in
+  let lock_cycles, lock_edges, sanitize_accesses = summary () in
+  {
+    schedules_run;
+    total_steps;
+    exhausted;
+    violation;
+    lock_cycles;
+    lock_edges;
+    lock_names = lock_names_for lock_edges;
+    sanitize_accesses;
+  }
 
 let replay ?sanitize body schedule =
-  let mk_monitor, _cycles, _accesses, _edges = sanitize_setup sanitize in
-  let p = Array.of_list schedule in
-  let choose ~step ~runnable:(_ : int list) = if step < Array.length p then p.(step) else 0 in
+  let mk_monitor, _ = sanitize_setup sanitize in
+  let choose = prefix_chooser (Array.of_list schedule) in
   let _, steps, violation = run_one ?monitor:(mk_monitor ()) ~choose body in
   Option.map (fun kind -> { kind; schedule; steps }) violation

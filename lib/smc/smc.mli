@@ -10,7 +10,8 @@
       {!Mutex} and {!Semaphore} instead of real threads and atomics; every
       primitive access is a scheduling point;
     - the scheduler repeatedly executes the test, one interleaving per
-      {e schedule}: exhaustive DFS over the schedule tree ({!Dfs}, the
+      {e schedule}, on one exploration loop. A {!strategy} only chooses
+      the schedules: exhaustive DFS over the schedule tree ({!Dfs}, the
       Loom analogue), uniform random ({!Random_walk}), or PCT with
       priority change points ({!Pct}, the Shuttle analogue);
     - assertion failures, uncaught exceptions and deadlocks (all threads
@@ -78,6 +79,14 @@ module Cell : sig
   val peek : 'a t -> 'a
 end
 
+(** [join fs] spawns one thread per function and blocks until all have
+    returned: one counter cell, made at the call (so it takes the next
+    {!Cell.id}), is bumped with [Cell.update] as each thread's last step,
+    then [wait_until] sees the full count. It costs exactly what the
+    hand-written counter-cell join costs: the same schedules, steps and
+    race-checked accesses. *)
+val join : (unit -> unit) list -> unit
+
 module Mutex : sig
   type t
 
@@ -103,14 +112,21 @@ end
 
 (** {2 Exploration} *)
 
+(** How {!explore} picks each schedule. Every strategy runs on the same
+    loop, which counts schedules and steps against the budget and stops
+    at the first violation; a strategy supplies only a chooser, built
+    before every schedule, and a hook that sees every clean schedule. *)
 type strategy =
   | Dfs of { max_schedules : int }
-      (** exhaustive enumeration (sound up to the budget); the Loom analogue *)
+      (** exhaustive enumeration (sound up to the budget); the Loom
+          analogue. The chooser forces a prefix of the schedule tree; the
+          hook advances its deepest open branch and reports exhaustion. *)
   | Random_walk of { seed : int; schedules : int }
       (** uniform random choice at every scheduling point *)
   | Pct of { seed : int; schedules : int; depth : int }
       (** probabilistic concurrency testing with [depth - 1] priority
-          change points; the Shuttle analogue *)
+          change points, drawn over the length of the last clean run
+          (the hook re-estimates it); the Shuttle analogue *)
 
 type violation_kind =
   | Assertion of string  (** [Assert_failure] or [Failure] inside a thread *)

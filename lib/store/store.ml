@@ -217,10 +217,6 @@ module Make (Index : Store_intf.INDEX) = struct
     List.iter (fun (_, loc) -> add loc) (Index.run_locators t.index);
     Ok live
 
-  let live_bytes t ~extent =
-    let* live = live_bytes_map t in
-    Ok (Option.value ~default:0 (Hashtbl.find_opt live extent))
-
   let reclaimable_extents t =
     match live_bytes_map t with
     | Error _ -> []

@@ -257,7 +257,6 @@ module type S = sig
 
   (** {2 Introspection} *)
 
-  val live_bytes : t -> extent:int -> (int, error) result
   val reclaimable_extents : t -> (int * int) list
   (** (extent, garbage bytes), sorted most-garbage-first *)
 

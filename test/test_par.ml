@@ -106,6 +106,49 @@ let test_first_exception_propagates () =
                if i = 57 then failwith "boom" else None))))
     (1 :: domain_counts)
 
+let test_first_cancels_overtaken_tasks () =
+  (* Two domains over [0, 200): worker 0 owns [0, 100), worker 1 owns
+     [100, 200). Task 100 hits at once, so worker 1 drops the rest of its
+     range and steals the top of worker 0's, which is still in task 0.
+     Task 0 waits until a stolen task has started: the hit at 100 is then
+     known, and task 0, below it, must not see cancellation. Task 0 then
+     hits, and the stolen task, now above the lowest hit, must see it. *)
+  let waited f =
+    let t0 = Unix.gettimeofday () in
+    while (not (f ())) && Unix.gettimeofday () -. t0 < 2.0 do
+      Domain.cpu_relax ()
+    done;
+    f ()
+  in
+  let stolen = Atomic.make false in
+  let below = Atomic.make None and above = Atomic.make None in
+  let task i =
+    if i = 100 then Some i
+    else if i = 0 then begin
+      ignore (waited (fun () -> Atomic.get stolen));
+      Atomic.set below (Some (Par.cancelled ()));
+      Some i
+    end
+    else if i < 100 && Atomic.compare_and_set stolen false true then begin
+      Atomic.set above (Some (waited Par.cancelled));
+      None
+    end
+    else None
+  in
+  let hit = Par.first ~domains:2 ~start:0 ~count:200 task in
+  Alcotest.(check (option (pair int int))) "lowest hit" (Some (0, 0)) hit;
+  Alcotest.(check bool) "a task was stolen while task 0 ran" true (Atomic.get stolen);
+  Alcotest.(check (option bool)) "task below the hit never cancelled" (Some false)
+    (Atomic.get below);
+  Alcotest.(check (option bool)) "task above the hit cancelled" (Some true) (Atomic.get above);
+  Alcotest.(check bool) "caller not cancelled afterwards" false (Par.cancelled ());
+  let seen = ref false in
+  ignore
+    (Par.first ~start:0 ~count:20 (fun i ->
+         seen := !seen || Par.cancelled ();
+         if i = 10 then Some i else None));
+  Alcotest.(check bool) "sequential first never cancels" false !seen
+
 (* {2 Harness.run_par} *)
 
 let config = Lfm.Harness.default_config
@@ -270,6 +313,8 @@ let () =
           Alcotest.test_case "search prefix" `Quick test_first_matches_sequential;
           Alcotest.test_case "search lowest hit" `Quick test_first_lowest_hit_wins;
           Alcotest.test_case "search exception" `Quick test_first_exception_propagates;
+          Alcotest.test_case "first cancels overtaken tasks" `Quick
+            test_first_cancels_overtaken_tasks;
         ] );
       ( "harness",
         [

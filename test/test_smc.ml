@@ -220,6 +220,156 @@ let test_exception_reported () =
   | Some { kind = Smc.Exception _; _ } -> ()
   | _ -> Alcotest.fail "expected exception violation"
 
+(* {2 Every exploration pinned}
+
+   Each strategy, run over the bodies above and over every concurrency
+   harness the checks use, must keep what it explores: schedule count,
+   step total, exhaustion, the violation (kind, steps and schedule), the
+   race-checked access count and the lock-order edges. Each group pins
+   one digest over its outcomes; a mismatch prints the outcomes. *)
+
+let render_outcome (o : Smc.outcome) =
+  Printf.sprintf "%d schedules, %d steps, exhausted %b, %s, %d accesses, %d cycles, edges [%s]"
+    o.Smc.schedules_run o.Smc.total_steps o.Smc.exhausted
+    (match o.Smc.violation with
+    | None -> "clean"
+    | Some v -> Format.asprintf "%a" Smc.pp_violation v)
+    o.Smc.sanitize_accesses
+    (List.length o.Smc.lock_cycles)
+    (String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "%d>%d" a b) o.Smc.lock_edges))
+
+(* DFS at [dfs] schedules, then two seeds each of the random walk and
+   PCT (depth 3) at 150 schedules. *)
+let pinned_groups () =
+  let over ?(dfs = 400) explore =
+    List.map
+      (fun (name, s) -> name ^ ": " ^ render_outcome (explore s))
+      [
+        ("dfs", Smc.Dfs { max_schedules = dfs });
+        ("random/1", Smc.Random_walk { seed = 1; schedules = 150 });
+        ("random/2", Smc.Random_walk { seed = 2; schedules = 150 });
+        ("pct/1", Smc.Pct { seed = 1; schedules = 150; depth = 3 });
+        ("pct/2", Smc.Pct { seed = 2; schedules = 150; depth = 3 });
+      ]
+  in
+  let body name ?dfs ?sanitize b = (name, over ?dfs (fun s -> Smc.explore ?sanitize s b)) in
+  let sanitized = Sanitize.default in
+  let conc =
+    List.concat_map
+      (fun fault ->
+        let n = Faults.number fault in
+        [
+          ( Printf.sprintf "detect #%d" n,
+            over (fun s -> Conc.Conc_detect.detect s fault) );
+          ( Printf.sprintf "correct #%d" n,
+            over (fun s -> Conc.Conc_detect.check_correct ~sanitize:sanitized s fault) );
+        ])
+      Faults.
+        [
+          F11_locator_race;
+          F12_buffer_pool_deadlock;
+          F13_list_remove_race;
+          F14_compaction_reclaim_race;
+          F16_bulk_create_remove_race;
+        ]
+  in
+  [
+    body "racy counter" racy_counter_checked;
+    body "racy counter, sanitized" ~sanitize:sanitized racy_counter_checked;
+    body "safe counter" ~dfs:100_000 ~sanitize:sanitized safe_counter_checked;
+    body "deadlock" ~sanitize:sanitized deadlock_body;
+  ]
+  @ conc
+  @ [
+      ( "conc_shared",
+        List.map
+          (fun r ->
+            r.Conc.Conc_shared.name ^ ": " ^ render_outcome r.Conc.Conc_shared.outcome)
+          (Conc.Conc_shared.run ~budget:200 ()) );
+      ( "rwlock model",
+        List.map
+          (fun r ->
+            r.Conc.Rwlock.Check.name ^ ": " ^ render_outcome r.Conc.Rwlock.Check.outcome)
+          (Conc.Rwlock.Check.model ~budget:300 ()) );
+    ]
+
+let pinned_digests =
+  [
+    ("racy counter", "2565b91214e307d072394a3b952d25bf");
+    ("racy counter, sanitized", "55ec3b29aede35f6622be05adb4ac44f");
+    ("safe counter", "46865982f78581350f6601f7447828de");
+    ("deadlock", "851d0ab8ae1144268bd4036833fbe89f");
+    ("detect #11", "cee34c373de7f391cc77e9401980d291");
+    ("correct #11", "201d5e5ff12cbce75f53a6ab3fa1827d");
+    ("detect #12", "47446a415c24c1628110a45626360e2b");
+    ("correct #12", "66933d6ff94e1cf230af8652fb360c91");
+    ("detect #13", "c3e77550da3ee6ee13c8bcf34660b0a6");
+    ("correct #13", "13489b91ee4ccb2317b894b46cb76494");
+    ("detect #14", "92eefc2aa69a35d15858e92969885bac");
+    ("correct #14", "e80500e6ea15e2e6356b0cd2027c21b6");
+    ("detect #16", "fbb5af8dad5e229db4a60a171e734ae5");
+    ("correct #16", "04fef364cb424ac518f05a2cc11692c7");
+    ("conc_shared", "570084f9da0581dbad1ebb9846462086");
+    ("rwlock model", "5f77c708e72a850d8400166a81d088fd");
+  ]
+
+let test_explorations_pinned () =
+  Faults.disable_all ();
+  let groups = pinned_groups () in
+  let actual =
+    List.map
+      (fun (name, lines) -> (name, Digest.to_hex (Digest.string (String.concat "\n" lines))))
+      groups
+  in
+  List.iter
+    (fun (name, lines) ->
+      let digest = List.assoc name actual in
+      if List.assoc_opt name pinned_digests <> Some digest then begin
+        Printf.printf "%s -> %s\n" name digest;
+        List.iter (Printf.printf "  %s\n") lines
+      end)
+    groups;
+  Alcotest.(check (list (pair string string))) "digests" pinned_digests actual
+
+(* {2 Smc.join costs what the counter-cell join costs}
+
+   One three-thread body, written once with [Smc.join] and once with the
+   hand-rolled counter cell: a locked write, a nested (b, then a) lock
+   pair, and a plain read of a cell published before the spawns. *)
+let join_threads () =
+  let a = Smc.Mutex.create () and b = Smc.Mutex.create () in
+  let c = Smc.Cell.make 0 and published = Smc.Cell.make 1 in
+  let write () = Smc.Mutex.with_lock a (fun () -> Smc.Cell.set c 1) in
+  let nested () = Smc.Mutex.with_lock b (fun () -> Smc.Mutex.with_lock a ignore) in
+  (c, [ write; nested; (fun () -> ignore (Smc.Cell.get published)) ])
+
+let with_join () =
+  let c, threads = join_threads () in
+  Smc.join threads;
+  if Smc.Cell.get c <> 1 then failwith "write lost"
+
+let with_counter_cell () =
+  let c, threads = join_threads () in
+  let done_ = Smc.Cell.make 0 in
+  List.iter
+    (fun f ->
+      Smc.spawn (fun () ->
+          f ();
+          ignore (Smc.Cell.update done_ (fun d -> d + 1))))
+    threads;
+  Smc.wait_until (fun () -> Smc.Cell.peek done_ = 3);
+  if Smc.Cell.get c <> 1 then failwith "write lost"
+
+let test_join_matches_counter_cell () =
+  let explore body =
+    Smc.explore ~sanitize:Sanitize.default (Smc.Dfs { max_schedules = 5_000 }) body
+  in
+  let reference = explore with_counter_cell and joined = explore with_join in
+  Alcotest.(check bool) "reference clean" true (reference.Smc.violation = None);
+  Alcotest.(check bool) "reference race-checked" true (reference.Smc.sanitize_accesses > 0);
+  Alcotest.(check bool) "reference has lock edges" true (reference.Smc.lock_edges <> []);
+  Alcotest.(check string) "same outcome" (render_outcome reference) (render_outcome joined)
+
 (* Determinism: replaying any recorded schedule of a failing exploration
    reproduces a violation of the same kind, repeatedly. *)
 let prop_replay_deterministic =
@@ -429,6 +579,9 @@ let () =
           Alcotest.test_case "single thread, one schedule" `Quick test_single_thread_no_choices;
           Alcotest.test_case "thread ids distinct" `Quick test_thread_ids_distinct;
           Alcotest.test_case "exception reported" `Quick test_exception_reported;
+          Alcotest.test_case "every exploration pinned" `Quick test_explorations_pinned;
+          Alcotest.test_case "join costs the counter-cell join" `Quick
+            test_join_matches_counter_cell;
           QCheck_alcotest.to_alcotest prop_replay_deterministic;
         ] );
       ( "primitives",
