@@ -336,6 +336,8 @@ let run_conformance sequences length seed metrics_out batch_weight scan_weight d
   List.iter
     (fun profile ->
       let t0 = Util.Wallclock.now_s () in
+      let admitted () = Obs.Coverage.count "harness.no_space_admitted" in
+      let admitted_before = admitted () in
       (* Sharded across domains, merged in seed order: the failure count and
          the (lowest-seed) first failure are identical for any --domains. *)
       let sw = Lfm.Harness.run_par ~domains config ~profile ~bias ~length ~seed ~count:sequences in
@@ -345,6 +347,8 @@ let run_conformance sequences length seed metrics_out batch_weight scan_weight d
         (Lfm.Gen.profile_name profile)
         sequences failures
         (float_of_int sequences /. dt);
+      (* The No_space rejections the section 4.4 relaxation admitted. *)
+      Printf.printf "  %d No_space rejections admitted\n" (admitted () - admitted_before);
       (match sw.Lfm.Harness.first_failure with
       | Some (s, ops, f) ->
         Format.printf "  first failure (seed %d): %a@." s Lfm.Harness.pp_failure f;

@@ -219,8 +219,7 @@ let run ~seed ~length =
      for step = 0 to length - 1 do
        let op = gen_op rng st in
        ops := op :: !ops;
-       (try apply st step op
-        with Check message -> raise (Check message));
+       apply st step op;
        check_all st
      done
    with Check message ->

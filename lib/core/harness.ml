@@ -234,6 +234,12 @@ let reconcile_after_crash st =
                (Format.asprintf "key %S unreadable after recovery: %a" key S.pp_error e)))
     (Model.Crash_model.tracked_keys st.model)
 
+(* Resource exhaustion is out of scope (section 4.4): an operation
+   rejected with [No_space] leaves the model unchanged. Each admitted
+   rejection is counted, so the relaxation is visible in the coverage
+   table rather than silent. *)
+let admit_no_space () = Obs.Coverage.hit "harness.no_space_admitted"
+
 (* Forward progress (section 5): after a clean shutdown every dependency
    returned since the last reboot reports persistent. Dependencies broken
    by injected permanent failures are excused when injection is active. *)
@@ -248,6 +254,15 @@ let check_forward_progress st =
                (Format.asprintf "dependency of %a not persistent after clean shutdown" Op.pp op)))
     st.window_deps
 
+(* No flushes, and every write whose input holds persists whole. *)
+let crash_fallback =
+  {
+    S.flush_index_first = false;
+    flush_superblock_first = false;
+    persist_probability = 1.0;
+    split_pages = false;
+  }
+
 let apply st op =
   match op with
   | Op.Get key -> check_get st key
@@ -256,7 +271,7 @@ let apply st op =
     | Ok dep ->
       Model.Crash_model.put st.model ~key ~value ~dep;
       st.window_deps <- (op, dep) :: st.window_deps
-    | Error S.No_space -> ()  (* rejected: model unchanged *)
+    | Error S.No_space -> admit_no_space ()
     | Error S.Out_of_service when not (S.in_service st.store) -> ()
     | Error e -> tolerate_error st e)
   | Op.Delete key -> (
@@ -277,7 +292,7 @@ let apply st op =
           | Ok dep ->
             Model.Crash_model.put st.model ~key ~value ~dep;
             st.window_deps <- (op, dep) :: st.window_deps
-          | Error S.No_space -> ()  (* rejected: model unchanged *)
+          | Error S.No_space -> admit_no_space ()
           | Error e -> tolerate_error st e)
         ops results
     | Error S.Out_of_service when not (S.in_service st.store) -> ()
@@ -300,20 +315,20 @@ let apply st op =
   | Op.IndexFlush -> (
     match S.flush_index st.store with
     | Ok _ -> ()
-    | Error S.No_space -> ()
+    | Error S.No_space -> admit_no_space ()
     | Error e -> tolerate_error st e)
   | Op.SuperblockFlush -> (
     match S.flush_superblock st.store with Ok _ -> () | Error e -> tolerate_error st e)
   | Op.Compact -> (
     match S.compact st.store with
     | Ok _ -> ()
-    | Error S.No_space -> ()
+    | Error S.No_space -> admit_no_space ()
     | Error e -> tolerate_error st e)
   | Op.Reclaim -> (
     match S.reclaim st.store () with
     | Ok _ -> ()
     | Error S.Out_of_service when not (S.in_service st.store) -> ()
-    | Error S.No_space -> ()
+    | Error S.No_space -> admit_no_space ()
     | Error e -> tolerate_error st e)
   | Op.Pump n -> ignore (S.pump st.store n)
   | Op.FailDiskOnce extent ->
@@ -337,7 +352,7 @@ let apply st op =
       check_forward_progress st;
       st.window_deps <- []
     | Error S.Out_of_service -> ()
-    | Error S.No_space -> ()  (* shutdown flush rejected on a full disk; store stays up *)
+    | Error S.No_space -> admit_no_space ()  (* the shutdown flush; the store stays up *)
     | Error e -> tolerate_error st e)
   | Op.ReturnToService -> (
     let was_in_service = S.in_service st.store in
@@ -353,20 +368,13 @@ let apply st op =
     | Error e -> tolerate_error st e)
   | Op.CleanReboot -> (
     match S.clean_shutdown st.store with
-    | Error S.No_space ->
-      (* resource exhaustion is out of scope (section 4.4): the shutdown
-         was rejected, the store keeps running *)
-      ()
+    | Error S.No_space -> admit_no_space ()  (* the store keeps running *)
     | Error e ->
       if st.has_failed then begin
         (* Could not shut down cleanly under injected failures: fall back
-           to crash semantics so checking can continue. *)
-        ignore e;
-        let (_ : Io_sched.crash_report) =
-          Io_sched.crash (S.sched st.store) ~rng:st.rng ~persist_probability:1.0
-            ~split_pages:false
-        in
-        (match S.recover st.store with
+           to a crash that persists every write it can, so checking can
+           continue. *)
+        (match S.dirty_reboot st.store ~rng:st.rng crash_fallback with
         | Ok () -> ()
         | Error e -> tolerate_error st e);
         st.window_deps <- [];
@@ -407,23 +415,25 @@ let apply st op =
       st.permanent_damage <- st.permanent_failures <> []
     | Error e -> tolerate_error st e)
 
+(* A fresh store and model for one sequence. *)
+let start config ~pre_crash_hook =
+  let store = S.create config.store_config in
+  Chunk.Chunk_store.set_uuid_bias (S.chunk_store store) config.uuid_bias;
+  {
+    store;
+    model = Model.Crash_model.create ();
+    pre_crash_hook;
+    rng = Rng.create config.harness_seed;
+    has_failed = false;
+    permanent_failures = [];
+    permanent_damage = false;
+    window_deps = [];
+  }
+
 (* [run_core] also hands back the store so callers aggregating metrics
    ([run_par]) can merge its per-instance registry after the run. *)
 let run_core config ops =
-  let store = S.create config.store_config in
-  Chunk.Chunk_store.set_uuid_bias (S.chunk_store store) config.uuid_bias;
-  let st =
-    {
-      store;
-      model = Model.Crash_model.create ();
-      pre_crash_hook = config.pre_crash_hook;
-      rng = Rng.create config.harness_seed;
-      has_failed = false;
-      permanent_failures = [];
-      permanent_damage = false;
-      window_deps = [];
-    }
-  in
+  let st = start config ~pre_crash_hook:config.pre_crash_hook in
   let step_op st op step =
     apply st op;
     if config.full_check_every > 0 && (step + 1) mod config.full_check_every = 0 then
@@ -437,27 +447,14 @@ let run_core config ops =
       | exception Bug kind ->
         Failed { step; op; kind; trace = Obs.recent ~n:32 (S.obs st.store) })
   in
-  (go 0 ops, store)
+  (go 0 ops, st.store)
 
 let run config ops = fst (run_core config ops)
 
 let replay config ops =
-  let store = S.create config.store_config in
-  Chunk.Chunk_store.set_uuid_bias (S.chunk_store store) config.uuid_bias;
-  let st =
-    {
-      store;
-      model = Model.Crash_model.create ();
-      pre_crash_hook = None;
-      rng = Rng.create config.harness_seed;
-      has_failed = false;
-      permanent_failures = [];
-      permanent_damage = false;
-      window_deps = [];
-    }
-  in
+  let st = start config ~pre_crash_hook:None in
   List.iter (fun op -> try apply st op with Bug _ -> ()) ops;
-  store
+  st.store
 
 let run_seed_core config ~profile ~bias ~length ~seed =
   let rng = Rng.create (Int64.of_int seed) in

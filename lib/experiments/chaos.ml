@@ -508,9 +508,7 @@ let check_teeth ?(domains = 1) ?(campaigns = teeth_window) ?(length = 40) ?(seed
       Par.sweep ~domains ~start:seed ~count:campaigns
         ~init:(fun () -> 0)
         ~step:(fun violations s ->
-          let rng = Util.Rng.create (Int64.of_int ((s * 2_654_435_761) + 97)) in
-          let ops = gen_ops ~rng ~length in
-          let vs, _, _ = run_ops ~seed:s ops in
+          let vs, _, _ = run_ops ~seed:s (gen ~length ~seed:s) in
           if vs <> [] then violations + 1 else violations)
         ~merge:( + ) ())
 

@@ -11,9 +11,10 @@
     - [Block_sampled]: the default — each DirtyReboot samples one
       dependency-closed subset with page-granular torn writes;
     - [Block_exhaustive]: at every DirtyReboot, {!Lfm.Crash_enum}
-      enumerates {e all} (capped) block-level crash states on disk clones
-      and checks each — sound like BOB/CrashMonkey, and dramatically
-      slower, exactly as the paper reports. *)
+      enumerates {e all} (capped) block-level crash states, exactly those
+      [Block_sampled] can sample, on disk clones and checks each — sound
+      like BOB/CrashMonkey, and dramatically slower, exactly as the paper
+      reports. *)
 
 type mode = Coarse | Block_sampled | Block_exhaustive
 

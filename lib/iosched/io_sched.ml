@@ -488,129 +488,164 @@ let reload_volatile t =
       v.quarantined <- false)
     t.volatiles
 
-let discard_volatile t =
+(* Settle every queued write with [status w], empty the queues and reload
+   the volatile images from the durable state: what a restart leaves. *)
+let settle_all t status =
   Array.iter
     (fun v ->
-      Queue.iter
-        (fun w ->
-          Dep.set_status w Dep.Dropped;
-          set_pending t (t.pending_total - 1))
-        v.pending;
+      Queue.iter (fun w -> Dep.set_status w (status w)) v.pending;
       Queue.clear v.pending;
       v.blocker <- None)
     t.volatiles;
   t.active <- Iset.empty;
+  set_pending t 0;
   reload_volatile t
 
+let discard_volatile t = settle_all t (fun _ -> Dep.Dropped)
+
+(* {2 Crash states} *)
+
 type crash_report = { persisted : int; partial : int; dropped : int }
+
+type decision = Persist | Stop | Tear of int
+
+type crash_state = {
+  whole : (int, unit) Hashtbl.t;  (** ids of the writes persisted whole *)
+  torn : (int, int) Hashtbl.t;  (** id of a torn append -> bytes that reach the disk *)
+}
+
+let persisted state (w : Dep.write) = Hashtbl.mem state.whole w.Dep.id
+
+(* The page boundaries strictly inside append [w], as byte counts from its
+   start, last first: where a crash mid-way through a multi-page IO can
+   cut it. *)
+let page_cuts t (w : Dep.write) =
+  match w.Dep.kind with
+  | Dep.Reset _ -> []
+  | Dep.Append { off; data } ->
+    let psize = page_size t in
+    let rec go b acc =
+      if b >= off + String.length data then acc else go (b + psize) ((b - off) :: acc)
+    in
+    go (((off / psize) + 1) * psize) []
+
+(* The selection. Dependencies may point at writes queued later (promises
+   bind to future superblock records), so it iterates to a fixpoint: each
+   pass walks the queue cursor of every extent not yet stopped, in
+   ascending extent order, and asks [decide] about the next write once its
+   input holds under the writes persisted so far. [decide] is asked at
+   most once per write. *)
+let select t ~decide =
+  let state = { whole = Hashtbl.create 64; torn = Hashtbl.create 4 } in
+  let queues =
+    Array.of_list
+      (List.map
+         (fun extent -> Array.of_seq (Queue.to_seq t.volatiles.(extent).pending))
+         (Iset.elements t.active))
+  in
+  let cursor = Array.make (Array.length queues) 0 in
+  let stopped = Array.make (Array.length queues) false in
+  let progress = ref true in
+  while !progress do
+    progress := false;
+    Array.iteri
+      (fun i queue ->
+        let eligible = ref true in
+        while !eligible && (not stopped.(i)) && cursor.(i) < Array.length queue do
+          let w = queue.(cursor.(i)) in
+          if not (Dep.persistent_under (persisted state) w.Dep.input) then eligible := false
+          else
+            match decide w with
+            | Persist ->
+              Hashtbl.replace state.whole w.Dep.id ();
+              cursor.(i) <- cursor.(i) + 1;
+              progress := true
+            | Tear bytes ->
+              Hashtbl.replace state.torn w.Dep.id bytes;
+              stopped.(i) <- true
+            | Stop -> stopped.(i) <- true
+        done)
+      queues
+  done;
+  state
+
+let write_state t state disk =
+  let write (w : Dep.write) =
+    let extent = w.Dep.extent in
+    match w.Dep.kind, Hashtbl.find_opt state.torn w.Dep.id with
+    | Dep.Append { off; data }, _ when persisted state w -> Disk.write disk ~extent ~off data
+    | Dep.Reset { epoch }, _ when persisted state w -> Disk.reset ~epoch disk ~extent
+    | Dep.Append { off; data }, Some bytes -> Disk.write disk ~extent ~off (String.sub data 0 bytes)
+    | (Dep.Append _ | Dep.Reset _), _ -> Ok ()
+  in
+  Disk.with_faults_suspended disk (fun () ->
+      Iset.iter
+        (fun extent ->
+          Queue.iter
+            (fun w ->
+              match write w with
+              | Ok () -> ()
+              | Error e -> Format.kasprintf failwith "crash state write: %a" Disk.pp_io_error e)
+            t.volatiles.(extent).pending)
+        t.active)
 
 let crash t ~rng ~persist_probability ~split_pages =
   Obs.Counter.incr t.m.m_crashes;
   if Obs.tracing t.obs then
     Obs.emit t.obs ~layer:"iosched" "crash" [ ("pending", string_of_int t.pending_total) ];
-  (* Select a dependency-closed, per-extent prefix subset of the pending
-     writes to persist. Dependencies may point at writes scheduled later
-     (promises bind to future superblock records), so selection iterates to
-     a fixpoint: each pass walks every open extent's queue cursor and
-     persists the next write once its input holds under the current
-     selection. The per-write coin is flipped at most once. *)
-  let chosen : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let partial : (int, int) Hashtbl.t = Hashtbl.create 4 in
-  let n = Array.length t.volatiles in
-  let queues = Array.map (fun v -> Array.of_seq (Queue.to_seq v.pending)) t.volatiles in
-  let cursor = Array.make n 0 in
-  let closed = Array.make n false in
-  let psize = page_size t in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    for extent = 0 to n - 1 do
-      let queue = queues.(extent) in
-      let continue_extent = ref true in
-      while !continue_extent && (not closed.(extent)) && cursor.(extent) < Array.length queue do
-        let w = queue.(cursor.(extent)) in
-        let eligible =
-          Dep.persistent_under (fun w' -> Hashtbl.mem chosen w'.Dep.id) w.Dep.input
-        in
-        if not eligible then continue_extent := false
-        else if Util.Rng.chance rng persist_probability then begin
-          let cut =
-            match w.Dep.kind with
-            | Dep.Append { off; data } when split_pages && Util.Rng.chance rng 0.25 ->
-              (* Cut at a page boundary strictly inside the write, modelling
-                 a crash mid-way through a multi-page IO. *)
-              let len = String.length data in
-              let first_boundary = ((off / psize) + 1) * psize in
-              let boundaries = ref [] in
-              let b = ref first_boundary in
-              while !b < off + len do
-                boundaries := (!b - off) :: !boundaries;
-                b := !b + psize
-              done;
-              (match !boundaries with
-              | [] -> None
-              | bs -> Some (Util.Rng.pick_list rng bs))
-            | _ -> None
-          in
-          match cut with
-          | Some bytes ->
-            Obs.Counter.incr t.m.m_torn;
-            if Obs.tracing t.obs then
-              Obs.emit t.obs ~layer:"iosched" "torn_append"
-                [ ("extent", string_of_int extent); ("bytes", string_of_int bytes) ];
-            Hashtbl.replace partial w.Dep.id bytes;
-            closed.(extent) <- true
-          | None ->
-            Hashtbl.replace chosen w.Dep.id ();
-            cursor.(extent) <- cursor.(extent) + 1;
-            progress := true
-        end
-        else closed.(extent) <- true
-      done
-    done
-  done;
-  let report = ref { persisted = 0; partial = 0; dropped = 0 } in
-  (* Apply the selection to the disk, per extent in queue order. *)
-  Disk.with_faults_suspended t.disk (fun () ->
-      Array.iteri
-        (fun extent v ->
-          Queue.iter
-            (fun w ->
-              if Hashtbl.mem chosen w.Dep.id then begin
-                (match w.Dep.kind with
-                | Dep.Append { off; data } -> (
-                  match Disk.write t.disk ~extent ~off data with
-                  | Ok () -> ()
-                  | Error e ->
-                    Format.kasprintf failwith "crash apply: %a" Disk.pp_io_error e)
-                | Dep.Reset { epoch } -> (
-                  match Disk.reset ~epoch t.disk ~extent with
-                  | Ok () -> ()
-                  | Error e ->
-                    Format.kasprintf failwith "crash apply: %a" Disk.pp_io_error e));
-                Dep.set_status w Dep.Durable;
-                report := { !report with persisted = !report.persisted + 1 }
-              end
-              else
-                match Hashtbl.find_opt partial w.Dep.id with
-                | Some n ->
-                  (match w.Dep.kind with
-                  | Dep.Append { off; data } -> (
-                    match Disk.write t.disk ~extent ~off (String.sub data 0 n) with
-                    | Ok () -> ()
-                    | Error e ->
-                      Format.kasprintf failwith "crash apply: %a" Disk.pp_io_error e)
-                  | Dep.Reset _ -> assert false);
-                  Dep.set_status w Dep.Dropped;
-                  report := { !report with partial = !report.partial + 1 }
-                | None ->
-                  Dep.set_status w Dep.Dropped;
-                  report := { !report with dropped = !report.dropped + 1 })
-            v.pending;
-          Queue.clear v.pending;
-          v.blocker <- None)
-        t.volatiles);
-  t.active <- Iset.empty;
-  set_pending t 0;
-  reload_volatile t;
-  !report
+  let decide (w : Dep.write) =
+    if not (Util.Rng.chance rng persist_probability) then Stop
+    else
+      match w.Dep.kind with
+      | Dep.Append _ when split_pages && Util.Rng.chance rng 0.25 -> (
+        match page_cuts t w with
+        | [] -> Persist
+        | cuts ->
+          let bytes = Util.Rng.pick_list rng cuts in
+          Obs.Counter.incr t.m.m_torn;
+          if Obs.tracing t.obs then
+            Obs.emit t.obs ~layer:"iosched" "torn_append"
+              [ ("extent", string_of_int w.Dep.extent); ("bytes", string_of_int bytes) ];
+          Tear bytes)
+      | Dep.Append _ | Dep.Reset _ -> Persist
+  in
+  let state = select t ~decide in
+  write_state t state t.disk;
+  let persisted_n = Hashtbl.length state.whole and partial = Hashtbl.length state.torn in
+  let report = { persisted = persisted_n; partial; dropped = t.pending_total - persisted_n - partial } in
+  settle_all t (fun w -> if persisted state w then Dep.Durable else Dep.Dropped);
+  report
+
+(* Enumeration walks [select]'s decisions depth first, as [Smc]'s DFS walks
+   schedules: a run replays a forced prefix of choices, takes the first
+   option at every later decision and records each decision's choice and
+   option count; the next run advances the deepest decision with an option
+   left. Two runs first differ in the fate of one write (persisted whole,
+   extent stopped before it, or torn at one cut), and so differ in their
+   states. *)
+let crash_states t =
+  let options w = Stop :: (List.rev_map (fun cut -> Tear cut) (page_cuts t w) @ [ Persist ]) in
+  let rec from prefix () =
+    let forced = ref prefix and trail = ref [] in
+    let decide w =
+      let options = options w in
+      let choice =
+        match !forced with
+        | c :: rest ->
+          forced := rest;
+          c
+        | [] -> 0
+      in
+      trail := (choice, List.length options) :: !trail;
+      List.nth options choice
+    in
+    let state = select t ~decide in
+    let rec advance = function
+      | [] -> Seq.Nil
+      | (choice, arity) :: shallower when choice + 1 < arity ->
+        from (List.rev ((choice + 1) :: List.map fst shallower)) ()
+      | _ :: shallower -> advance shallower
+    in
+    Seq.Cons (state, fun () -> advance !trail)
+  in
+  from []

@@ -8,11 +8,9 @@
     and, within an extent, in FIFO order (extents are sequential-write).
 
     {!pump} issues ready writes in a randomized order — the orderings a real
-    writeback thread could pick — seeded for determinism. {!crash} generates
-    a crash state: it persists a dependency-closed, per-extent-prefix subset
-    of the pending writes (optionally cutting the last append of an extent
-    at a page boundary, the block-level mode of paper section 5) and drops
-    the rest. *)
+    writeback thread could pick — seeded for determinism. {!crash} samples
+    a crash state and {!crash_states} enumerates them (see Crash states
+    below). *)
 
 type t
 
@@ -129,8 +127,8 @@ val pending_count : t -> int
     violation. *)
 val queue_invariants : t -> (unit, string) result
 
-(** [pending_writes t] — every staged write in scheduling order (the
-    crash-state enumerator inspects them non-destructively). *)
+(** [pending_writes t] — every staged write in scheduling order, without
+    changing the scheduler. *)
 val pending_writes : t -> Dep.write list
 
 (** [has_pending_reset t ~extent] — true while a staged reset has not been
@@ -139,7 +137,17 @@ val pending_writes : t -> Dep.write list
     on, deadlocking writeback. *)
 val has_pending_reset : t -> extent:int -> bool
 
-(** {2 Crash states} *)
+(** {2 Crash states}
+
+    A crash state is what a crash leaves on the disk, and the {e selection}
+    is its one definition: a fixpoint that walks the extents in ascending
+    order, pass after pass while one persists a write (an input may point
+    at a write queued later on another extent). On each extent not yet
+    stopped it decides the next queued write whose input holds under the
+    writes persisted so far: persist it whole, stop the extent before it,
+    or tear it (an append) at a page boundary strictly inside it, which
+    also stops the extent. {!crash} samples the decisions and
+    {!crash_states} enumerates them. *)
 
 type crash_report = {
   persisted : int;  (** pending writes persisted whole *)
@@ -147,11 +155,34 @@ type crash_report = {
   dropped : int;
 }
 
-(** [crash t ~rng ~persist_probability ~split_pages] — see module doc. After
-    the call the volatile view equals the durable state and all previously
-    pending dependencies are either persistent or failed. *)
+(** [crash t ~rng ~persist_probability ~split_pages] samples one crash
+    state and makes it the durable state. Each decided write persists with
+    [persist_probability]; under [split_pages] a quarter of the persisted
+    appends that span a page boundary tear at one instead (the block-level
+    mode of paper section 5). Afterwards the volatile view equals the
+    durable state, and every previously pending write is [Durable]
+    (persisted whole) or [Dropped]. *)
 val crash :
   t -> rng:Util.Rng.t -> persist_probability:float -> split_pages:bool -> crash_report
+
+type crash_state
+
+(** [crash_states t] yields every state {!crash} can produce from the
+    writes queued now, torn pages included, each exactly once, computed on
+    demand by walking the selection's decisions depth first (stop, each
+    tear by ascending cut, persist). It changes nothing; use the states
+    before the queues change. *)
+val crash_states : t -> crash_state Seq.t
+
+(** [persisted state w] — [w] persists whole in [state] (a torn write does
+    not). *)
+val persisted : crash_state -> Dep.write -> bool
+
+(** [write_state t state disk] writes [state] to [disk], the durable state
+    of [t]'s disk or a {!Disk.copy} of it: per extent in queue order, the
+    writes persisted whole, then the torn append's prefix, with faults
+    suspended. {!crash} writes through it to the live disk. *)
+val write_state : t -> crash_state -> Disk.t -> unit
 
 (** [discard_volatile t] drops every pending write and reloads the
     volatile images from the durable state — the effect of a process

@@ -165,16 +165,17 @@ let memo_run t run_id f =
   Conc.Rwlock.with_write t.run_lock (fun () ->
       match Hashtbl.find_opt t.run_contents run_id with Some run -> run | None -> f ())
 
+(* Read and decode the run at [loc], memoised under [run_id]. Decoding
+   runs outside the mutex (chunk IO can be slow); racing decoders of the
+   same run produce identical values, and the first memoised is kept. *)
+let fetch_run t ~run_id loc =
+  let* chunk = Result.map_error (fun e -> Chunk e) (Chunk.Chunk_store.get t.chunks loc) in
+  let* run = Result.map_error (fun e -> Corrupt e) (Run.decode chunk.Chunk.Chunk_format.payload) in
+  Ok (memo_run t run_id (fun () -> Hashtbl.replace t.run_contents run_id run; run))
+
 let load_run t (r : run_ref) =
   let memo = Conc.Rwlock.with_read t.run_lock (fun () -> Hashtbl.find_opt t.run_contents r.run_id) in
-  match memo with
-  | Some run -> Ok run
-  | None ->
-    (* Decode outside the mutex (chunk IO can be slow); racing decoders
-       of the same run produce identical values, last one memoized. *)
-    let* chunk = Result.map_error (fun e -> Chunk e) (Chunk.Chunk_store.get t.chunks r.loc) in
-    let* run = Result.map_error (fun e -> Corrupt e) (Run.decode chunk.Chunk.Chunk_format.payload) in
-    Ok (memo_run t r.run_id (fun () -> Hashtbl.replace t.run_contents r.run_id run; run))
+  match memo with Some run -> Ok run | None -> fetch_run t ~run_id:r.run_id r.loc
 
 (* Load [refs] in order, stopping at the first failure. *)
 let load_runs t refs =
@@ -742,16 +743,9 @@ let recover t =
         List.fold_left
           (fun acc (run_id, loc) ->
             let* acc = acc in
-            let* chunk =
-              Result.map_error (fun e -> Chunk e) (Chunk.Chunk_store.get t.chunks loc)
-            in
-            let* run =
-              Result.map_error (fun e -> Corrupt e)
-                (Run.decode chunk.Chunk.Chunk_format.payload)
-            in
+            let* run = fetch_run t ~run_id loc in
             match (Run.min_key run, Run.max_key run) with
             | Some min_key, Some max_key ->
-              ignore (memo_run t run_id (fun () -> Hashtbl.replace t.run_contents run_id run; run));
               Ok ({ run_id; loc; dep = Dep.trivial; min_key; max_key } :: acc)
             | _ -> Error (Corrupt (Codec.Invalid "empty run in metadata")))
           (Ok []) lvl

@@ -199,6 +199,61 @@ let test_crash_split_pages () =
   done;
   Alcotest.(check bool) "found a partial crash state" true !found
 
+(* Property: [crash_states] enumerates what [crash] samples. On a random
+   small scheduler (appends up to three pages long, resets, promises bound
+   to later writes, partial write-back) with torn pages on, the disk a
+   crash leaves behind is the disk of one state enumerated before it. No
+   two enumerated states leave the same disk, which determines the state
+   (per extent, epochs and write pointers only grow along the queue), so
+   each comes once. *)
+let prop_crash_is_an_enumerated_state =
+  QCheck.Test.make ~name:"crash leaves an enumerated state" ~count:300
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let n = 3 in
+      let disk = Disk.create { Disk.extent_count = n; pages_per_extent = 8; page_size = 16 } in
+      let s = Io_sched.create ~seed:(Int64.of_int seed) disk in
+      let rng = Rng.create (Int64.of_int (seed + 5)) in
+      let deps = ref [ Dep.trivial ] and promises = ref [] in
+      for _ = 1 to 1 + Rng.int rng 10 do
+        let extent = Rng.int rng n and input = Rng.pick_list rng !deps in
+        (match Rng.int rng 10 with
+        | 0 -> deps := ok (Io_sched.reset s ~extent ~input) :: !deps
+        | 1 ->
+          let p = Dep.Promise.create () in
+          promises := p :: !promises;
+          deps := Dep.and_ input (Dep.Promise.dep p) :: !deps
+        | _ -> (
+          let data = String.make (1 + Rng.int rng 40) (Char.chr (97 + Rng.int rng 26)) in
+          match Io_sched.append s ~extent ~data ~input with
+          | Ok d -> deps := d :: !deps
+          | Error _ -> ()));
+        if Rng.int rng 4 = 0 then ignore (Io_sched.pump ~max_ios:1 s)
+      done;
+      List.iter
+        (fun p -> if Rng.bool rng then Dep.Promise.bind p (Rng.pick_list rng !deps))
+        !promises;
+      let image d =
+        String.concat "|"
+          (List.init n (fun extent ->
+               Printf.sprintf "%d.%d.%s" (Disk.hard_ptr d ~extent) (Disk.epoch d ~extent)
+                 (Disk.durable_image d ~extent)))
+      in
+      let states =
+        List.of_seq
+          (Seq.map
+             (fun state ->
+               let d = Disk.copy disk in
+               Io_sched.write_state s state d;
+               image d)
+             (Io_sched.crash_states s))
+      in
+      let persist_probability = Rng.float rng 1.0 in
+      ignore (Io_sched.crash s ~rng ~persist_probability ~split_pages:true);
+      if List.length (List.sort_uniq compare states) <> List.length states then
+        QCheck.Test.fail_reportf "%d states, some twice" (List.length states);
+      List.mem (image disk) states)
+
 (* Property: for any random acyclic dependency graph over appends, flush
    achieves forward progress (everything persists) and the durable bytes
    equal the volatile image. *)
@@ -826,6 +881,7 @@ let () =
           Alcotest.test_case "split pages" `Quick test_crash_split_pages;
           QCheck_alcotest.to_alcotest prop_crash_respects_deps;
           QCheck_alcotest.to_alcotest prop_crash_prefix_of_staged;
+          QCheck_alcotest.to_alcotest prop_crash_is_an_enumerated_state;
         ] );
       ( "schedule",
         [

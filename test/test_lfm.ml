@@ -342,6 +342,127 @@ let test_crash_enum_clean_and_detects () =
   Faults.disable_all ();
   Alcotest.(check bool) "#8 found by enumeration" true !found
 
+(* Crash states against a brute-force reference (paper section 5). At
+   every DirtyReboot of Crashing seeds 0-59, Io_sched.crash_states must
+   yield exactly the reference's states: every per-extent choice of a
+   queue prefix, optionally followed by the next append torn at a page
+   boundary, kept when each write it persists, whole or torn, has its
+   input persisted whole. States are compared by the disk each leaves,
+   which determines the state (per extent, epochs and write pointers only
+   grow along the queue), so a repeated disk is a state yielded twice. *)
+let reference_states ~page_size disk pending =
+  let cuts (w : Dep.write) =
+    match w.Dep.kind with
+    | Dep.Reset _ -> []
+    | Dep.Append { off; data } ->
+      let rec go b acc =
+        if b >= off + String.length data then List.rev acc else go (b + page_size) ((b - off) :: acc)
+      in
+      go (((off / page_size) + 1) * page_size) []
+  in
+  (* One extent's choices: (persisted whole, torn write and cut). *)
+  let choices queue =
+    let rec go taken rest acc =
+      let acc = (taken, None) :: acc in
+      match rest with
+      | [] -> acc
+      | w :: rest' ->
+        let acc = List.fold_left (fun acc cut -> (taken, Some (w, cut)) :: acc) acc (cuts w) in
+        go (w :: taken) rest' acc
+    in
+    go [] queue []
+  in
+  let extents = List.sort_uniq compare (List.map (fun (w : Dep.write) -> w.Dep.extent) pending) in
+  let per_extent =
+    List.map
+      (fun e -> choices (List.filter (fun (w : Dep.write) -> w.Dep.extent = e) pending))
+      extents
+  in
+  let size = List.fold_left (fun n cs -> if n > 300_000 then n else n * List.length cs) 1 per_extent in
+  if size > 300_000 then None
+  else begin
+    let io = function Ok () -> () | Error e -> Alcotest.failf "reference write: %a" Disk.pp_io_error e in
+    let apply combo d =
+      List.iter
+        (fun (whole, torn) ->
+          List.iter
+            (fun (w : Dep.write) ->
+              match w.Dep.kind with
+              | Dep.Append { off; data } -> io (Disk.write d ~extent:w.Dep.extent ~off data)
+              | Dep.Reset { epoch } -> io (Disk.reset ~epoch d ~extent:w.Dep.extent))
+            (List.rev whole);
+          match torn with
+          | Some ({ Dep.kind = Dep.Append { off; data }; extent; _ }, cut) ->
+            io (Disk.write d ~extent ~off (String.sub data 0 cut))
+          | Some _ | None -> ())
+        combo
+    in
+    let states = ref [] in
+    let rec product combo = function
+      | [] ->
+        let persisted = List.concat_map fst combo in
+        let pred w = List.memq w persisted in
+        let holds (w : Dep.write) = Dep.persistent_under pred w.Dep.input in
+        if List.for_all holds persisted
+           && List.for_all (function _, Some (w, _) -> holds w | _, None -> true) combo
+        then begin
+          let d = Disk.copy disk in
+          apply combo d;
+          states := d :: !states
+        end
+      | cs :: rest -> List.iter (fun c -> product (c :: combo) rest) cs
+    in
+    product [] per_extent;
+    Some !states
+  end
+
+let disk_image d =
+  String.concat "|"
+    (List.init (Disk.config d).Disk.extent_count (fun extent ->
+         Printf.sprintf "%d.%d.%s" (Disk.hard_ptr d ~extent) (Disk.epoch d ~extent)
+           (Disk.durable_image d ~extent)))
+
+let test_crash_states_match_reference () =
+  Faults.disable_all ();
+  let points = ref 0 in
+  let hook store _model =
+    let sched = Lfm.Harness.S.sched store and disk = Lfm.Harness.S.disk store in
+    match
+      reference_states ~page_size:(Io_sched.page_size sched) disk (Io_sched.pending_writes sched)
+    with
+    | None -> None
+    | Some reference ->
+      incr points;
+      let images ds = List.sort compare (List.map disk_image ds) in
+      let enumerated =
+        List.of_seq
+          (Seq.map
+             (fun state ->
+               let d = Disk.copy disk in
+               Io_sched.write_state sched state d;
+               d)
+             (Io_sched.crash_states sched))
+      in
+      let enumerated = images enumerated and reference = images reference in
+      if enumerated = reference then None
+      else
+        Some
+          (Printf.sprintf "crash_states yields %d states (%d distinct), the reference %d"
+             (List.length enumerated)
+             (List.length (List.sort_uniq compare enumerated))
+             (List.length reference))
+  in
+  let cfg = { config with Lfm.Harness.pre_crash_hook = Some hook } in
+  for seed = 0 to 59 do
+    match
+      Lfm.Harness.run_seed cfg ~profile:Lfm.Gen.Crashing ~bias:Lfm.Gen.default_bias ~length:50
+        ~seed
+    with
+    | _, Lfm.Harness.Passed -> ()
+    | _, Lfm.Harness.Failed f -> Alcotest.failf "seed %d: %a" seed Lfm.Harness.pp_failure f
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d crash points compared" !points) true (!points >= 150)
+
 let test_replay_deterministic () =
   let ops, outcome1 =
     Lfm.Harness.run_seed config ~profile:Lfm.Gen.Full ~bias:Lfm.Gen.default_bias ~length:60
@@ -377,6 +498,8 @@ let () =
             test_harness_catches_seeded_divergence;
           Alcotest.test_case "exhaustive crash enumeration" `Quick
             test_crash_enum_clean_and_detects;
+          Alcotest.test_case "crash states match the filtering reference" `Quick
+            test_crash_states_match_reference;
           Alcotest.test_case "component-level chunk harness" `Quick test_chunk_harness;
         ] );
       ( "minimization",
