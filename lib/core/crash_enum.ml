@@ -1,16 +1,6 @@
 module S = Harness.S
 
-type stats = {
-  states : int;
-  truncated : bool;
-  violations : int;
-  first_violation : string option;
-}
-
-let pp_stats fmt s =
-  Format.fprintf fmt "%d crash states%s, %d violations" s.states
-    (if s.truncated then " (truncated)" else "")
-    s.violations
+type stats = { states : int; truncated : bool }
 
 (* Recover a fresh store on a clone of the disk holding [state] and check
    every tracked key against the survivors the model allows when exactly
@@ -39,26 +29,19 @@ let evaluate store model state =
       (Model.Crash_model.tracked_keys model)
 
 let hook ~max_states ~acc store model =
-  let first a b = match a with Some _ -> a | None -> b in
-  (* [n] states evaluated at this crash point, [found] its first violation.
-     A speculative hunt task overtaken by a lower hit stops early: its
-     verdict is dropped anyway. *)
-  let rec go n found states =
+  (* [n] states evaluated at this crash point; the first violation ends
+     it, since it fails the harness run. A speculative hunt task overtaken
+     by a lower hit stops early: its verdict is dropped anyway. *)
+  let rec go n states =
     match states () with
-    | Seq.Nil -> found
+    | Seq.Nil -> None
     | Seq.Cons _ when n >= max_states || Par.cancelled () ->
       acc := { !acc with truncated = true };
-      found
-    | Seq.Cons (state, rest) ->
-      let violation = evaluate store model state in
-      let s = !acc in
-      acc :=
-        {
-          s with
-          states = s.states + 1;
-          violations = (s.violations + if Option.is_some violation then 1 else 0);
-          first_violation = first s.first_violation violation;
-        };
-      go (n + 1) (first found violation) rest
+      None
+    | Seq.Cons (state, rest) -> (
+      acc := { !acc with states = !acc.states + 1 };
+      match evaluate store model state with
+      | Some _ as violation -> violation
+      | None -> go (n + 1) rest)
   in
-  go 0 None (Io_sched.crash_states (S.sched store))
+  go 0 (Io_sched.crash_states (S.sched store))

@@ -18,15 +18,11 @@ type stats = {
   truncated : bool;
       (** hit the cap before exhausting the space, or stopped because the
           {!Par.first} task running it was overtaken ({!Par.cancelled}) *)
-  violations : int;
-  first_violation : string option;
 }
-
-val pp_stats : Format.formatter -> stats -> unit
 
 (** [hook ~max_states ~acc] — a {!Harness} pre-crash hook that evaluates
     at most [max_states] crash states at every [DirtyReboot], accumulates
-    into [acc], and reports the first violation (failing the harness
-    run). *)
+    into [acc], and stops at the first violating state, reporting it
+    (failing the harness run). *)
 val hook :
   max_states:int -> acc:stats ref -> Harness.S.t -> Model.Crash_model.t -> string option

@@ -48,8 +48,7 @@ let config_for mode acc =
       Lfm.Harness.pre_crash_hook = Some (Lfm.Crash_enum.hook ~max_states:2_000 ~acc);
     }
 
-let empty_enum_stats =
-  { Lfm.Crash_enum.states = 0; truncated = false; violations = 0; first_violation = None }
+let empty_enum_stats = { Lfm.Crash_enum.states = 0; truncated = false }
 
 let sequence ~seed ~length =
   let rng = Util.Rng.create (Int64.of_int seed) in

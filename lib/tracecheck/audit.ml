@@ -192,6 +192,39 @@ let scan_structure r ~lo ~hi items =
       }
   | None -> go items
 
+(* The first index in [0, n) where [holds], monotone in the index, does;
+   [n] if none. *)
+let first_index n holds =
+  let rec go a b =
+    if a >= b then a
+    else
+      let m = (a + b) / 2 in
+      if holds m then go a m else go (m + 1) b
+  in
+  go 0 n
+
+(* The keys of [universe] (ascending) inside [lo, hi]: a binary search to
+   the first key not below [lo], then every key up to [hi]. *)
+let keys_in_range universe ~lo ~hi =
+  let n = Array.length universe in
+  let start =
+    match lo with
+    | None -> 0
+    | Some l -> first_index n (fun i -> String.compare universe.(i) l >= 0)
+  in
+  let[@tail_mod_cons] rec take i =
+    if i < n && Util.Key_range.mem ~lo ~hi universe.(i) then universe.(i) :: take (i + 1)
+    else []
+  in
+  take start
+
+(* What a complete scan claims about each key of [in_range]: its first
+   item for the key, or absence. *)
+let judge_complete items in_range =
+  let first_item = Hashtbl.create (List.length items) in
+  List.iter (fun (k, v) -> if not (Hashtbl.mem first_item k) then Hashtbl.add first_item k v) items;
+  List.map (fun k -> (k, Hashtbl.find_opt first_item k)) in_range
+
 (* Fold the operation records into per-key histories plus scan records.
    Batches collapse to one mutation per distinct key (the last op on a
    key wins, as in every batched apply path); a complete scan judges
@@ -215,6 +248,7 @@ let collect ops =
         | Some (Trace.Scanned { items; _ }) -> List.iter (fun (k, _) -> touch k) items
         | _ -> ()))
     ops;
+  let universe = Array.of_list (Util.Tbl.sorted_keys ~compare:String.compare universe) in
   let scans = ref [] in
   let struct_rejections = ref [] in
   List.iter
@@ -248,10 +282,7 @@ let collect ops =
         | Some rej -> struct_rejections := rej :: !struct_rejections
         | None -> ());
         let judged =
-          if complete then
-            List.filter_map
-              (fun k -> if Util.Key_range.mem ~lo ~hi k then Some (k, List.assoc_opt k items) else None)
-              (Util.Tbl.sorted_keys ~compare:String.compare universe)
+          if complete then judge_complete items (keys_in_range universe ~lo ~hi)
           else List.map (fun (k, v) -> (k, Some v)) items
         in
         List.iter (fun (k, v) -> add k (interval_act (Observe v))) judged;
@@ -299,40 +330,73 @@ let entries_of_kevs kevs =
    already returned by the overwrite's invocation). The scan needs one
    point inside its own interval meeting every key's bracket; an empty
    intersection is a snapshot violation no per-key history can explain.
-   Both bounds are conservative, so a rejection here is sound. *)
-let cross_check per_key s =
-  let muts_of k =
-    List.filter_map
-      (fun { ev; _ } ->
-        match ev.Lincheck.act with
-        | Mutate { value; acked } -> Some (value, acked, ev.Lincheck.invoked, ev.Lincheck.returned)
-        | Observe _ -> None)
-      (List.rev (Option.value (Hashtbl.find_opt per_key k) ~default:[]))
+   Both bounds are conservative, so a rejection here is sound.
+
+   A bracket depends on the key, the observed value and the key's
+   history, never on the scan, so each key's mutations are listed once
+   per audit and each judged (key, value) bracket is computed once. *)
+
+(* One key's brackets, from its mutations listed once: the bracket of
+   each value it was written (a delete writes [None]), and [unwritten],
+   that of a value nobody wrote. *)
+type key_brackets = { written : (string option, int * int) Hashtbl.t; unwritten : int * int }
+
+let key_brackets kevs =
+  (* Each written value's earliest writer invocation and latest writer
+     return (max_int while one is pending), and the acked mutations. *)
+  let written = Hashtbl.create 8 and acked = ref [] in
+  List.iter
+    (fun { ev = { Lincheck.invoked; returned; act }; _ } ->
+      match act with
+      | Observe _ -> ()
+      | Mutate { value; acked = a } ->
+        (match Hashtbl.find_opt written value with
+        | None -> Hashtbl.replace written value (invoked, returned)
+        | Some (i, r) -> Hashtbl.replace written value (min i invoked, max r returned));
+        if a then acked := (invoked, returned) :: !acked)
+    kevs;
+  let acked = Array.of_list (List.sort (fun (a, _) (b, _) -> Int.compare a b) !acked) in
+  let n = Array.length acked in
+  let suffix_min_return = Array.make n max_int in
+  for i = n - 1 downto 0 do
+    let next = if i + 1 < n then suffix_min_return.(i + 1) else max_int in
+    suffix_min_return.(i) <- min (snd acked.(i)) next
+  done;
+  (* The earliest return of an acked mutation invoked at or after [t]. *)
+  let first_return_from t =
+    let i = first_index n (fun i -> fst acked.(i) >= t) in
+    if i = n then max_int else suffix_min_return.(i)
   in
-  let bracket (k, v) =
-    let muts = muts_of k in
-    let writer_invokes =
-      List.filter_map (fun (value, _, inv, _) -> if value = v then Some inv else None) muts
+  (* [lo]: the earliest writer invocation (any point for an absence, or
+     for a value nobody wrote: the per-key search rejects that). [hi]:
+     the earliest return of an acked mutation invoked at or after the
+     latest writer return; every writer of the value was invoked before
+     that, so such a mutation writes another value. *)
+  Hashtbl.filter_map_inplace
+    (fun value (first_invoke, last_return) ->
+      Some
+        ( (if Option.is_none value then min_int else first_invoke),
+          first_return_from last_return ))
+    written;
+  { written; unwritten = (min_int, first_return_from min_int) }
+
+(* [brackets per_key (k, v)]: [v]'s bracket on [k], from [k]'s brackets,
+   computed on its first use in the audit. *)
+let brackets per_key =
+  let by_key = Hashtbl.create 64 in
+  fun (k, v) ->
+    let kb =
+      match Hashtbl.find_opt by_key k with
+      | Some kb -> kb
+      | None ->
+        let kb = key_brackets (Option.value (Hashtbl.find_opt per_key k) ~default:[]) in
+        Hashtbl.replace by_key k kb;
+        kb
     in
-    let lo =
-      match (v, writer_invokes) with
-      | None, _ -> min_int
-      | Some _, [] -> min_int (* no writer at all: the per-key search rejects it *)
-      | Some _, l -> List.fold_left min max_int l
-    in
-    (* some mutation of [v] could still linearize after a point at or
-       past [inv] *)
-    let value_may_follow inv =
-      List.exists (fun (value, _, _, ret) -> value = v && ret > inv) muts
-    in
-    let hi =
-      List.fold_left
-        (fun hi (value, acked, inv, ret) ->
-          if acked && value <> v && ret < hi && not (value_may_follow inv) then ret else hi)
-        max_int muts
-    in
+    let lo, hi = Option.value (Hashtbl.find_opt kb.written v) ~default:kb.unwritten in
     (k, lo, hi)
-  in
+
+let cross_check per_key bracket s =
   let brackets = List.map bracket s.s_judged in
   let lo_k, lo =
     List.fold_left (fun (bk, b) (k, l, _) -> if l > b then (k, l) else (bk, b)) ("", min_int)
@@ -414,9 +478,10 @@ let run ?(budget_per_key = Lincheck.default_budget) ?(dropped = 0) entries =
             }
             :: !rejections)
       per_key;
+    let bracket = brackets per_key in
     List.iter
       (fun s ->
-        match cross_check per_key s with
+        match cross_check per_key bracket s with
         | Some rej -> rejections := rej :: !rejections
         | None -> ())
       scans;

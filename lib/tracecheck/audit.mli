@@ -32,7 +32,17 @@
 
     On rejection the offending per-key subhistory is ddmin-minimized and
     reported as trace entries, so a counterexample from a
-    non-deterministic run is still a small, readable artifact. *)
+    non-deterministic run is still a small, readable artifact.
+
+    Cost: apart from the per-key searches (each bounded by its budget),
+    an audit is near-linear in the trace plus what its complete scans
+    judge. The key universe is sorted once per audit, and a complete
+    scan finds its in-range keys by binary search over it. Each key's
+    mutations are listed once, when a scan first judges the key, and
+    the brackets of all its values are computed then, each by one binary
+    search over the key's acked mutations. So each judged (key, value)
+    bracket is computed once, and every scan's judgement of it is one
+    table lookup. *)
 
 type verdict =
   | Valid

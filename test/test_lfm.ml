@@ -135,9 +135,7 @@ let batch_conformance_prop =
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       Faults.disable_all ();
-      let acc =
-        ref { Lfm.Crash_enum.states = 0; truncated = false; violations = 0; first_violation = None }
-      in
+      let acc = ref { Lfm.Crash_enum.states = 0; truncated = false } in
       let cfg =
         { config with Lfm.Harness.pre_crash_hook = Some (Lfm.Crash_enum.hook ~max_states:24 ~acc) }
       in
@@ -163,9 +161,7 @@ let scan_conformance_prop =
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       Faults.disable_all ();
-      let acc =
-        ref { Lfm.Crash_enum.states = 0; truncated = false; violations = 0; first_violation = None }
-      in
+      let acc = ref { Lfm.Crash_enum.states = 0; truncated = false } in
       let cfg =
         { config with Lfm.Harness.pre_crash_hook = Some (Lfm.Crash_enum.hook ~max_states:24 ~acc) }
       in
@@ -307,9 +303,7 @@ let test_crash_enum_clean_and_detects () =
      code, and it finds the crash-consistency defect #8. *)
   Faults.disable_all ();
   let run_with_enum ~seed =
-    let acc =
-      ref { Lfm.Crash_enum.states = 0; truncated = false; violations = 0; first_violation = None }
-    in
+    let acc = ref { Lfm.Crash_enum.states = 0; truncated = false } in
     let cfg =
       { config with Lfm.Harness.pre_crash_hook = Some (Lfm.Crash_enum.hook ~max_states:1_000 ~acc) }
     in
