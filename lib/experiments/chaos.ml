@@ -515,6 +515,12 @@ let check_teeth ?(domains = 1) ?(campaigns = teeth_window) ?(length = 40) ?(seed
 let passes ~campaigns ~clean ~blind_spots ~teeth =
   clean = campaigns && (campaigns < teeth_window || (blind_spots = [] && teeth > 0))
 
+let census_class violations =
+  let scan v = v.at >= 0 && String.starts_with ~prefix:"scan " v.what in
+  if List.exists scan violations then `Scan
+  else if List.for_all (fun v -> v.at < 0) violations then `Repair
+  else `Other
+
 let print summary =
   Printf.printf
     "E13: chaos campaign — fault-tolerant request plane under randomized faults\n";
@@ -530,6 +536,11 @@ let print summary =
   Printf.printf "%-44s %12d\n" "degraded quorum acks (fleet.quorum_ack)" summary.total_quorum_acks;
   Printf.printf "%-44s %12d\n" "partial writes (fleet.partial_write)" summary.total_partial_writes;
   Printf.printf "%-44s %11.1fs\n" "wall clock" summary.seconds;
+  let tally cls =
+    List.length (List.filter (fun r -> census_class r.violations = cls) summary.failed)
+  in
+  Printf.printf "violating campaigns by class: scan %d, repair %d, other %d\n" (tally `Scan)
+    (tally `Repair) (tally `Other);
   List.iter
     (fun r ->
       Printf.printf "\ncampaign seed %d: %d violation(s)\n" r.seed (List.length r.violations);

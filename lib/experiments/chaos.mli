@@ -40,6 +40,12 @@ type violation = {
 
 val pp_violation : Format.formatter -> violation -> unit
 
+(** The census class of a violating campaign: [`Scan] when a scan during
+    the ops read an inadmissible value or absence ([op N: scan ...]),
+    else [`Repair] when every violation is in the final convergence phase,
+    else [`Other]. {!print} tallies the failed campaigns by class. *)
+val census_class : violation list -> [ `Scan | `Repair | `Other ]
+
 type campaign_report = {
   seed : int;
   ops : int;

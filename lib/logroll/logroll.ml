@@ -29,6 +29,9 @@ let error_class = function
 
 let magic = "LR"
 
+(* Magic, u64 generation, u32 payload length, u32 CRC. *)
+let overhead = String.length magic + 8 + 4 + 4
+
 let create ?obs sched ~extents:(extent_a, extent_b) ~name =
   assert (extent_a <> extent_b);
   let obs = match obs with Some o -> o | None -> Io_sched.obs sched in
@@ -98,15 +101,24 @@ let scan_extent t extent =
       in
       go [] 0
 
+(* A record opens an extent when the active extent is empty or a torn tail
+   forces the switch. A record that does not fit the rest of the active
+   extent moves to the sibling, so it is asked for again as an opening
+   record. *)
 let append t ~payload ~input =
-  let record = encode ~gen:(t.gen + 1) ~payload in
+  let gen = t.gen + 1 in
+  let opens = t.pending_switch || Io_sched.soft_ptr t.sched ~extent:t.active = 0 in
+  let record = encode ~gen ~payload:(payload ~opens) in
+  let need_switch =
+    t.pending_switch || String.length record > Io_sched.capacity_left t.sched ~extent:t.active
+  in
+  let record =
+    if need_switch && not opens then encode ~gen ~payload:(payload ~opens:true) else record
+  in
   let size = String.length record in
   let capacity = Io_sched.extent_size t.sched in
   if size > capacity then Error (Record_too_large { size; capacity })
   else begin
-    let need_switch =
-      t.pending_switch || size > Io_sched.capacity_left t.sched ~extent:t.active
-    in
     let switch_result =
       if need_switch then begin
         let other = sibling t t.active in
@@ -130,23 +142,24 @@ let append t ~payload ~input =
       match Io_sched.append t.sched ~extent:t.active ~data:record ~input with
       | Error e -> Error (Sched e)
       | Ok dep ->
-        t.gen <- t.gen + 1;
+        t.gen <- gen;
         t.last_dep <- dep;
         Obs.Counter.incr t.m_appends;
         Ok dep)
   end
 
+(* Generations ascend along an extent, so its newest record is its last
+   valid one, and the extent holding the newest generation holds the chain
+   recovery replays. *)
 let recover t =
   Obs.Counter.incr t.m_recovers;
   (* Recovery reads are a controlled post-reboot sequence; injected runtime
      IO faults target the request path, so suspend arming here. *)
   Disk.with_faults_suspended (Io_sched.disk t.sched) (fun () ->
-      let candidates =
-        List.concat_map
-          (fun extent -> List.map (fun (g, p, e) -> (g, p, e, extent)) (scan_extent t extent))
-          [ t.extent_a; t.extent_b ]
-      in
-      match candidates with
+      let newest records = match List.rev records with (g, _, _) :: _ -> g | [] -> 0 in
+      let a = scan_extent t t.extent_a and b = scan_extent t t.extent_b in
+      let extent, records = if newest b > newest a then (t.extent_b, b) else (t.extent_a, a) in
+      match List.rev records with
       | [] ->
         t.gen <- 0;
         t.last_dep <- Dep.trivial;
@@ -155,13 +168,8 @@ let recover t =
            it would hide the new records from scans, so force a switch
            (which resets the sibling) before the next append. *)
         t.pending_switch <- Io_sched.soft_ptr t.sched ~extent:t.extent_a > 0;
-        None
-      | _ ->
-        let (gen, payload, end_off, extent) =
-          List.fold_left
-            (fun ((g0, _, _, _) as best) ((g, _, _, _) as c) -> if g > g0 then c else best)
-            (List.hd candidates) (List.tl candidates)
-        in
+        []
+      | (gen, _, end_off) :: _ ->
         t.gen <- gen;
         t.last_dep <- Dep.trivial;
         t.active <- extent;
@@ -169,4 +177,4 @@ let recover t =
            it would hide later records from future scans, so force the next
            append onto the sibling extent. *)
         t.pending_switch <- end_off <> Io_sched.soft_ptr t.sched ~extent;
-        Some (gen, payload))
+        List.map (fun (g, payload, _) -> (g, payload)) records)

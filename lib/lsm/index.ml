@@ -364,7 +364,10 @@ let decode_metadata payload =
   else Ok (next_run_id, levels)
 
 let append_metadata t ~input =
-  Result.map_error (fun e -> Roll e) (Logroll.append t.roll ~payload:(encode_metadata t) ~input)
+  let payload = encode_metadata t in
+  Result.map_error
+    (fun e -> Roll e)
+    (Logroll.append t.roll ~payload:(fun ~opens:_ -> payload) ~input)
 
 (* Split key-sorted pairs into batches whose serialized run stays within
    the payload budget (at least one pair per batch). Each batch covers a
@@ -728,12 +731,14 @@ let recover t =
   Conc.Rwlock.with_write t.run_lock (fun () -> Hashtbl.reset t.run_contents);
   t.reset_seen <- false;
   let result =
-    match Logroll.recover t.roll with
-    | None ->
+    (* Every metadata record is whole, so the chain's last one is the
+       tree. *)
+    match List.rev (Logroll.recover t.roll) with
+    | [] ->
       t.levels <- Array.make 1 [];
       t.next_run_id <- 1;
       Ok ()
-    | Some (_gen, payload) ->
+    | (_gen, payload) :: _ ->
       let* next_run_id, skeleton =
         Result.map_error (fun e -> Corrupt e) (decode_metadata payload)
       in

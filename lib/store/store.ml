@@ -39,6 +39,31 @@ module Make (Index : Store_intf.INDEX) = struct
     | Superblock_error e -> Superblock.error_class e
     | Wrong_owner _ -> `Fatal
 
+  (* The [kind] label of a [store.maint_error] series: the constructor. *)
+  let error_kinds =
+    [|
+      "Out_of_service"; "No_space"; "Io"; "Index"; "Chunk_error"; "Superblock_error";
+      "Wrong_owner";
+    |]
+
+  let error_kind = function
+    | Out_of_service -> 0
+    | No_space -> 1
+    | Io _ -> 2
+    | Index _ -> 3
+    | Chunk_error _ -> 4
+    | Superblock_error _ -> 5
+    | Wrong_owner _ -> 6
+
+  (* One [store.maint_error] series per error constructor for maintenance
+     op [op], resolved up front so a maintenance domain only increments. *)
+  let maint_errors obs ~op =
+    Array.map
+      (fun kind -> Obs.counter ~labels:[ ("op", op); ("kind", kind) ] obs "store.maint_error")
+      error_kinds
+
+  let count_maint_error counters e = Obs.Counter.incr counters.(error_kind e)
+
   type config = {
     disk : Disk.config;
     max_chunk_payload : int;
@@ -98,6 +123,9 @@ module Make (Index : Store_intf.INDEX) = struct
     m_delete_batches : Obs.Counter.t;
     m_batch_ops : Obs.Histogram.t;
     m_batch_fallback : Obs.Counter.t;
+    m_flush_index_errors : Obs.Counter.t array;
+    m_compact_errors : Obs.Counter.t array;
+    m_flush_superblock_errors : Obs.Counter.t array;
   }
 
   type t = {
@@ -167,6 +195,9 @@ module Make (Index : Store_intf.INDEX) = struct
             Obs.histogram ~buckets:[ 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128. ] obs
               "store.batch_ops";
           m_batch_fallback = Obs.counter ~coverage:true obs "store.put_batch.fallback";
+          m_flush_index_errors = maint_errors obs ~op:"flush_index";
+          m_compact_errors = maint_errors obs ~op:"compact";
+          m_flush_superblock_errors = maint_errors obs ~op:"flush_superblock";
         };
       in_service = true;
       mutations = 0;
@@ -485,23 +516,24 @@ module Make (Index : Store_intf.INDEX) = struct
      [n > 1]. For [n = 1] the behaviour (including the cadence arithmetic
      and the RNG consumption of [pump]) is exactly the pre-batching one. *)
   let after_mutations t n =
+    let counted counters = function Ok _ -> () | Error e -> count_maint_error counters e in
     if n > 0 then begin
       let before = t.mutations in
       t.mutations <- before + n;
       if
         t.cfg.index_flush_threshold > 0
         && Index.memtable_size t.index >= t.cfg.index_flush_threshold
-      then ignore (flush_index t);
+      then counted t.m.m_flush_index_errors (flush_index t);
       if
         t.cfg.compact_threshold > 0
         && (Index.run_count t.index > t.cfg.compact_threshold
            || Index.compaction_due t.index)
-      then ignore (compact t);
+      then counted t.m.m_compact_errors (compact t);
       if
         t.cfg.superblock_cadence > 0
         && t.mutations / t.cfg.superblock_cadence > before / t.cfg.superblock_cadence
         && Superblock.dirty t.sb
-      then ignore (flush_superblock t);
+      then counted t.m.m_flush_superblock_errors (flush_superblock t);
       if t.cfg.auto_pump > 0 then
         if n = 1 then ignore (pump t t.cfg.auto_pump)
         else ignore (Io_sched.submit_batch ~max_ios:(t.cfg.auto_pump * n) t.sched)
@@ -1112,6 +1144,13 @@ module Shared = struct
          clock. A worker that compacts the whole LSM thousands of times a
          second over an idle store is pure foreground starvation. *)
       let dirty = ref 0 and compacted = ref 0 in
+      let flush_errors = Default.maint_errors t.obs ~op:"flush_shard"
+      and compact_errors = Default.maint_errors t.obs ~op:"compact"
+      and reclaim_errors = Default.maint_errors t.obs ~op:"reclaim" in
+      let failed counters e =
+        Default.count_maint_error counters e;
+        bump (fun s -> { s with errors = s.errors + 1 })
+      in
       let step n =
         let shard = n mod shards t in
         (* Cheap reader-side probe: skip clean shards without touching
@@ -1132,7 +1171,7 @@ module Shared = struct
           | Ok d ->
             dirty := !dirty + d;
             bump (fun s -> { s with flushes = s.flushes + 1; drained = s.drained + d })
-          | Error _ -> bump (fun s -> { s with errors = s.errors + 1 })
+          | Error e -> failed flush_errors e
         end;
         (if compact_every > 0 && n mod compact_every = compact_every - 1 && !dirty > 0 then begin
            dirty := 0;
@@ -1140,14 +1179,14 @@ module Shared = struct
            | Ok () ->
              incr compacted;
              bump (fun s -> { s with compacts = s.compacts + 1 })
-           | Error _ -> bump (fun s -> { s with errors = s.errors + 1 })
+           | Error e -> failed compact_errors e
          end);
         (if reclaim_every > 0 && n mod reclaim_every = reclaim_every - 1 && !compacted > 0
          then begin
            compacted := 0;
            match reclaim t with
            | Ok _ -> bump (fun s -> { s with reclaims = s.reclaims + 1 })
-           | Error _ -> bump (fun s -> { s with errors = s.errors + 1 })
+           | Error e -> failed reclaim_errors e
          end);
         bump (fun s -> { s with steps = s.steps + 1 })
       in

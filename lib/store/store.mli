@@ -177,7 +177,10 @@ module Shared : sig
       drained : int;  (** staged entries moved into the base store *)
       compacts : int;
       reclaims : int;
-      errors : int;  (** failed maintenance ops (never raises) *)
+      errors : int;
+          (** failed maintenance ops (never raises), each also counted in
+              [store.maint_error] by [op] ([flush_shard], [compact],
+              [reclaim]) and [kind] *)
     }
 
     type worker

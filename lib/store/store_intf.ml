@@ -138,7 +138,9 @@ module type S = sig
       whole stack (disk, scheduler, cache, superblock, logrolls, chunk
       store, index, store): [obs] when given, else a fresh per-store
       registry with a small trace ring enabled, so two stores in a fleet
-      never share series. *)
+      never share series. A failed flush, compaction or superblock flush
+      after mutations is counted in [store.maint_error], labelled by [op]
+      and by the error's constructor as [kind]. *)
   val create : ?obs:Obs.t -> config -> t
 
   (** [of_disk ?obs cfg disk] re-opens a store on an existing disk

@@ -16,6 +16,12 @@
       extents without re-scanning them.
     - {!recover} adopts the ownership map of the newest durable record.
 
+    A record carries only what changed: the first record on each log
+    extent (see {!Logroll}) is a {e checkpoint} of the whole table, and
+    every later one a {e delta} listing the extents whose rendering
+    changed since the previous record. Recovery replays the chain of the
+    log extent holding the newest generation.
+
     Fault sites: #6 (transition dependencies dropped after a reboot) and
     #8 (cadence promise omitted from append dependencies). *)
 
@@ -40,9 +46,10 @@ val error_class : error -> [ `Transient | `Permanent | `Resource | `Fatal ]
     extent pair [extents]; every extent in [reserved] (which must include
     the pair itself) starts [Reserved], all others [Free]. No record is
     written until the first {!flush}. Metrics (coverage-linked
-    [superblock.record] / [superblock.free_claim_withheld], plus
-    [superblock.recover]) land in [obs], defaulting to the scheduler's
-    registry. *)
+    [superblock.record] / [superblock.checkpoint] /
+    [superblock.free_claim_withheld], plus [superblock.record_bytes], the
+    framed bytes of the records appended, and [superblock.recover]) land
+    in [obs], defaulting to the scheduler's registry. *)
 val create : ?obs:Obs.t -> Io_sched.t -> extents:int * int -> reserved:int list -> t
 
 val owner : t -> extent:int -> owner
@@ -64,12 +71,37 @@ val note_append : t -> extent:int -> Dep.t
 val dirty : t -> bool
 
 (** [flush t] writes the next superblock generation, binding the cadence
-    promise. Returns the record's dependency. *)
+    promise: a checkpoint when the record opens its log extent or follows
+    a {!recover}, else a delta against the previous record. Returns the
+    record's dependency. *)
 val flush : t -> (Dep.t, error) result
 
-(** [recover t] re-reads ownership from the newest durable record. Returns
-    [false] when no record exists (fresh disk): ownership is reset to the
-    creation state. *)
+(** [recover t] re-reads ownership from the newest durable record by
+    replaying its log extent's chain, and makes the next record a
+    checkpoint. Returns [false] when no record exists (fresh disk) or the
+    chain does not replay: ownership is reset to the creation state. *)
 val recover : t -> bool
 
 val generation : t -> int
+
+(** {2 Record format} *)
+
+(** One extent as a record renders it: the owner tag (a [Free] whose
+    transition dependency has not persisted renders as [Data]), the reset
+    epoch and the soft write pointer. Recovery adopts only the tags; the
+    epochs and pointers are the soft state the paper's superblock
+    persists. *)
+type entry = { owner : owner; epoch : int; soft_ptr : int }
+
+(** [replay ~extents payloads] — the entries a chain of record payloads
+    (oldest first) leaves. A payload is a kind byte, then either a
+    checkpoint (the u32 extent count, then per extent the u8 owner tag,
+    u32 epoch and u32 soft pointer), which replaces every entry, or a
+    delta (the u32 count of changed extents, then per changed extent its
+    u32 index and the same nine bytes, indices strictly ascending), which
+    patches the entries it lists. Total: [Error] when the chain is empty
+    or opens with a delta, or when a payload is cut, carries trailing
+    bytes, an unknown kind or owner tag, a checkpoint count other than
+    [extents], or a delta index outside [\[0, extents)] or out of
+    order. *)
+val replay : extents:int -> string list -> (entry array, Util.Codec.error) result

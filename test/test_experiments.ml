@@ -39,8 +39,7 @@ let test_fig5_quick_rows_pinned () =
       (3, true, "6 sequences (360 ops)", "60 operations, including 5 crashes and 1323 B of data");
       (4, true, "1 sequences (60 ops)", "60 operations, including 0 crashes and 943 B of data");
       (5, true, "85 sequences (5100 ops)", "60 operations, including 0 crashes and 622 B of data");
-      ( 6, true, "107 sequences (6420 ops)",
-        "60 operations, including 3 crashes and 1149 B of data" );
+      (6, true, "48 sequences (2880 ops)", "60 operations, including 9 crashes and 702 B of data");
       (7, true, "15 sequences (900 ops)", "60 operations, including 2 crashes and 1541 B of data");
       (8, true, "7 sequences (420 ops)", "60 operations, including 4 crashes and 1329 B of data");
       (9, true, "1 sequences (60 ops)", "60 operations, including 4 crashes and 1016 B of data");
@@ -212,6 +211,17 @@ let test_chaos_verdict () =
   Alcotest.(check bool) "violation in a full window" false
     (passes ~campaigns:window ~clean:(window - 1) ~blind_spots:[] ~teeth:window)
 
+(* The census tallies violating campaigns by class; a scan during the ops
+   outranks the final phase, and a read during the ops is a third class. *)
+let test_chaos_census_class () =
+  let v at what = { Experiments.Chaos.at; what } in
+  let cls = Experiments.Chaos.census_class in
+  let name = function `Scan -> "scan" | `Repair -> "repair" | `Other -> "other" in
+  let check label expected vs = Alcotest.(check string) label (name expected) (name (cls vs)) in
+  check "scan" `Scan [ v 7 "scan k1 = none, admissible: committed v"; v (-1) "dirty set" ];
+  check "repair" `Repair [ v (-1) "under-replicated after repair"; v (-1) "dirty set" ];
+  check "read during the ops" `Other [ v 3 "read k2 = none, admissible: committed v"; v (-1) "x" ]
+
 let () =
   Faults.disable_all ();
   Alcotest.run "experiments"
@@ -230,5 +240,6 @@ let () =
           Alcotest.test_case "bias ablation" `Quick test_bias_ablation;
           Alcotest.test_case "repair traffic" `Quick test_repair_traffic;
           Alcotest.test_case "chaos verdict" `Quick test_chaos_verdict;
+          Alcotest.test_case "chaos census classes" `Quick test_chaos_census_class;
         ] );
     ]

@@ -363,7 +363,7 @@ let expected_coverage =
     "cache.hit"; "cache.miss"; "cache.eviction"; "chunk.get.stale_locator";
     "index.get.memtable"; "index.get.run"; "index.run_written"; "index.compact";
     "reclaim.scan.valid_frame"; "reclaim.scan.invalid_frame"; "reclaim.evacuated";
-    "reclaim.dropped"; "crash.torn_append"; "superblock.record";
+    "reclaim.dropped"; "crash.torn_append"; "superblock.record"; "superblock.checkpoint";
     "superblock.free_claim_withheld"; "store.put.gc_fallback";
   ]
 

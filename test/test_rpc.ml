@@ -551,7 +551,9 @@ let prop_node_matches_model =
         keys)
 
 let test_tick () =
-  let node = make_node () in
+  (* A superblock flush after every put, so the puts' own cadence flushes
+     meet the failed extents below too. *)
+  let node = Rpc.Node.create ~disks:3 { S.test_config with S.superblock_cadence = 1 } in
   ignore (Rpc.Node.handle node (Rpc.Message.Put { key = "k"; value = "v" }));
   let report = Rpc.Node.tick node in
   Alcotest.(check int) "tick saw every disk" 3 report.Rpc.Node.disks;
@@ -574,7 +576,51 @@ let test_tick () =
   done;
   Alcotest.(check bool) "maintenance errors surfaced" true (!errors > 0);
   Alcotest.(check bool) "rpc.tick_error bumped" true
-    (Obs.counter_value (Rpc.Node.obs node) "rpc.tick_error" >= !errors)
+    (Obs.counter_value (Rpc.Node.obs node) "rpc.tick_error" >= !errors);
+  (* Each failed cadence flush is counted by op and error constructor. *)
+  let maint_errors ~op ~kind =
+    Obs.counter_value ~labels:[ ("op", op); ("kind", kind) ] (S.obs store) "store.maint_error"
+  in
+  let superblock = maint_errors ~op:"flush_superblock" ~kind:"Superblock_error" in
+  Alcotest.(check bool) "flush_superblock failures counted" true (superblock > 0);
+  Alcotest.(check int) "every store.maint_error is that one series" superblock
+    (List.fold_left
+       (fun acc (sample : Obs.sample) ->
+         match sample.Obs.value with
+         | Obs.Counter_v n when sample.Obs.name = "store.maint_error" -> acc + n
+         | _ -> acc)
+       0
+       (Obs.snapshot (S.obs store)))
+
+(* A 1,024-extent disk, the benchmark's point-read geometry, under puts and
+   ticks. Superblock records carry only the extents that changed, so their
+   bytes stay under a tenth of what the disk writes (whole-table records
+   wrote about half), and every tick still writes one record per disk. *)
+let test_superblock_records_small () =
+  let cfg =
+    { S.default_config with S.disk = { S.default_config.S.disk with Disk.extent_count = 1024 } }
+  in
+  let node = Rpc.Node.create ~disks:1 cfg in
+  let store = Rpc.Node.store node ~disk:0 in
+  let count name = Obs.counter_value (S.obs store) name in
+  let rng = Util.Rng.of_int 7 in
+  for i = 0 to 1_999 do
+    let key = Printf.sprintf "k%03d" (Util.Rng.int rng 500) in
+    let value = String.make (100 + Util.Rng.int rng 300) 'v' in
+    (match Rpc.Node.handle node (Rpc.Message.Put { key; value }) with
+    | Rpc.Message.Ack -> ()
+    | r -> Alcotest.failf "put %d: %a" i Rpc.Message.pp_response r);
+    if i land 63 = 63 then begin
+      let records = count "superblock.record" in
+      Alcotest.(check int) "no maintenance errors" 0 (Rpc.Node.tick node).Rpc.Node.errors;
+      Alcotest.(check int) "one record per tick" (records + 1) (count "superblock.record")
+    end
+  done;
+  let record_bytes = count "superblock.record_bytes" and disk_bytes = count "disk.bytes_written" in
+  Alcotest.(check bool)
+    (Printf.sprintf "record bytes %d under a tenth of disk bytes %d" record_bytes disk_bytes)
+    true
+    (record_bytes > 0 && 10 * record_bytes < disk_bytes)
 
 (* Overwrites fill a 64-extent disk several times over. Without ticks the
    store reclaims only when an allocation fails; a tick every eight puts
@@ -646,6 +692,8 @@ let () =
           Alcotest.test_case "migrate" `Quick test_migrate;
           Alcotest.test_case "tick" `Quick test_tick;
           Alcotest.test_case "tick reclaims ahead" `Quick test_tick_reclaims_ahead;
+          Alcotest.test_case "superblock records stay small" `Quick
+            test_superblock_records_small;
           QCheck_alcotest.to_alcotest prop_node_matches_model;
         ] );
     ]
