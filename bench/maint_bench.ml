@@ -35,6 +35,16 @@ let () =
     match (M.arm r label).M.maint with None -> 0.0 | Some s -> float_of_int (f s)
   in
   let errors f = List.fold_left (fun n a -> n + f a) 0 r.M.arms in
+  (* Each racing arm's maintenance errors, one metric per kind. *)
+  let errors_by_kind label =
+    List.map
+      (fun (kind, n) ->
+        ( Printf.sprintf "%s_errors_%s"
+            (String.map (function '-' -> '_' | c -> c) label)
+            (String.lowercase_ascii kind),
+          float_of_int n ))
+      (M.arm r label).M.errors_by_kind
+  in
   exit
     (Bench_gate.finish gate ~bench:"maint" ~domains
        ~workload:
@@ -45,18 +55,20 @@ let () =
            ("repeats", string_of_int r.M.repeats);
          ]
        ~metrics:
-         [
-           ("fg_only_ops_per_sec", ops "fg-only");
-           ("inline_coarse_ops_per_sec", ops "inline-coarse");
-           ("maint_coarse_ops_per_sec", ops "maint-coarse");
-           ("maint_narrow_ops_per_sec", ops "maint-narrow");
-           ("narrow_vs_baseline", ratio "maint-narrow" "inline-coarse");
-           ("narrow_vs_coarse", ratio "maint-narrow" "maint-coarse");
-           ("coarse_flushes", maint_stat (fun s -> s.Store.Shared.Maint.flushes) "maint-coarse");
-           ("narrow_flushes", maint_stat (fun s -> s.Store.Shared.Maint.flushes) "maint-narrow");
-           ("narrow_drained", maint_stat (fun s -> s.Store.Shared.Maint.drained) "maint-narrow");
-           ("conformance_ok", if r.M.conformance_ok then 1.0 else 0.0);
-         ]
+         ([
+            ("fg_only_ops_per_sec", ops "fg-only");
+            ("inline_coarse_ops_per_sec", ops "inline-coarse");
+            ("maint_coarse_ops_per_sec", ops "maint-coarse");
+            ("maint_narrow_ops_per_sec", ops "maint-narrow");
+            ("narrow_vs_baseline", ratio "maint-narrow" "inline-coarse");
+            ("narrow_vs_coarse", ratio "maint-narrow" "maint-coarse");
+            ("coarse_flushes", maint_stat (fun s -> s.Store.Shared.Maint.flushes) "maint-coarse");
+            ("narrow_flushes", maint_stat (fun s -> s.Store.Shared.Maint.flushes) "maint-narrow");
+            ("narrow_drained", maint_stat (fun s -> s.Store.Shared.Maint.drained) "maint-narrow");
+            ("conformance_ok", if r.M.conformance_ok then 1.0 else 0.0);
+          ]
+         @ errors_by_kind "maint-coarse"
+         @ errors_by_kind "maint-narrow")
        [
          Bench_gate.check "errors and byte-identity" (fun () ->
              ( M.ok r,

@@ -203,20 +203,21 @@ let chaos_run ~domains ~campaigns ~length ~seed =
 
 (* [--shared]: the racing-domain conformance gate for the shared-state
    store. Four checks, each printing its race-checked access counts as
-   coverage evidence: (1) the rwlock protocol model explored exhaustively
-   under Smc (mutual exclusion, writer preference, no lost wakeups);
-   (2) the sharded hot-path model (per-shard staging, stack lock, cache
-   lifecycle) under the FastTrack race monitor and lock-order analysis —
-   zero findings required; (3) the real Atomic rwlock hammered by racing
+   coverage evidence: (1) the shipped rwlock explored exhaustively under
+   Smc (mutual exclusion, writer preference, no lost wakeups); (2) the
+   store's staging protocol (per-shard staging, stack and maint locks)
+   explored under the FastTrack race monitor and lock-order analysis —
+   zero findings required; (3) the same rwlock hammered by racing
    domains, with its transition trace audited against the protocol spec
    and the protected-register history checked linearizable; (4) N domains
    driving one shared store with a wire-trace recorder attached, the
    recorded history audited offline against the per-key model; then the
    maintenance-racing gate below. *)
-(* [--lint-graph FILE]: dump the named lock-class edges the hot-path model
-   observed, one "held acquired" pair per line. lib/lint cross-checks this
-   against its static acquisition graph: every dynamic edge must appear
-   statically, or the extractor is blind to a real code path. *)
+(* [--lint-graph FILE]: dump the named lock-class edges the protocol's
+   harnesses observed, one "held acquired" pair per line. lib/lint
+   cross-checks this against its static acquisition graph: every dynamic
+   edge must appear statically, or the extractor is blind to a real code
+   path. *)
 let export_lint_graph path reports =
   let edges =
     List.concat_map
@@ -243,9 +244,9 @@ let export_lint_graph path reports =
    (narrowed shard flushes, compactions and reclaims, each flush leaving
    a marker in the trace) must audit Valid offline, with zero
    maintenance errors and at least one maintenance flush. The model-side
-   half — the Conc_shared maintenance harnesses under FastTrack — rides
-   in the hot-path model gate, which --maint re-runs for its lint-graph
-   export. *)
+   half — the Conc_shared maintenance harnesses under FastTrack, over the
+   store's own staging protocol — rides in the hot-path model gate,
+   which --maint re-runs for its lint-graph export. *)
 let maint_gate ~gate ~n ~shared_ops ~seed =
   Printf.printf "shared: %d foreground domains + 1 maintenance domain (audited)\n" n;
   let r = Experiments.Shared_lin.run ~domains:n ~ops_per_domain:shared_ops ~seed ~maint:true () in
@@ -272,8 +273,9 @@ let gated label body =
   end
 
 (* The hot-path model gate of both --shared and --maint: the Conc_shared
-   harnesses (maintenance ones included) under FastTrack and lock-order
-   analysis, with the dynamic lock-graph export when asked. *)
+   harnesses (maintenance ones included) over the shipped staging
+   protocol, under FastTrack and lock-order analysis, with the dynamic
+   lock-graph export when asked. *)
 let hot_path_model ~gate ~lint_graph =
   let reports = Conc.Conc_shared.run () in
   List.iter (fun r -> Format.printf "  %a@." Conc.Conc_shared.pp_report r) reports;
@@ -284,11 +286,11 @@ let shared_run ~domains ~shared_ops ~seed ~lint_graph =
   Faults.disable_all ();
   let n = if domains > 1 then domains else 4 in
   gated "shared-state conformance" (fun gate ->
-      Printf.printf "shared: rwlock protocol model (Smc; two-thread harnesses exhaustive)\n";
+      Printf.printf "shared: shipped rwlock under Smc (two-thread harnesses exhaustive)\n";
       let model_reports = Conc.Rwlock.Check.model () in
       List.iter (fun r -> Format.printf "  %a@." Conc.Rwlock.Check.pp_model_report r) model_reports;
       gate "rwlock model" (Conc.Rwlock.Check.model_ok model_reports);
-      Printf.printf "shared: sharded hot-path model (FastTrack races + lock order)\n";
+      Printf.printf "shared: store staging protocol under Smc (FastTrack races + lock order)\n";
       hot_path_model ~gate ~lint_graph;
       Printf.printf "shared: real rwlock on %d racing domains (trace audit + linearizability)\n" n;
       let impl_report = Conc.Rwlock.Check.impl ~domains:n ~seed () in
@@ -307,7 +309,7 @@ let maint_run ~domains ~shared_ops ~seed ~lint_graph =
   Faults.disable_all ();
   let n = if domains > 1 then domains else 3 in
   gated "maintenance-plane conformance" (fun gate ->
-      Printf.printf "maint: hot-path model with maintenance harnesses (FastTrack + lock order)\n";
+      Printf.printf "maint: staging protocol with maintenance harnesses (FastTrack + lock order)\n";
       hot_path_model ~gate ~lint_graph;
       maint_gate ~gate ~n ~shared_ops ~seed)
 
@@ -467,10 +469,10 @@ let shared =
     value & flag
     & info [ "shared" ]
         ~doc:
-          "Run the shared-state conformance gate instead of the sweep: the rwlock protocol \
-           model checked exhaustively under SMC, the sharded hot-path model (maintenance \
+          "Run the shared-state conformance gate instead of the sweep: the shipped rwlock \
+           checked exhaustively under SMC, the store's staging protocol (maintenance \
            harnesses included) under the FastTrack race detector and lock-order analysis, \
-           the real Atomic rwlock audited on racing domains, N domains driving one shared \
+           the same rwlock audited on racing domains, N domains driving one shared \
            store with the recorded history audited against the per-key model — then the \
            maintenance-racing gate (see --maint). Exit 1 on any finding.")
 
@@ -512,7 +514,7 @@ let maint =
     & info [ "maint" ]
         ~doc:
           "Run the maintenance-plane conformance gate on its own (it also runs as part of \
-           --shared): the sharded hot-path model with the maintenance-vs-foreground \
+           --shared): the store's staging protocol with the maintenance-vs-foreground \
            harnesses under the FastTrack race detector and lock-order analysis (exporting \
            --lint-graph when asked), and N foreground domains racing a dedicated \
            maintenance domain on one shared store, the recorded history audited offline \

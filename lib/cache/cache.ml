@@ -69,12 +69,10 @@ let obs t = t.obs
 let key t ~extent ~page = (extent * t.pages_per_extent) + page
 
 (* Every entry mutation is a SimpleCacheSM edge, audited against
-   Cache_sm.legal. The real cache only visits the Empty/Reading/Clean
-   subset (it is a read cache: writes invalidate instead of dirtying), so
-   Dirty/Writeback never appear here — the Conc_shared model exercises
-   those. A page is Clean exactly when it is in [pages], Reading only
-   inside [fetch_page], and Empty otherwise; record under [t.lock] in
-   write mode. *)
+   Cache_sm.legal (a read cache: writes invalidate instead of dirtying).
+   A page is Clean exactly when it is in [pages], Reading only inside
+   [fetch_page], and Empty otherwise; record under [t.lock] in write
+   mode. *)
 let transition t key old_s new_s =
   Conc.Cache_sm.record t.audit ~page:(key mod t.pages_per_extent) ~old_s ~new_s
 

@@ -36,9 +36,8 @@
     publish on success ([Reading -> Clean]) or release on failure
     ([Reading -> Empty]); evictions, invalidations and a stale partial
     page dropped before its re-fetch are [Clean -> Empty]; write-allocate
-    fills are [Empty -> Clean]. This cache never dirties entries (writes
-    invalidate), so the [Dirty]/[Writeback] edges are exercised by the
-    {!Conc.Conc_shared} model instead. {!transitions_checked} /
+    fills are [Empty -> Clean]. Writes invalidate rather than dirty an
+    entry, so these are all the machine's edges. {!transitions_checked} /
     {!transition_violations} expose the audit. *)
 
 type t

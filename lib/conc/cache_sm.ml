@@ -1,11 +1,6 @@
-type state = Empty | Reading | Clean | Dirty | Writeback
+type state = Empty | Reading | Clean
 
-let state_name = function
-  | Empty -> "Empty"
-  | Reading -> "Reading"
-  | Clean -> "Clean"
-  | Dirty -> "Dirty"
-  | Writeback -> "Writeback"
+let state_name = function Empty -> "Empty" | Reading -> "Reading" | Clean -> "Clean"
 
 let pp_state fmt s = Format.pp_print_string fmt (state_name s)
 
@@ -15,11 +10,7 @@ let legal old_s new_s =
   | Reading, Clean (* fetch completed *)
   | Reading, Empty (* fetch failed / aborted *)
   | Empty, Clean (* fill without an IO window (write-allocate) *)
-  | Clean, Empty (* eviction / invalidation *)
-  | Clean, Dirty (* buffered write *)
-  | Dirty, Writeback (* flush claims the entry *)
-  | Writeback, Clean (* flush completed *)
-  | Writeback, Dirty (* written again while flushing: still dirty *) ->
+  | Clean, Empty (* eviction / invalidation *) ->
       true
   | _ -> false
 

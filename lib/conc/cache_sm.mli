@@ -3,23 +3,15 @@
     the legal per-entry transitions are written down once and every
     implementation transition is audited against them.
 
-    Two users:
-
-    - the real {!Cache} drives each page entry through the
-      [Empty]/[Reading]/[Clean] subset (it is a read cache with
-      invalidate-on-write, so [Dirty]/[Writeback] never occur there) and
-      audits every transition via {!record};
-    - the {!Conc_shared} Smc model exercises the {e full} machine,
-      including the [Dirty] -> [Writeback] -> [Clean]/[Dirty] flush
-      window, under exhaustive/sampled schedules with the race monitor
-      attached. *)
+    The machine is the one the shipped {!Cache} runs: a read cache with
+    invalidate-on-write, so an entry is only ever absent, being fetched
+    or resident. The cache drives each page entry through it and audits
+    every transition via {!record}. *)
 
 type state =
   | Empty  (** no data for this page *)
   | Reading  (** a miss claimed the entry; the fetch runs outside the lock *)
   | Clean  (** cached data matches the backing store *)
-  | Dirty  (** buffered write not yet flushed *)
-  | Writeback  (** a flush claimed the entry; the write IO is in flight *)
 
 val state_name : state -> string
 val pp_state : Format.formatter -> state -> unit

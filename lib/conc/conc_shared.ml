@@ -1,187 +1,65 @@
-(* The sharded hot path of [Store.Shared], rebuilt over Smc primitives so
-   its locking discipline can be schedule-checked with the race monitor
-   and lock-order analysis attached. Structures mirror the real ones:
-   per-shard staging lists behind per-shard model rwlocks, a base map
-   behind the stack rwlock, and a cache entry behind the cache rwlock.
-   Plain [Cell.get]/[Cell.set] accesses are deliberate — protection must
-   come from the locks, and the FastTrack monitor verifies that it does. *)
+(* [Store.Shared]'s staging protocol ({!Staging}), explored under Smc with
+   the race monitor and lock-order analysis attached. The protocol, its
+   shard table and its locks are the shipped code; only the base below
+   the stack lock is a stand-in, one [Smc.Cell] holding the key-value
+   list. Its plain [Cell.get]/[Cell.set] accesses are deliberate —
+   protection must come from the stack lock, and the FastTrack monitor
+   verifies that it does. *)
 
-module M = struct
-  type shard = {
-    lock : Rwlock.Model.t;
-    staged : (string * string option) list Smc.Cell.t;
-  }
+module Base = struct
+  type t = (string * string) list Smc.Cell.t
+  type error = string
+  type reboot = unit
 
-  type t = {
-    shards : shard array;
-    stack_lock : Rwlock.Model.t;
-    maint_lock : Rwlock.Model.t;
-    base : (string * string) list Smc.Cell.t;
-  }
+  let get t ~key = Ok (List.assoc_opt key (Smc.Cell.get t))
 
-  let create ?(shards = 2) ?(base = []) () =
-    {
-      shards =
-        Array.init shards (fun _ ->
-            { lock = Rwlock.Model.create ~name:"shard" (); staged = Smc.Cell.make [] });
-      stack_lock = Rwlock.Model.create ~name:"stack" ();
-      maint_lock = Rwlock.Model.create ~name:"maint" ();
-      base = Smc.Cell.make base;
-    }
+  let rewrite t f =
+    Smc.Cell.set t (f (Smc.Cell.get t));
+    Ok ()
 
-  let stage t i k v =
-    Rwlock.Model.with_write t.shards.(i).lock (fun () ->
-        let l = Smc.Cell.get t.shards.(i).staged in
-        Smc.Cell.set t.shards.(i).staged ((k, v) :: List.remove_assoc k l))
+  let put_batch t ops =
+    rewrite t (fun b -> List.fold_left (fun b (k, v) -> (k, v) :: List.remove_assoc k b) b ops)
 
-  let put t i k v = stage t i k (Some v)
-  let delete t i k = stage t i k None
+  let delete_batch t keys =
+    rewrite t (fun b -> List.fold_left (fun b k -> List.remove_assoc k b) b keys)
 
-  (* The shard read lock is held across both the staged probe and the
-     base read: a concurrent flush cannot slide between them, which is
-     what makes a get atomic at its single linearization point. *)
-  let get t i k =
-    Rwlock.Model.with_read t.shards.(i).lock (fun () ->
-        match List.assoc_opt k (Smc.Cell.get t.shards.(i).staged) with
-        | Some v -> v
-        | None ->
-            Rwlock.Model.with_read t.stack_lock (fun () ->
-                List.assoc_opt k (Smc.Cell.get t.base)))
+  let sorted t = List.sort compare (Smc.Cell.get t)
+  let list t = Ok (List.map fst (sorted t))
+  let scan t ?lo ?hi () = Ok (List.filter (fun (k, _) -> Util.Key_range.mem ~lo ~hi k) (sorted t))
 
-  (* Lock order: shard (ascending) before stack. *)
-  let flush_shard t i =
-    Rwlock.Model.with_write t.shards.(i).lock (fun () ->
-        Rwlock.Model.with_write t.stack_lock (fun () ->
-            let staged = Smc.Cell.get t.shards.(i).staged in
-            let apply base (k, v) =
-              let base = List.remove_assoc k base in
-              match v with Some v -> (k, v) :: base | None -> base
-            in
-            Smc.Cell.set t.base (List.fold_left apply (Smc.Cell.get t.base) (List.rev staged));
-            Smc.Cell.set t.shards.(i).staged []))
-
-  (* The narrowed maintenance flush (Store.Shared.flush_shard with
-     [flush_chunk = 1]): the maint lock serializes maintenance, the
-     shard write lock covers the whole drain, but the stack lock is
-     taken per applied entry — between entries, foreground reads on
-     other shards slide into the base. The FastTrack monitor checks that
-     those interleaved base accesses are still race-free, and the
-     harness asserts that releasing the stack lock mid-drain never makes
-     an acked staged value unobservable. *)
-  let maint_flush_shard t i =
-    Rwlock.Model.with_write t.maint_lock (fun () ->
-        Rwlock.Model.with_write t.shards.(i).lock (fun () ->
-            let staged = List.rev (Smc.Cell.get t.shards.(i).staged) in
-            List.iter
-              (fun (k, v) ->
-                Rwlock.Model.with_write t.stack_lock (fun () ->
-                    let base = List.remove_assoc k (Smc.Cell.get t.base) in
-                    Smc.Cell.set t.base
-                      (match v with Some v -> (k, v) :: base | None -> base)))
-              staged;
-            Smc.Cell.set t.shards.(i).staged []))
-
-  (* Structural maintenance: maint then stack, no shard lock. The base
-     rewrite preserves contents (reversal), as compaction does. *)
-  let maint_compact t =
-    Rwlock.Model.with_write t.maint_lock (fun () ->
-        Rwlock.Model.with_write t.stack_lock (fun () ->
-            Smc.Cell.set t.base (List.rev (Smc.Cell.get t.base))))
-
-  (* A batch staging into several shards nests shard write locks in
-     ascending index order — the discipline under test in h_batch_order. *)
-  let put_batch_ordered t kvs =
-    let is = List.sort_uniq compare (List.map (fun (i, _, _) -> i) kvs) in
-    let rec go = function
-      | [] ->
-          List.iter
-            (fun (i, k, v) ->
-              let l = Smc.Cell.get t.shards.(i).staged in
-              Smc.Cell.set t.shards.(i).staged ((k, Some v) :: List.remove_assoc k l))
-            kvs
-      | i :: rest -> Rwlock.Model.with_write t.shards.(i).lock (fun () -> go rest)
-    in
-    go is
+  (* Compaction rewrites the base without changing its contents. *)
+  let compact t = rewrite t List.rev
+  let reclaim _ = Ok false
+  let clean_shutdown _ = Ok ()
+  let dirty_reboot _ () = Ok ()
 end
 
-(* The cache entry lifecycle (Cache_sm) behind the cache model rwlock.
-   The miss path releases the lock during the "IO" window — the entry is
-   parked in [Reading]/[Writeback] so concurrent threads can see the
-   window and must handle it. *)
-module C = struct
-  type t = {
-    lock : Rwlock.Model.t;
-    state : Cache_sm.state Smc.Cell.t;
-    data : int Smc.Cell.t;
-  }
+module Staged = Staging.Make (Base)
 
-  let create () =
-    {
-      lock = Rwlock.Model.create ~name:"cache" ();
-      state = Smc.Cell.make Cache_sm.Empty;
-      data = Smc.Cell.make 0;
-    }
+(* A protocol over an empty base; [preload] fills the base before any
+   thread is spawned. *)
+let setup ?flush_chunk ~shards () = Staged.create ~shards ?flush_chunk (Smc.Cell.make [])
+let preload s kvs = Smc.Cell.set (Staged.base s) kvs
 
-  let transition t ~new_s =
-    let old_s = Smc.Cell.get t.state in
-    if not (Cache_sm.legal old_s new_s) then
-      failwith
-        (Printf.sprintf "illegal cache transition %s -> %s" (Cache_sm.state_name old_s)
-           (Cache_sm.state_name new_s));
-    Smc.Cell.set t.state new_s
+(* The [nth] key (from 0) of the form "k<n>" that stages into shard [i]. *)
+let key ?(nth = 0) s i =
+  let rec go n found =
+    let k = Printf.sprintf "k%d" n in
+    if Staged.shard_of s k <> i then go (n + 1) found
+    else if found = nth then k
+    else go (n + 1) (found + 1)
+  in
+  go 0 0
 
-  (* Read through the cache; on a miss, claim the entry ([Reading]),
-     fetch outside the lock, publish ([Clean]). A reader that finds the
-     entry mid-fetch waits for the window to close and retries. *)
-  let rec read t ~fetch =
-    let claimed =
-      Rwlock.Model.with_write t.lock (fun () ->
-          match Smc.Cell.get t.state with
-          | Cache_sm.Empty ->
-              transition t ~new_s:Cache_sm.Reading;
-              `Claimed
-          | Cache_sm.Reading -> `In_flight
-          | Cache_sm.Clean | Cache_sm.Dirty | Cache_sm.Writeback -> `Hit (Smc.Cell.get t.data))
-    in
-    match claimed with
-    | `Hit v -> v
-    | `Claimed ->
-        let v = fetch () in
-        Rwlock.Model.with_write t.lock (fun () ->
-            transition t ~new_s:Cache_sm.Clean;
-            Smc.Cell.set t.data v);
-        v
-    | `In_flight ->
-        Smc.wait_until (fun () -> Smc.Cell.peek t.state <> Cache_sm.Reading);
-        read t ~fetch
+let get s k =
+  match Staged.get s ~key:k with
+  | `Staged v | `Base (Ok v) -> v
+  | `Base (Error e) -> failwith e
 
-  let write t v =
-    Rwlock.Model.with_write t.lock (fun () ->
-        (match Smc.Cell.get t.state with
-        | Cache_sm.Empty -> transition t ~new_s:Cache_sm.Clean
-        | Cache_sm.Clean -> transition t ~new_s:Cache_sm.Dirty
-        | Cache_sm.Writeback -> transition t ~new_s:Cache_sm.Dirty
-        | Cache_sm.Dirty | Cache_sm.Reading -> ());
-        Smc.Cell.set t.data v)
+let put s k v = Staged.stage s ~key:k (Some v)
 
-  (* Flush: claim ([Writeback]), "write IO" outside the lock, then close
-     the window — unless a concurrent write re-dirtied the entry. *)
-  let flush t =
-    let claimed =
-      Rwlock.Model.with_write t.lock (fun () ->
-          match Smc.Cell.get t.state with
-          | Cache_sm.Dirty ->
-              transition t ~new_s:Cache_sm.Writeback;
-              true
-          | _ -> false)
-    in
-    if claimed then (
-      Smc.yield ();
-      Rwlock.Model.with_write t.lock (fun () ->
-          match Smc.Cell.get t.state with
-          | Cache_sm.Writeback -> transition t ~new_s:Cache_sm.Clean
-          | _ -> (* re-dirtied during the IO window: stays Dirty *) ()))
-end
+let expect what ok v =
+  if not ok then failwith (Printf.sprintf "%s saw %s" what (Option.value v ~default:"(absent)"))
 
 type report = { name : string; property : string; outcome : Smc.outcome }
 
@@ -200,111 +78,126 @@ let harness name property body budget =
    the reader sees exactly its own shard's history. *)
 let h_cross_shard =
   harness "shared/cross" "racing writers on distinct shards stay isolated" (fun () ->
-      let t = M.create ~shards:2 ~base:[ ("a", "old") ] () in
-      Smc.spawn (fun () -> M.put t 0 "a" "new");
+      let s = setup ~shards:2 () in
+      let a = key s 0 and b = key s 1 in
+      preload s [ (a, "old") ];
       Smc.spawn (fun () ->
-          M.put t 1 "b" "other";
-          M.delete t 1 "b");
+          let v = get s a in
+          expect "shard 0 read" (v = Some "old" || v = Some "new") v;
+          let v = get s b in
+          expect "shard 1 read" (v = None || v = Some "other") v);
+      Smc.spawn (fun () -> put s a "new");
       Smc.spawn (fun () ->
-          (match M.get t 0 "a" with
-          | Some "old" | Some "new" -> ()
-          | v ->
-              failwith
-                (Printf.sprintf "shard 0 read saw %s" (Option.value v ~default:"(absent)")));
-          match M.get t 1 "b" with
-          | None | Some "other" -> ()
-          | Some v -> failwith (Printf.sprintf "shard 1 read saw %s" v)))
+          put s b "other";
+          Staged.stage s ~key:b None))
 
-(* Writer, flusher and reader on ONE shard: the get must return the old
-   base value or the staged value, never a torn intermediate, and the
-   staged probe + base read must be atomic against the flush. *)
+(* Writer, flusher and reader on ONE shard, under the coarse drain (one
+   stack hold across it): the get must return the old base value or the
+   staged value, never a torn intermediate, and the staged probe + base
+   read must be atomic against the flush. *)
 let h_same_shard =
   harness "shared/flush" "get is atomic against a concurrent flush of its shard" (fun () ->
-      let t = M.create ~shards:1 ~base:[ ("k", "v1") ] () in
-      Smc.spawn (fun () -> M.put t 0 "k" "v2");
-      Smc.spawn (fun () -> M.flush_shard t 0);
+      let s = setup ~flush_chunk:0 ~shards:1 () in
+      let k = key s 0 in
+      preload s [ (k, "v1") ];
+      Smc.spawn (fun () -> put s k "v2");
+      Smc.spawn (fun () -> ignore (Staged.flush_shard s 0 : (int, string) result));
       Smc.spawn (fun () ->
-          match M.get t 0 "k" with
-          | Some "v1" | Some "v2" -> ()
-          | v ->
-              failwith
-                (Printf.sprintf "same-shard read saw %s" (Option.value v ~default:"(absent)"))))
+          let v = get s k in
+          expect "same-shard read" (v = Some "v1" || v = Some "v2") v))
 
-(* The full SimpleCacheSM lifecycle under contention: a miss-fill with
-   the IO window open, a writer dirtying the entry, a flusher driving
-   Dirty -> Writeback -> Clean/Dirty. Every transition is checked
-   against Cache_sm.legal inside the harness. *)
-let h_cache_lifecycle =
-  harness "shared/cache" "cache entries only take legal SimpleCacheSM transitions" (fun () ->
-      let c = C.create () in
-      Smc.spawn (fun () -> ignore (C.read c ~fetch:(fun () -> 7)));
-      Smc.spawn (fun () ->
-          C.write c 8;
-          C.flush c);
-      Smc.spawn (fun () ->
-          match C.read c ~fetch:(fun () -> 7) with
-          | 7 | 8 -> ()
-          | v -> failwith (Printf.sprintf "cache read saw %d" v)))
+(* The two keys a test stages on shard [i], the first sorting first: a
+   drain applies its puts in descending key order, so the first is
+   applied last, at the end of the drain. *)
+let two_on s i =
+  let k = key s i and k' = key ~nth:1 s i in
+  (min k k', max k k')
 
-(* A batch staging across two shards (nested write locks, ascending)
-   races a flusher taking shard-then-stack: the global order
-   shard 0 < shard 1 < stack must leave the lock graph acyclic. *)
+(* A scan racing a put and a chunked maintenance flush of a shard with
+   two staged entries: the overlay and the base it reads are consistent,
+   so the scan sees every key acked before it started, whether the
+   drain has begun, is between chunks or is done. The scan is spawned
+   last, so DFS first moves it into the drain's last chunk boundary. *)
+let h_scan =
+  harness "shared/scan" "a scan racing a chunked flush sees every key acked before it" (fun () ->
+      let s = setup ~flush_chunk:1 ~shards:2 () in
+      let a, c = two_on s 0 and b = key s 1 and d = key ~nth:1 s 1 in
+      preload s [ (c, "old") ];
+      put s a "x";
+      put s c "new";
+      put s b "y";
+      Smc.spawn (fun () -> put s d "z");
+      Smc.spawn (fun () -> ignore (Staged.flush_shard s 0 : (int, string) result));
+      Smc.spawn (fun () ->
+          match Staged.scan s () with
+          | Error e -> failwith e
+          | Ok items ->
+            List.iter
+              (fun (k, v) ->
+                let got = List.assoc_opt k items in
+                expect ("scan of " ^ k) (got = Some v) got)
+              [ (a, "x"); (b, "y"); (c, "new") ];
+            let got = List.assoc_opt d items in
+            expect ("scan of " ^ d) (got = None || got = Some "z") got))
+
+(* A batch staging across two shards (one shard write lock at a time,
+   ascending) races a flusher: the global order shard < stack must leave
+   the lock graph acyclic. *)
 let h_batch_order =
   harness "shared/order" "batch staging and flush agree on the global lock order" (fun () ->
-      let t = M.create ~shards:2 () in
-      Smc.spawn (fun () -> M.put_batch_ordered t [ (0, "a", "x"); (1, "b", "y") ]);
-      Smc.spawn (fun () ->
-          M.flush_shard t 1;
-          M.flush_shard t 0))
+      let s = setup ~shards:2 () in
+      let a = key s 0 and b = key s 1 in
+      Smc.spawn (fun () -> Staged.stage_batch s [ (a, Some "x"); (b, Some "y") ]);
+      Smc.spawn (fun () -> ignore (Staged.flush s : (int, string) result)))
 
-(* Maintenance flusher vs foreground reads: with "a" -> "v2" staged on
-   shard 0 before the race, a narrowed maintenance flush of shard 0 runs
-   against a reader of shard 0 (must see the acked v2, staged or
-   flushed, through every chunk boundary) and a reader of shard 1 (must
-   keep seeing its own staged value — the foreground traffic a narrowed
-   flush is supposed to let through). *)
+(* Maintenance flusher vs foreground reads: with [a] -> v2 and a second
+   key staged on shard 0 before the race, a maintenance flush of shard 0
+   applying one entry per stack hold runs against a reader of shard 0
+   (must see the acked v2, staged or flushed, through every chunk
+   boundary) and a reader of shard 1 (must keep seeing its own staged
+   value — the foreground traffic a narrowed flush lets through). The
+   shard-0 reader is spawned last and [a] is applied last, so DFS first
+   moves the read into the drain's last chunk boundary. *)
 let h_maint_flush =
-  harness "shared/maint"
-    "acked values stay visible through a narrowed maintenance flush"
+  harness "shared/maint" "acked values stay visible through a narrowed maintenance flush"
     (fun () ->
-      let t = M.create ~shards:2 ~base:[ ("a", "v1") ] () in
-      M.put t 0 "a" "v2";
-      M.put t 1 "b" "w";
-      Smc.spawn (fun () -> M.maint_flush_shard t 0);
+      let s = setup ~flush_chunk:1 ~shards:2 () in
+      let a, c = two_on s 0 and b = key s 1 in
+      preload s [ (a, "v1") ];
+      put s a "v2";
+      put s c "x";
+      put s b "w";
       Smc.spawn (fun () ->
-          match M.get t 0 "a" with
-          | Some "v2" -> ()
-          | v ->
-              failwith
-                (Printf.sprintf "maint-racing read lost the ack: saw %s"
-                   (Option.value v ~default:"(absent)")));
+          let v = get s b in
+          expect "other-shard read" (v = Some "w") v);
+      Smc.spawn (fun () -> ignore (Staged.flush_shard s 0 : (int, string) result));
       Smc.spawn (fun () ->
-          match M.get t 1 "b" with
-          | Some "w" -> ()
-          | v ->
-              failwith
-                (Printf.sprintf "other-shard read saw %s"
-                   (Option.value v ~default:"(absent)"))))
+          let v = get s a in
+          expect "maint-racing read of the ack" (v = Some "v2") v))
 
-(* The maintenance domain (maint < shard < stack via the narrowed flush,
-   maint < stack via compact) races a foreground flusher (shard < stack)
-   and a cross-shard batch (shard 0 < shard 1): the accumulated lock
-   graph over all four acquisition paths must stay acyclic. *)
+(* The maintenance domain (maint < shard < stack via the chunked flush,
+   maint < stack via compact) races a cross-shard batch and a foreground
+   read of the flushed shard (shard < stack): the accumulated lock graph
+   over every acquisition path must stay acyclic. *)
 let h_maint_order =
   harness "shared/maint-order"
     "maintenance and foreground agree on the order maint < shard < stack"
     (fun () ->
-      let t = M.create ~shards:2 ~base:[ ("c", "z") ] () in
+      let s = setup ~flush_chunk:1 ~shards:2 () in
+      let a = key s 0 and b = key s 1 and c = key ~nth:1 s 1 in
+      preload s [ (c, "z") ];
       Smc.spawn (fun () ->
-          M.maint_flush_shard t 1;
-          M.maint_compact t);
-      Smc.spawn (fun () -> M.put_batch_ordered t [ (0, "a", "x"); (1, "b", "y") ]);
-      Smc.spawn (fun () -> M.flush_shard t 0))
+          ignore (Staged.flush_shard s 1 : (int, string) result);
+          ignore (Staged.compact s : (unit, string) result));
+      Smc.spawn (fun () -> Staged.stage_batch s [ (a, Some "x"); (b, Some "y") ]);
+      Smc.spawn (fun () ->
+          let v = get s c in
+          expect "foreground read" (v = Some "z") v))
 
 let run ?(budget = 20_000) () =
   List.map
     (fun h -> h budget)
-    [ h_cross_shard; h_same_shard; h_cache_lifecycle; h_batch_order; h_maint_flush; h_maint_order ]
+    [ h_cross_shard; h_same_shard; h_scan; h_batch_order; h_maint_flush; h_maint_order ]
 
 let ok reports =
   reports <> []

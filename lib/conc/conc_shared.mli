@@ -1,44 +1,48 @@
-(** Smc model of the [Store.Shared] hot path — the checked version of the
-    sharded store's race-freedom argument.
+(** [Store.Shared]'s staging protocol under Smc — the checked version of
+    the shared store's race-freedom and lock-order argument, run on the
+    code that ships.
 
-    The real shared store keeps per-shard staging tables behind per-shard
-    {!Rwlock}s, the underlying sequential store behind a stack lock, and
-    the block cache behind its own lock with a {!Cache_sm} lifecycle per
-    entry. This module rebuilds exactly that locking discipline over
-    {!Smc} primitives (plain [Cell] accesses protected only by the model
-    rwlocks) and explores it with the FastTrack race monitor and
-    lock-order analysis attached:
+    {!Staging.Make} holds every lock the shared store takes: the staging
+    {!Shard_table}, the stack and maint locks, get, staging, the flush's
+    coarse and chunked drains and the overlay of list and scan.
+    [Store.Shared] instantiates it over [Store.Default]; this module
+    instantiates it over a base of one {!Smc.Cell} (plain accesses,
+    protected only by the stack lock) and explores it by DFS with the
+    FastTrack race monitor and lock-order analysis attached. Its locks,
+    created inside the exploration, take {!Rwlock}'s exploration path.
 
     - {e shared/cross} — writers on distinct shards race a reader:
       isolation, no cross-shard interference;
-    - {e shared/flush} — writer, flusher and reader on one shard: a get
-      holds its shard read lock across the staged probe {e and} the base
-      read, so it is atomic against the flush;
-    - {e shared/cache} — miss-fill with the IO window open ([Reading]),
-      concurrent dirtying and writeback: every entry transition is
-      checked against {!Cache_sm.legal};
-    - {e shared/order} — batch staging (nested shard write locks,
-      ascending) races flushes (shard before stack): the accumulated
-      lock graph must stay acyclic;
-    - {e shared/maint} — the {e narrowed} maintenance flush (maint lock,
-      shard write lock across the drain, stack lock re-taken per applied
-      entry) races foreground readers on both shards: an acked staged
-      value must stay observable through every chunk boundary, and the
-      foreground read on the other shard must keep flowing;
-    - {e shared/maint-order} — the maintenance domain (maint < shard <
-      stack via the narrowed flush, maint < stack via compact) races a
-      foreground flusher and a cross-shard batch: the lock graph over
-      all four acquisition paths must stay acyclic.
+    - {e shared/flush} — writer, coarse flush ([flush_chunk = 0]) and
+      reader on one shard: a get holds its shard read lock across the
+      staged probe {e and} the base read, so it is atomic against the
+      flush;
+    - {e shared/scan} — a scan races a put and a chunked flush
+      ([flush_chunk = 1]): it sees every key acked before it started;
+    - {e shared/order} — batch staging (one shard write lock at a time,
+      ascending) races a flush: the accumulated lock graph must stay
+      acyclic;
+    - {e shared/maint} — a chunked maintenance flush races foreground
+      readers on both shards: an acked staged value must stay observable
+      through every chunk boundary, and the read on the other shard must
+      keep flowing;
+    - {e shared/maint-order} — the maintenance plane (a chunked flush,
+      then compact) races a cross-shard batch and a foreground read: the
+      lock graph over every acquisition path must stay acyclic.
 
-    The [maint]/[shard]/[stack]/[cache] class names on the model locks
-    feed [validate --shared --lint-graph]'s dynamic edge export, which
+    Fault #19 ({!Faults.F19_flush_clears_staging_early}) clears a shard's
+    staging before applying it; [shared/maint] and [shared/scan] catch it
+    within a DFS budget of 2,000.
+
+    The [maint]/[shard]/[stack] class names on the protocol's locks feed
+    [validate --shared --lint-graph]'s dynamic edge export, which
     [bin/lint.exe] checks is a subset of the statically extracted
     acquisition graph.
 
     Three-thread harnesses are not exhaustible within a realistic budget
-    (unlike the two-thread {!Rwlock.Check} harnesses), so the gate is:
-    no violation, no lock cycles, and a positive race-checked access
-    count on every harness. *)
+    (unlike the two-thread {!Rwlock.Check} harnesses), so the gate is: no
+    violation, no lock cycles, and a positive race-checked access count on
+    every harness. *)
 
 type report = { name : string; property : string; outcome : Smc.outcome }
 

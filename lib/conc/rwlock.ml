@@ -1,7 +1,8 @@
-(* Writer-preferring reader-writer lock: one protocol (Spec), one Smc model
-   checked by exhaustive schedules, one Atomic implementation whose
-   single-word CAS transitions are audited against the same Spec and whose
-   concurrent histories are checked linearizable. *)
+(* Writer-preferring reader-writer lock: one protocol (Spec) and one
+   implementation. Its single-word transitions run by compare-and-set on
+   real domains, where they are audited against the Spec and their
+   histories checked linearizable, and as Smc updates inside an
+   exploration, where exhaustive schedules check the same code. *)
 
 module Spec = struct
   type state = {
@@ -35,16 +36,24 @@ module Spec = struct
   let classify ~old_s ~new_s = List.find_opt (fun l -> step old_s l = Some new_s) labels
 end
 
-(* {2 The real lock}
+(* {2 The lock}
 
-   The whole state lives in one word so every transition is a single
-   compare-and-set: readers in bits 0-19, pending writers in bits 20-39,
-   the writer flag in bit 40. Blocking is a bounded cpu_relax spin that
-   falls back to a microsleep: acquisitions here protect short critical
-   sections (memtable staging, cache probes), so the lock usually frees
-   within the spin phase — but when domains outnumber cores the holder
-   may need this very core, and cpu_relax alone would burn the blocked
-   acquirer's whole scheduler quantum. The sleep yields the timeslice. *)
+   The whole state lives in one word: readers in bits 0-19, pending
+   writers in bits 20-39, the writer flag in bit 40. Each Spec transition
+   is a pure function of the word, written once below, and the lock
+   applies it on one of two paths, chosen when the lock is created:
+
+   - outside an Smc exploration, by compare-and-set on an [Atomic] word.
+     Blocking is a bounded cpu_relax spin that falls back to a
+     microsleep: acquisitions here protect short critical sections
+     (memtable staging, cache probes), so the lock usually frees within
+     the spin phase — but when domains outnumber cores the holder may
+     need this very core, and cpu_relax alone would burn the blocked
+     acquirer's whole scheduler quantum. The sleep yields the timeslice;
+   - inside one, as [Smc.Cell.update]s on a cell, blocking with
+     [Smc.wait_until] and reporting each acquisition and release under
+     the lock's Smc id, so the explorations run this code. The real
+     spin and sleep would hang the one-domain scheduler. *)
 
 let reader_one = 1
 let pending_one = 1 lsl 20
@@ -56,17 +65,44 @@ let writer_of s = s land writer_bit <> 0
 
 let unpack s = { Spec.readers = readers_of s; pending = pending_of s; writer = writer_of s }
 
+(* Each Spec label as a transition of the word: the successor, or
+   [blocked] when the guard fails and the caller must wait. Releases never
+   block; releasing a lock not held in that mode is a usage error. *)
+let blocked = -1
+
+let[@inline] transition label s =
+  match label with
+  | Spec.Reader_enter ->
+    (* Writer preference: a pending writer bars new readers. *)
+    if writer_of s || pending_of s > 0 then blocked else s + reader_one
+  | Reader_exit ->
+    if readers_of s = 0 then invalid_arg "Rwlock.release_read: no reader holds the lock";
+    s - reader_one
+  | Writer_declare -> s + pending_one
+  | Writer_enter ->
+    if writer_of s || readers_of s > 0 then blocked else s - pending_one + writer_bit
+  | Writer_exit ->
+    if not (writer_of s) then invalid_arg "Rwlock.release_write: no writer holds the lock";
+    s - writer_bit
+
+type explored = {
+  word : int Smc.Cell.t;
+  id : int;  (** the lock's Smc id, named for the lock-order export *)
+}
+
 type t = {
   cell : int Atomic.t;
+  explored : explored option;  (** [Some] when created inside an exploration *)
   trace_old : int array;
   trace_new : int array;
   trace_next : int Atomic.t;  (** transitions taken; slot = claim via fetch-and-add *)
 }
 
-let create ?(trace_capacity = 0) () =
+let create ?name ?(trace_capacity = 0) () =
   let cap = max 0 trace_capacity in
   {
     cell = Atomic.make 0;
+    explored = Option.map (fun id -> { word = Smc.Cell.make 0; id }) (Smc.lock_id ?name ());
     trace_old = Array.make cap 0;
     trace_new = Array.make cap 0;
     trace_next = Atomic.make 0;
@@ -79,62 +115,65 @@ let record t ~old_s ~new_s =
     t.trace_new.(i) <- new_s
   end
 
-let state t = unpack (Atomic.get t.cell)
+let state t =
+  unpack (match t.explored with None -> Atomic.get t.cell | Some e -> Smc.Cell.peek e.word)
 
 (* Spin briefly, then give up the timeslice. *)
 let backoff spins = if spins < 512 then Domain.cpu_relax () else Unix.sleepf 1e-6
 
-let acquire_read t =
-  let rec go spins =
-    let s = Atomic.get t.cell in
-    if writer_of s || pending_of s > 0 then begin
-      (* Writer preference: a pending writer bars new readers. *)
-      backoff spins;
-      go (spins + 1)
-    end
-    else if Atomic.compare_and_set t.cell s (s + reader_one) then
-      record t ~old_s:s ~new_s:(s + reader_one)
-    else go spins
-  in
-  go 0
-
-let rec release_read t =
+let rec cas_retry t label spins =
   let s = Atomic.get t.cell in
-  if readers_of s = 0 then invalid_arg "Rwlock.release_read: no reader holds the lock";
-  if Atomic.compare_and_set t.cell s (s - reader_one) then
-    record t ~old_s:s ~new_s:(s - reader_one)
-  else release_read t
+  let s' = transition label s in
+  if s' = blocked then begin
+    backoff spins;
+    cas_retry t label (spins + 1)
+  end
+  else if Atomic.compare_and_set t.cell s s' then record t ~old_s:s ~new_s:s'
+  else cas_retry t label spins
 
-let rec declare t =
-  let s = Atomic.get t.cell in
-  if Atomic.compare_and_set t.cell s (s + pending_one) then
-    record t ~old_s:s ~new_s:(s + pending_one)
-  else declare t
+(* The same transition as one atomic Smc update; a blocked guard leaves
+   the word as it is and waits until the guard holds, then retries. *)
+let rec smc_step t e label =
+  let step = transition label in
+  let old_s = Smc.Cell.update e.word (fun s -> if step s = blocked then s else step s) in
+  let new_s = step old_s in
+  if new_s = blocked then begin
+    Smc.wait_until (fun () -> step (Smc.Cell.peek e.word) <> blocked);
+    smc_step t e label
+  end
+  else record t ~old_s ~new_s
 
-let enter t =
-  let rec go spins =
+(* Inlined into each operation, so the label is a constant there and the
+   first compare-and-set attempt runs straight-line; contention falls
+   through to the retry loop. An explored transition also reports the
+   acquisition or release to the lock-order analysis. *)
+let[@inline] apply t label =
+  match t.explored with
+  | None ->
     let s = Atomic.get t.cell in
-    if writer_of s || readers_of s > 0 then begin
-      backoff spins;
-      go (spins + 1)
-    end
-    else begin
-      let s' = s - pending_one + writer_bit in
-      if Atomic.compare_and_set t.cell s s' then record t ~old_s:s ~new_s:s' else go spins
-    end
-  in
-  go 0
+    let s' = transition label s in
+    if s' <> blocked && Atomic.compare_and_set t.cell s s' then record t ~old_s:s ~new_s:s'
+    else cas_retry t label 0
+  | Some e -> (
+    smc_step t e label;
+    match label with
+    | Spec.Reader_enter | Writer_enter -> Smc.note (Sanitize.Lock_acquire e.id)
+    | Reader_exit | Writer_exit -> Smc.note (Sanitize.Lock_release e.id)
+    | Writer_declare -> ())
+
+let acquire_read t = apply t Spec.Reader_enter
+let release_read t = apply t Spec.Reader_exit
+
+(* [declare] then [enter] = [acquire_write], split so the
+   writer-preference harness below can act between the two. *)
+let declare t = apply t Spec.Writer_declare
+let enter t = apply t Spec.Writer_enter
 
 let acquire_write t =
   declare t;
   enter t
 
-let rec release_write t =
-  let s = Atomic.get t.cell in
-  if not (writer_of s) then invalid_arg "Rwlock.release_write: no writer holds the lock";
-  if Atomic.compare_and_set t.cell s (s - writer_bit) then
-    record t ~old_s:s ~new_s:(s - writer_bit)
-  else release_write t
+let release_write t = apply t Spec.Writer_exit
 
 let with_read t f =
   acquire_read t;
@@ -174,56 +213,6 @@ module Trace = struct
     (checked, !violations)
 end
 
-(* {2 The Smc model} *)
-
-module Model = struct
-  type t = {
-    m : Smc.Mutex.t;
-    readers : int Smc.Cell.t;
-    pending : int Smc.Cell.t;
-  }
-
-  let create ?name () =
-    { m = Smc.Mutex.create ?name (); readers = Smc.Cell.make 0; pending = Smc.Cell.make 0 }
-
-  (* Reader admission: wait out pending writers (preference), then hold the
-     mutex just long enough to bump the reader count. The reader's critical
-     section runs without the mutex; writers are excluded by the count. *)
-  let acquire_read t =
-    Smc.wait_until (fun () -> Smc.Cell.peek t.pending = 0);
-    Smc.Mutex.lock t.m;
-    ignore (Smc.Cell.update t.readers (fun r -> r + 1));
-    Smc.Mutex.unlock t.m
-
-  let release_read t = ignore (Smc.Cell.update t.readers (fun r -> r - 1))
-
-  (* [declare_write] then [complete_write] = [acquire_write], split so the
-     writer-preference harness below can act between the two. *)
-  let declare_write t = ignore (Smc.Cell.update t.pending (fun p -> p + 1))
-
-  (* The writer holds the mutex for its whole critical section: no reader
-     can be admitted, no other writer can enter, and writer-held nesting
-     shows up as edges in the lock-order graph. *)
-  let complete_write t =
-    Smc.Mutex.lock t.m;
-    ignore (Smc.Cell.update t.pending (fun p -> p - 1));
-    Smc.wait_until (fun () -> Smc.Cell.peek t.readers = 0)
-
-  let acquire_write t =
-    declare_write t;
-    complete_write t
-
-  let release_write t = Smc.Mutex.unlock t.m
-
-  let with_read t f =
-    acquire_read t;
-    Fun.protect ~finally:(fun () -> release_read t) f
-
-  let with_write t f =
-    acquire_write t;
-    Fun.protect ~finally:(fun () -> release_write t) f
-end
-
 (* {2 Validation entry points} *)
 
 module Check = struct
@@ -241,10 +230,10 @@ module Check = struct
      accesses. Overlap loses an update (caught logically) and races the
      plain cells (caught by FastTrack). *)
   let h_excl_writers () =
-    let l = Model.create () in
+    let l = create () in
     let data = Smc.Cell.make 0 in
     let writer () =
-      Model.with_write l (fun () ->
+      with_write l (fun () ->
           let v = Smc.Cell.get data in
           Smc.Cell.set data (v + 1))
     in
@@ -254,15 +243,15 @@ module Check = struct
   (* Mutual exclusion, writer/reader: the reader must never observe the
      writer's half-done state. *)
   let h_excl_writer_reader () =
-    let l = Model.create () in
+    let l = create () in
     let data = Smc.Cell.make 0 in
     let writer () =
-      Model.with_write l (fun () ->
+      with_write l (fun () ->
           Smc.Cell.set data 1;
           Smc.Cell.set data 2)
     in
     let reader () =
-      let v = Model.with_read l (fun () -> Smc.Cell.get data) in
+      let v = with_read l (fun () -> Smc.Cell.get data) in
       if v = 1 then failwith "reader observed a half-done write"
     in
     Smc.spawn writer;
@@ -270,24 +259,24 @@ module Check = struct
 
   (* Writer preference: a reader whose acquisition starts after the writer
      declared intent must observe the writer's effect — on every schedule.
-     [declared] is set after [declare_write], so once the reader sees it
-     the pending count (or the held mutex) already bars the reader. *)
+     [declared] is set after [declare], so once the reader sees it the
+     pending count already bars the reader. *)
   let h_writer_preference () =
-    let l = Model.create () in
+    let l = create () in
     let x = Smc.Cell.make 0 in
     let declared = Smc.Cell.make false in
     let writer () =
-      Model.declare_write l;
+      declare l;
       Smc.Cell.set declared true;
-      Model.complete_write l;
+      enter l;
       Smc.Cell.set x 1;
-      Model.release_write l
+      release_write l
     in
     let reader () =
       Smc.wait_until (fun () -> Smc.Cell.peek declared);
-      Model.acquire_read l;
+      acquire_read l;
       let v = Smc.Cell.get x in
-      Model.release_read l;
+      release_read l;
       if v <> 1 then failwith "writer preference violated: reader overtook a pending writer"
     in
     Smc.spawn writer;
@@ -296,15 +285,15 @@ module Check = struct
   (* No lost wakeups: balanced acquire/release must terminate on every
      schedule; a waiter never woken surfaces as a Deadlock violation. *)
   let wakeup_body ~writers ~readers () =
-    let l = Model.create () in
+    let l = create () in
     let writer () =
-      Model.acquire_write l;
-      Model.release_write l
+      acquire_write l;
+      release_write l
     in
     let reader () =
-      Model.acquire_read l;
+      acquire_read l;
       Smc.yield ();
-      Model.release_read l
+      release_read l
     in
     Smc.join (List.init writers (fun _ -> writer) @ List.init readers (fun _ -> reader))
 

@@ -1,27 +1,34 @@
-(** Writer-preferring reader-writer lock, specified once and validated
-    twice (ROADMAP item 1; modelled on the RWLock state machine of
-    verified-betrfs).
+(** Writer-preferring reader-writer lock: one protocol, one
+    implementation, checked two ways (modelled on the RWLock state machine
+    of verified-betrfs).
 
     The protocol is an explicit state machine ({!Spec}): Free / Readers n /
     WriterPending / Writer, encoded as [{readers; pending; writer}] with
-    five transition labels. Two artifacts claim to implement it:
+    five transition labels. The lock ({!t}) packs the state into one word
+    and writes each transition once, as a pure function of the word. It
+    applies them on one of two paths, chosen when the lock is created:
 
-    - {!Model} — an {!Smc} program (cooperative, single-domain) whose
-      exhaustive schedules check mutual exclusion, writer preference and
-      the absence of lost wakeups ({!Check.model}); explored under the
-      FastTrack race monitor, so data protected by the lock is also shown
-      race-free, which is the paper's SC-for-race-free obligation
-      (section 5.2) re-established per structure;
-    - the real [Atomic]-based implementation ({!t}) — every successful CAS
-      packs one {!Spec} transition into a single word, an optional
-      transition trace is replayed against {!Spec.classify}
-      ({!Trace.validate}), and racing real domains hammering a
-      lock-protected register are checked linearizable against the
-      sequential register model by {!Lincheck} ({!Check.impl}).
+    - outside an {!Smc} exploration, by compare-and-set on an [Atomic]
+      word. An optional transition trace is replayed against
+      {!Spec.classify} ({!Trace.validate}), and racing real domains
+      hammering a lock-protected register are checked linearizable
+      against the sequential register model by {!Lincheck}
+      ({!Check.impl});
+    - inside one, as [Smc.Cell.update]s that block with
+      [Smc.wait_until], recording the same trace and reporting every
+      acquisition and release under the lock's name to the lock-order
+      analysis. Exhaustive schedules of this path check mutual exclusion,
+      writer preference and the absence of lost wakeups ({!Check.model})
+      under the FastTrack race monitor, so data protected by the lock is
+      also shown race-free: the paper's SC-for-race-free obligation
+      (section 5.2), re-established on the code that ships.
+
+    Off the exploration path, an operation pays one match on an immutable
+    field for the choice.
 
     Writer preference: a reader may enter only when no writer is pending,
-    so a continuous stream of readers cannot starve a writer. Neither lock
-    is reentrant; acquiring while holding (either mode) deadlocks.
+    so a continuous stream of readers cannot starve a writer. The lock is
+    not reentrant; acquiring while holding (either mode) deadlocks.
 
     Blocking is a bounded spin ([Domain.cpu_relax]) that falls back to a
     microsleep, so a blocked acquirer yields its timeslice when domains
@@ -59,15 +66,18 @@ module Spec : sig
   val classify : old_s:state -> new_s:state -> label option
 end
 
-(** {2 The real lock} *)
+(** {2 The lock} *)
 
 type t
 
-(** [create ?trace_capacity ()] — a free lock. With [trace_capacity > 0],
-    the first [trace_capacity] successful state transitions are recorded
-    (old and new packed state, claimed per slot with a fetch-and-add, so
-    recording is safe from any number of domains) for {!Trace.validate}. *)
-val create : ?trace_capacity:int -> unit -> t
+(** [create ?name ?trace_capacity ()] — a free lock. Created inside a
+    running {!Smc} exploration, it takes the exploration path, and [name]
+    labels it for the lock-graph export ({!Smc.outcome.lock_names});
+    outside one, [name] is unused. With [trace_capacity > 0], the first
+    [trace_capacity] successful state transitions are recorded (old and
+    new packed state, claimed per slot with a fetch-and-add, so recording
+    is safe from any number of domains) for {!Trace.validate}. *)
+val create : ?name:string -> ?trace_capacity:int -> unit -> t
 
 (** Block until no writer is inside or pending, then enter as a reader.
     Not reentrant — acquiring while already holding this lock (either
@@ -117,27 +127,6 @@ module Trace : sig
   val validate : t -> int * violation list
 end
 
-(** {2 The Smc model}
-
-    The same protocol over {!Smc} primitives, for exhaustive schedule
-    checking. The internal mutex is held for a writer's whole critical
-    section (so writer-held nesting shows up in the lock-order graph);
-    reader admission takes it only transiently. Valid only inside
-    {!Smc.explore}. *)
-module Model : sig
-  type t
-
-  (** [?name] labels the internal {!Smc.Mutex} for the lock-graph
-      export ({!Smc.outcome.lock_names}). *)
-  val create : ?name:string -> unit -> t
-  val acquire_read : t -> unit
-  val release_read : t -> unit
-  val acquire_write : t -> unit
-  val release_write : t -> unit
-  val with_read : t -> (unit -> 'a) -> 'a
-  val with_write : t -> (unit -> 'a) -> 'a
-end
-
 (** {2 Validation entry points} *)
 
 module Check : sig
@@ -152,10 +141,12 @@ module Check : sig
 
   val pp_model_report : Format.formatter -> model_report -> unit
 
-  (** Explore every model harness under [Sanitize.default]: mutual
-      exclusion (writer/writer and writer/reader, exhaustive), writer
-      preference (exhaustive), no lost wakeups (exhaustive two-thread +
-      sampled four-thread). [budget] bounds DFS schedules per harness. *)
+  (** Explore the lock's exploration path in every harness under
+      [Sanitize.default]: mutual exclusion (writer/writer and
+      writer/reader, exhaustive), writer preference (exhaustive, acting
+      between a writer's declaration and its entry), no lost wakeups
+      (exhaustive two-thread + sampled four-thread). [budget] bounds DFS
+      schedules per harness. *)
   val model : ?budget:int -> unit -> model_report list
 
   (** No violation, no lock cycles, accesses actually race-checked, and

@@ -8,7 +8,7 @@ let create ?(shards = 8) () =
   if shards < 1 then invalid_arg "Shard_table.create: shards must be >= 1";
   {
     shards;
-    locks = Array.init shards (fun _ -> Rwlock.create ());
+    locks = Array.init shards (fun _ -> Rwlock.create ~name:"shard" ());
     tables = Array.init shards (fun _ -> Hashtbl.create 64);
   }
 

@@ -1,15 +1,15 @@
-(** Hash-sharded mutable table with one {!Rwlock} per shard — the shared
-    memtable/staging structure behind [Store.Shared].
+(** Hash-sharded mutable table with one {!Rwlock} per shard — the
+    staging structure of the {!Staging} protocol behind [Store.Shared].
 
     Keys hash to a shard ([Hashtbl.hash key mod shards]); each shard is a
-    plain [Hashtbl] protected by its own writer-preferring {!Rwlock}, so
-    operations on different shards never contend. The race-freedom
-    argument is structural: a shard's table is touched only inside
-    [with_*] sections on that shard's lock, and whole-table sections
-    acquire every shard lock in ascending index order — the global lock
-    order, which makes cross-shard deadlock impossible by construction
-    (see the {!Conc_shared} model for the checked version of this
-    argument). *)
+    plain [Hashtbl] protected by its own writer-preferring {!Rwlock}
+    (named ["shard"] inside an {!Smc} exploration), so operations on
+    different shards never contend. The race-freedom argument is
+    structural: a shard's table is touched only inside [with_*] sections
+    on that shard's lock, and whole-table sections acquire every shard
+    lock in ascending index order — the global lock order, which makes
+    cross-shard deadlock impossible by construction. {!Conc_shared}
+    explores the protocol that uses this table, locks included. *)
 
 type 'a t
 

@@ -28,10 +28,11 @@ let method_for = function
   | Faults.F15_model_locator_reuse -> Model_validation
   | Faults.F16_bulk_create_remove_race -> Smc
   | Faults.F17_cache_miss_path -> Pbt Gen.Crash_free
-  (* #18 lives above the single-node stack this harness drives; its checker
-     is the fleet chaos campaign (bin/validate --chaos). Mapped like the Smc
-     faults: found = false with zero work. *)
-  | Faults.F18_quorum_ack_volatile -> Smc
+  (* #18 and #19 live above the single-node stack this harness drives;
+     their checkers are the fleet chaos campaign (bin/validate --chaos) and
+     the Conc_shared harnesses. Mapped like the Smc faults: found = false
+     with zero work. *)
+  | Faults.F18_quorum_ack_volatile | Faults.F19_flush_clears_staging_early -> Smc
 
 type result = {
   fault : Faults.t;

@@ -9,6 +9,7 @@ type arm = {
   seconds : float;
   ops_per_sec : float;
   maint : Store.Shared.Maint.stats option;
+  errors_by_kind : (string * int) list;
 }
 
 type result = {
@@ -22,6 +23,20 @@ type result = {
 }
 
 let key i = Printf.sprintf "k%04d" i
+
+(* The store's [store.maint_error] series summed over [op], by [kind]:
+   every failed flush, compaction or reclaim, whether the maintenance
+   domain or the base store's own maintenance after a mutation ran it. *)
+let errors_by_kind store =
+  List.fold_left
+    (fun acc (s : Obs.sample) ->
+      match (s.name, List.assoc_opt "kind" s.labels, s.value) with
+      | "store.maint_error", Some kind, Obs.Counter_v n ->
+        (kind, n + Option.value ~default:0 (List.assoc_opt kind acc)) :: List.remove_assoc kind acc
+      | _ -> acc)
+    []
+    (Obs.snapshot (Store.Shared.obs store))
+  |> List.sort compare
 
 (* One timed arm: preload [keys] values into the base (flushed down, so
    foreground gets read through the stack lock, where flush contention
@@ -107,6 +122,7 @@ let run_arm ~label ~domains ~ops_per_domain ~keys ~value_bytes ~seed ~flush_chun
     seconds;
     ops_per_sec = (if seconds > 0.0 then float_of_int fg_ops /. seconds else 0.0);
     maint;
+    errors_by_kind = errors_by_kind store;
   }
 
 (* Byte-identity: ONE domain drives the same seeded put/get/delete
@@ -236,9 +252,14 @@ let print r =
         match a.maint with
         | None -> "no maintenance domain"
         | Some s ->
-          Printf.sprintf "maint: %d flushes draining %d, %d compacts, %d errors"
+          let kinds =
+            match List.filter (fun (_, n) -> n > 0) a.errors_by_kind with
+            | [] -> "none"
+            | l -> String.concat ", " (List.map (fun (k, n) -> Printf.sprintf "%s %d" k n) l)
+          in
+          Printf.sprintf "maint: %d flushes draining %d, %d compacts, %d errors (by kind: %s)"
             s.Store.Shared.Maint.flushes s.Store.Shared.Maint.drained
-            s.Store.Shared.Maint.compacts s.Store.Shared.Maint.errors
+            s.Store.Shared.Maint.compacts s.Store.Shared.Maint.errors kinds
       in
       Printf.printf "  %-12s (flush_chunk %2d): %8.0f fg ops/s in %.3fs, %d errors; %s\n"
         a.label a.flush_chunk a.ops_per_sec a.seconds a.fg_errors maint)

@@ -40,6 +40,11 @@ type arm = {
   seconds : float;  (** foreground wall-clock (maintenance excluded) *)
   ops_per_sec : float;
   maint : Store.Shared.Maint.stats option;
+  errors_by_kind : (string * int) list;
+      (** the store's [store.maint_error] counts summed over [op], one
+          pair per error kind (zeros included), sorted by kind: every
+          failed flush, compaction or reclaim, by the maintenance domain
+          or by the base store after a mutation *)
 }
 
 type result = {

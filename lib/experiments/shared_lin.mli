@@ -1,6 +1,7 @@
 (** Racing-domain linearizability workload over ONE shared store. It is
-    the store half of [validate --shared] (the other half is the
-    {!Conc.Conc_shared} model check), the whole racing run of
+    the store half of [validate --shared] (the other half is
+    {!Conc.Conc_shared}, which explores the store's staging protocol
+    under [Smc]), the whole racing run of
     [validate --maint], and the shared-store surface of
     [validate --trace-audit].
 

@@ -17,6 +17,7 @@ type t =
   | F16_bulk_create_remove_race
   | F17_cache_miss_path
   | F18_quorum_ack_volatile
+  | F19_flush_clears_staging_early
 
 let all =
   [ F1_reclaim_off_by_one; F2_cache_not_drained; F3_shutdown_skips_metadata;
@@ -27,8 +28,9 @@ let all =
     F14_compaction_reclaim_race; F15_model_locator_reuse;
     F16_bulk_create_remove_race ]
 
-(* Extra seeded defects for experience-report experiments (#17, #18). *)
-let extras = [ F17_cache_miss_path; F18_quorum_ack_volatile ]
+(* Extra seeded defects for experience-report experiments and checker
+   teeth (#17-#19). *)
+let extras = [ F17_cache_miss_path; F18_quorum_ack_volatile; F19_flush_clears_staging_early ]
 
 let number = function
   | F1_reclaim_off_by_one -> 1
@@ -49,6 +51,7 @@ let number = function
   | F16_bulk_create_remove_race -> 16
   | F17_cache_miss_path -> 17
   | F18_quorum_ack_volatile -> 18
+  | F19_flush_clears_staging_early -> 19
 
 let of_number n = List.find_opt (fun f -> number f = n) (all @ extras)
 
@@ -59,7 +62,7 @@ let component = function
   | F2_cache_not_drained | F8_missing_pointer_dep | F17_cache_miss_path -> "Buffer cache"
   | F3_shutdown_skips_metadata | F14_compaction_reclaim_race -> "Index"
   | F4_disk_return_loses_shards | F13_list_remove_race
-  | F16_bulk_create_remove_race -> "API"
+  | F16_bulk_create_remove_race | F19_flush_clears_staging_early -> "API"
   | F6_superblock_ownership_dep | F7_soft_hard_pointer_mismatch
   | F12_buffer_pool_deadlock -> "Superblock"
   | F18_quorum_ack_volatile -> "Fleet"
@@ -100,6 +103,8 @@ let description = function
     "Bug in the cache-miss path, unreachable while the cache was configured too large (S8.3)"
   | F18_quorum_ack_volatile ->
     "Fleet acknowledged a quorum write before the replicas durably flushed it"
+  | F19_flush_clears_staging_early ->
+    "Shared-store flush cleared a shard's staging before applying it, outside the shard lock"
 
 type property_class = Functional_correctness | Crash_consistency | Concurrency
 
@@ -127,8 +132,8 @@ let to_string f = Format.asprintf "%a" pp f
    Firing counters, by contrast, are bumped from inside tasks running on
    concurrent domains, so they are atomics — exact totals, not
    best-effort. *)
-let state = Array.make 19 false
-let counters = Array.init 19 (fun _ -> Atomic.make 0)
+let state = Array.make 20 false
+let counters = Array.init 20 (fun _ -> Atomic.make 0)
 
 let enabled f = state.(number f)
 let enable f = state.(number f) <- true

@@ -48,8 +48,15 @@ type t =
           flush on each acking replica — the intentionally broken variant
           the chaos campaign must catch (its teeth check). Not part of the
           Figure 5 catalog. *)
+  | F19_flush_clears_staging_early
+      (** Extra: the shared store's shard flush snapshots and clears the
+          staging under the shard write lock, then applies the entries to
+          the base after releasing it, so a get in between reads the old
+          value after the put was acked. The teeth of the [Conc_shared]
+          harnesses, which explore the shipped staging protocol. Not part
+          of the Figure 5 catalog. *)
 
-(** The Figure 5 catalog (#1..#16), without the extras #17 and #18. *)
+(** The Figure 5 catalog (#1..#16), without the extras #17 to #19. *)
 val all : t list
 
 (** Paper catalog number (1..16). *)

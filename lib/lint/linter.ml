@@ -58,10 +58,6 @@ let lazy_message =
   "lazy suspension in lib/: two domains forcing it at once raise \
    CamlinternalLazy.Undefined; build the value eagerly"
 
-(* The rwlock implementation file: its model harnesses acquire locks that
-   sit beneath the class discipline (the lock under test). *)
-let lockgraph_skip = [ "lib/conc/rwlock.ml" ]
-
 (* The registry implementation itself registers nothing by name. *)
 let metric_skip = [ "lib/obs/" ]
 
@@ -165,7 +161,7 @@ let recognize_acquisition head args line =
       labelled @ List.filter (fun a -> a != cb) positional
     in
     match List.rev comps with
-    | ("with_read" | "with_write") :: ("Rwlock" | "Model") :: _ -> (
+    | ("with_read" | "with_write") :: "Rwlock" :: _ -> (
       match positional with
       | lock :: _ ->
         let p = Option.value ~default:[] (flatten_path lock) in
@@ -246,7 +242,6 @@ let scan_file ~path ~source =
     add_finding "parse" 0 (Filename.basename path) "file does not parse; nothing was checked";
     sc
   | str ->
-    let lockgraph_on = not (List.mem path lockgraph_skip) in
     let metric_on = not (allowlisted metric_skip path) in
     let mod_path = ref [ module_name_of_path path ] in
     let fn_names = ref [] in
@@ -347,7 +342,7 @@ let scan_file ~path ~source =
       match e.pexp_desc with
       | Pexp_apply (head, args) -> (
         match recognize_acquisition head args (line_of_expr e) with
-        | Some acq when lockgraph_on -> (
+        | Some acq -> (
           match acq.a_class with
           | None ->
             add_finding "lockgraph" acq.a_line
@@ -416,10 +411,19 @@ let scan_file ~path ~source =
         held := saved_held
       | _ -> super.value_binding it vb
     in
+    (* Modules bound so far in this file, by name, to their full path. *)
+    let local_modules = Hashtbl.create 8 in
     let module_binding it mb =
       let name = match mb.pmb_name.txt with Some n -> n | None -> "_" in
       (match module_head mb.pmb_expr with
-      | Some target when target <> [ name ] -> sc.s_aliases <- (name, target) :: sc.s_aliases
+      | Some (head :: rest as target) when target <> [ name ] ->
+        (* A target bound earlier in this file is qualified with its path,
+           so [module Default = Make (...)] resolves to this file's [Make]
+           and not to every module named [Make]. *)
+        let target =
+          match Hashtbl.find_opt local_modules head with Some p -> p @ rest | None -> target
+        in
+        sc.s_aliases <- (name, target) :: sc.s_aliases
       | _ -> ());
       (match Option.map strip_stdlib (module_head mb.pmb_expr) with
       | Some [ "Hashtbl"; ("Make" | "MakeSeeded") ] -> hashtbl_modules := name :: !hashtbl_modules
@@ -427,7 +431,8 @@ let scan_file ~path ~source =
       let saved = !mod_path in
       mod_path := !mod_path @ [ name ];
       super.module_binding it mb;
-      mod_path := saved
+      mod_path := saved;
+      Hashtbl.replace local_modules name (saved @ [ name ])
     in
     let typ it t =
       (match t.ptyp_desc with

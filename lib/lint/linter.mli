@@ -12,14 +12,13 @@
       layers ([lib/conc], [lib/par], [lib/smc], [lib/obs]); everything
       else must go through [Conc.Rwlock]/[Conc.Shard_table]-style wrappers
       or carry a waiver;
-    - {b static lock-order graph}: [Rwlock.with_read]/[with_write] (real
-      and [Model]) and [Shard_table.with_*] acquisition nesting is
-      extracted per function, propagated through a name-resolved call
-      graph, and the resulting class graph (shard < stack < cache, ...)
-      must be acyclic. A dynamic edge list exported by
-      [validate --shared --lint-graph] can be cross-checked: every
-      dynamically observed edge must appear statically, otherwise the
-      extractor is blind;
+    - {b static lock-order graph}: [Rwlock.with_read]/[with_write] and
+      [Shard_table.with_*] acquisition nesting is extracted per function,
+      propagated through a name-resolved call graph, and the resulting
+      class graph (shard < stack < cache, ...) must be acyclic. A dynamic
+      edge list exported by [validate --shared --lint-graph] can be
+      cross-checked: every dynamically observed edge must appear
+      statically, otherwise the extractor is blind;
     - {b determinism lints}: [Random.self_init], wall-clock reads
       ([Unix.gettimeofday]/[Unix.time]/[Sys.time]) and order-fragile
       [Hashtbl.iter]/[Hashtbl.fold] (and [iter]/[fold] of a module the

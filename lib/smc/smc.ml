@@ -93,17 +93,26 @@ let join fs =
    for ids that appear in their own edges. *)
 let lock_name_registry : (int, string) Hashtbl.t = Hashtbl.create 16
 
+let mint_lock ?name () =
+  let id = !next_lock_id in
+  incr next_lock_id;
+  (match name with Some n -> Hashtbl.replace lock_name_registry id n | None -> ());
+  id
+
+(* Only a running exploration handles [Tid]: outside one, no lock id is
+   minted. *)
+let lock_id ?name () =
+  match perform Tid with
+  | (_ : int) -> Some (mint_lock ?name ())
+  | exception Effect.Unhandled _ -> None
+
 module Mutex = struct
   type t = {
     id : int;
     mutable held_by : int option;
   }
 
-  let create ?name () =
-    let id = !next_lock_id in
-    incr next_lock_id;
-    (match name with Some n -> Hashtbl.replace lock_name_registry id n | None -> ());
-    { id; held_by = None }
+  let create ?name () = { id = mint_lock ?name (); held_by = None }
 
   let rec lock t =
     yield ();

@@ -87,6 +87,20 @@ end
     race-checked accesses. *)
 val join : (unit -> unit) list -> unit
 
+(** [lock_id ?name ()] — inside a running exploration, a fresh lock id
+    from the numbering {!Mutex.create} uses, labelled [name] in
+    {!outcome.lock_names}; [None] outside one. A lock built on {!Cell}s
+    (the shipped [Conc.Rwlock]) takes its exploration path when it gets
+    an id, and reports its acquisitions with {!note}. *)
+val lock_id : ?name:string -> unit -> int option
+
+(** [note ev] hands an instrumentation event to the running
+    exploration's sanitizers, without a scheduling point; outside an
+    exploration it does nothing. [Lock_acquire id] and [Lock_release id]
+    feed the lock-order analysis and the race detector's lock clocks, as
+    {!Mutex} does. *)
+val note : Sanitize.event -> unit
+
 module Mutex : sig
   type t
 
@@ -165,7 +179,8 @@ type outcome = {
           lock-order analysis) *)
   lock_names : (int * string) list;
       (** names for the lock ids appearing in [lock_edges], for locks
-          created with [Mutex.create ~name]. Feeds the
+          created with [Mutex.create ~name] or minted by
+          [lock_id ~name]. Feeds the
           [validate --lint-graph] export that [lib/lint] cross-checks
           against the static acquisition graph. *)
   sanitize_accesses : int;

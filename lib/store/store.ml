@@ -811,6 +811,33 @@ end)
 module Shared = struct
   type error = Default.error
 
+  (* The base of the staging protocol. Named [Base], as bin/lint.exe
+     resolves the protocol's calls by module name. *)
+  module Base = struct
+    type t = Default.t
+    type error = Default.error
+    type reboot = Util.Rng.t * Default.reboot_spec
+
+    let first_batch_error (r : Default.batch_result) =
+      List.find_map (function Error e -> Some e | Ok _ -> None) r.Default.results
+
+    let check_batch = function
+      | Error e -> Error e
+      | Ok r -> (match first_batch_error r with Some e -> Error e | None -> Ok ())
+
+    let get t ~key = Default.get t ~key
+    let put_batch t ops = check_batch (Default.put_batch t ops)
+    let delete_batch t keys = check_batch (Default.delete_batch t keys)
+    let list t = Default.list t
+    let scan t ?lo ?hi () = Default.scan t ?lo ?hi ()
+    let compact t = Result.map (fun (_ : Dep.t) -> ()) (Default.compact t)
+    let reclaim t = Result.map Option.is_some (Default.reclaim t ())
+    let clean_shutdown t = Default.clean_shutdown t
+    let dirty_reboot t (rng, spec) = Default.dirty_reboot t ~rng spec
+  end
+
+  module Protocol = Conc.Staging.Make (Base)
+
   type metrics = {
     m_puts : Obs.Counter.t;
     m_gets : Obs.Counter.t;
@@ -826,11 +853,7 @@ module Shared = struct
   }
 
   type t = {
-    base : Default.t;
-    staging : string option Conc.Shard_table.t;  (* None = staged tombstone *)
-    stack : Conc.Rwlock.t;  (* guards every [base] access *)
-    maint : Conc.Rwlock.t;  (* serializes the maintenance plane; first in the lock order *)
-    flush_chunk : int;  (* ops applied per stack hold during a flush; 0 = whole drain *)
+    p : Protocol.t;
     trace : Tracecheck.Trace.Recorder.t option;
     obs : Obs.t;
     m : metrics;
@@ -845,50 +868,47 @@ module Shared = struct
         o
       | None -> Obs.create ~scope:"shared-store" ()
     in
+    let m =
+      {
+        m_puts = Obs.counter obs "shared.put";
+        m_gets = Obs.counter obs "shared.get";
+        m_deletes = Obs.counter obs "shared.delete";
+        m_scans = Obs.counter obs "shared.scan";
+        m_staged_hits = Obs.counter ~coverage:true obs "shared.get.staged";
+        m_flushes = Obs.counter obs "shared.flush";
+        m_drained = Obs.counter obs "shared.flush.drained";
+        m_stack_holds = Obs.counter obs "shared.flush.stack_holds";
+        m_compacts = Obs.counter obs "shared.maint.compact";
+        m_reclaims = Obs.counter obs "shared.maint.reclaim";
+        m_reboots = Obs.counter obs "shared.maint.reboot";
+      }
+    in
     {
-      base = Default.create ~obs cfg;
-      staging = Conc.Shard_table.create ~shards ();
-      stack = Conc.Rwlock.create ();
-      maint = Conc.Rwlock.create ();
-      flush_chunk;
+      p =
+        Protocol.create ~shards ~flush_chunk
+          ~on_stack_hold:(fun () -> Obs.Counter.incr m.m_stack_holds)
+          ~on_drained:(Obs.Counter.add m.m_drained) (Default.create ~obs cfg);
       trace;
       obs;
-      m =
-        {
-          m_puts = Obs.counter obs "shared.put";
-          m_gets = Obs.counter obs "shared.get";
-          m_deletes = Obs.counter obs "shared.delete";
-          m_scans = Obs.counter obs "shared.scan";
-          m_staged_hits = Obs.counter ~coverage:true obs "shared.get.staged";
-          m_flushes = Obs.counter obs "shared.flush";
-          m_drained = Obs.counter obs "shared.flush.drained";
-          m_stack_holds = Obs.counter obs "shared.flush.stack_holds";
-          m_compacts = Obs.counter obs "shared.maint.compact";
-          m_reclaims = Obs.counter obs "shared.maint.reclaim";
-          m_reboots = Obs.counter obs "shared.maint.reboot";
-        };
+      m;
     }
 
   let obs t = t.obs
-  let store t = t.base
-  let shards t = Conc.Shard_table.shards t.staging
-  let staged_count t = Conc.Shard_table.size t.staging
+  let store t = Protocol.base t.p
+  let shards t = Protocol.shards t.p
+  let staged_count t = Protocol.staged_count t.p
 
   (* Wire-trace hooks. Each operation runs inside [Recorder.bracket], so
      recorder calls sit strictly outside the staging and stack lock
      closures (the trace lock is a leaf); the recorded interval therefore
-     contains the operation's linearization point.
-
-     Staging under the shard write lock is the linearization point of a
-     mutation: once the lock is released the new value is visible to
-     every get of the key, whether or not it has been flushed down. *)
+     contains the operation's linearization point, which the protocol
+     places in its locked sections. *)
   let put t ~key ~value =
     Obs.Counter.incr t.m.m_puts;
     Tracecheck.Trace.Recorder.bracket t.trace ~src:"shared" (Tracecheck.Trace.Put { key; value })
       ~outcome:(fun _ -> Tracecheck.Trace.Acked)
     @@ fun () ->
-    Conc.Shard_table.with_key_write t.staging key (fun tbl ->
-        Hashtbl.replace tbl key (Some value));
+    Protocol.stage t.p ~key (Some value);
     Ok ()
 
   let delete t ~key =
@@ -896,13 +916,9 @@ module Shared = struct
     Tracecheck.Trace.Recorder.bracket t.trace ~src:"shared" (Tracecheck.Trace.Delete { key })
       ~outcome:(fun _ -> Tracecheck.Trace.Acked)
     @@ fun () ->
-    Conc.Shard_table.with_key_write t.staging key (fun tbl -> Hashtbl.replace tbl key None);
+    Protocol.stage t.p ~key None;
     Ok ()
 
-  (* The shard read lock is held across BOTH the staged probe and the
-     base read: a flush of this shard cannot slide in between, so a get
-     observes either (staged value) or (post-flush base value), never
-     the window where the key is in neither place. *)
   let get t ~key =
     Obs.Counter.incr t.m.m_gets;
     Tracecheck.Trace.Recorder.bracket t.trace ~src:"shared" (Tracecheck.Trace.Get { key })
@@ -910,12 +926,11 @@ module Shared = struct
         | Ok v -> Tracecheck.Trace.Got v
         | Error _ -> Tracecheck.Trace.Unavailable)
     @@ fun () ->
-    Conc.Shard_table.with_key_read t.staging key (fun tbl ->
-        match Hashtbl.find_opt tbl key with
-        | Some v ->
-          Obs.Counter.incr t.m.m_staged_hits;
-          Ok v
-        | None -> Conc.Rwlock.with_read t.stack (fun () -> Default.get t.base ~key))
+    match Protocol.get t.p ~key with
+    | `Staged v ->
+      Obs.Counter.incr t.m.m_staged_hits;
+      Ok v
+    | `Base r -> r
 
   (* Per-op outcomes of a staged batch, aligned with the per-op
      [Store_intf.S.batch_result] shape: staging itself cannot fail per op
@@ -923,29 +938,11 @@ module Shared = struct
      sequential store instead of a bare unit. *)
   type batch_result = { results : (unit, error) result list }
 
-  (* Batch staging: per-shard groups, each staged under one shard write
-     lock acquisition, shards visited in ascending index order (the
-     global lock order). Within a shard the original op order is kept,
-     so a later op on the same key wins, as in the sequential loop. *)
-  let stage_batch t entries =
-    let by_shard = Array.make (shards t) [] in
-    List.iter
-      (fun (k, v) ->
-        let i = Conc.Shard_table.shard_of t.staging k in
-        by_shard.(i) <- (k, v) :: by_shard.(i))
-      entries;
-    Array.iteri
-      (fun i group ->
-        if group <> [] then
-          Conc.Shard_table.with_shard_write t.staging i (fun tbl ->
-              List.iter (fun (k, v) -> Hashtbl.replace tbl k v) (List.rev group)))
-      by_shard
-
   let traced_batch t entries =
     Tracecheck.Trace.Recorder.bracket t.trace ~src:"shared" (Tracecheck.Trace.Batch entries)
       ~outcome:(fun _ -> Tracecheck.Trace.Batch_done (List.map (fun _ -> true) entries))
     @@ fun () ->
-    stage_batch t entries;
+    Protocol.stage_batch t.p entries;
     Ok { results = List.map (fun _ -> Ok ()) entries }
 
   let put_batch t ops =
@@ -956,80 +953,6 @@ module Shared = struct
     Obs.Counter.incr t.m.m_deletes;
     traced_batch t (List.map (fun k -> (k, None)) keys)
 
-  let first_batch_error (r : Default.batch_result) =
-    List.find_map (function Error e -> Some e | Ok _ -> None) r.Default.results
-
-  let check_batch = function
-    | Error e -> Error e
-    | Ok r -> (match first_batch_error r with Some e -> Error e | None -> Ok ())
-
-  (* Split [l] into groups of at most [n], preserving order. *)
-  let chunked n l =
-    let rec go acc cur len = function
-      | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-      | x :: rest ->
-        if len = n then go (List.rev cur :: acc) [ x ] 1 rest
-        else go acc (x :: cur) (len + 1) rest
-    in
-    go [] [] 0 l
-
-  (* Drain one shard into the base store. The shard write lock covers the
-     whole drain — a get of one of THIS shard's keys blocks, so it can
-     never observe the window where a key is in neither staging nor base
-     — but the stack write lock is narrowed: with [flush_chunk > 0] it is
-     taken per chunk of that many ops, so foreground gets on OTHER shards
-     (shard read + stack read) keep flowing between chunks.
-     [flush_chunk = 0] restores the coarse protocol (one stack hold
-     across the whole drain) — the global-stack-lock baseline that
-     [bench/maint_bench.exe] measures contention against.
-
-     Error semantics: on any batch error the staging table is left
-     intact. Chunks already applied below are harmless — staging still
-     shadows them, and re-running the flush re-applies the same values
-     idempotently — so an acked mutation is never dropped. *)
-  let flush_shard_exn t i =
-    Conc.Shard_table.with_shard_write t.staging i (fun tbl ->
-        let puts = Util.Tbl.fold_sorted (fun k v acc ->
-            match v with Some v -> (k, v) :: acc | None -> acc) tbl []
-        in
-        let dels = Util.Tbl.fold_sorted (fun k v acc ->
-            match v with None -> k :: acc | Some _ -> acc) tbl []
-        in
-        let drained = Hashtbl.length tbl in
-        let ( let* ) = Result.bind in
-        let res =
-          if puts = [] && dels = [] then Ok ()
-          else if t.flush_chunk <= 0 then
-            Conc.Rwlock.with_write t.stack (fun () ->
-                Obs.Counter.incr t.m.m_stack_holds;
-                let* () =
-                  if puts = [] then Ok () else check_batch (Default.put_batch t.base puts)
-                in
-                if dels = [] then Ok () else check_batch (Default.delete_batch t.base dels))
-          else
-            let apply f groups =
-              List.fold_left
-                (fun acc group ->
-                  let* () = acc in
-                  Conc.Rwlock.with_write t.stack (fun () ->
-                      Obs.Counter.incr t.m.m_stack_holds;
-                      check_batch (f group)))
-                (Ok ()) groups
-            in
-            let* () =
-              if puts = [] then Ok ()
-              else apply (Default.put_batch t.base) (chunked t.flush_chunk puts)
-            in
-            if dels = [] then Ok ()
-            else apply (Default.delete_batch t.base) (chunked t.flush_chunk dels)
-        in
-        match res with
-        | Ok () ->
-          Hashtbl.reset tbl;
-          Obs.Counter.add t.m.m_drained drained;
-          Ok drained
-        | Error e -> Error e)
-
   let mark_flush t =
     match t.trace with
     | Some r -> Tracecheck.Trace.Recorder.mark r ~src:"shared" Tracecheck.Trace.Flush
@@ -1037,80 +960,41 @@ module Shared = struct
 
   (* {2 Maintenance plane}
 
-     Every operation below first takes the [maint] write lock — class
-     "maint", FIRST in the global order maint < shard < stack < cache —
-     so maintenance is serialized against itself (two domains calling
-     [flush] and [compact] never interleave structurally) while staying
-     free to take any shard or stack lock underneath. Foreground ops
-     never touch the maint lock, so maintenance costs them nothing on
-     the hot path. *)
+     The protocol takes the [maint] write lock first in each of these, so
+     maintenance is serialized against itself while foreground ops, which
+     never touch it, keep running underneath. *)
 
-  (* Flush every shard, ascending. On an error the failing shard (and
-     the ones after it) keep their staged entries — acked mutations are
-     never dropped, they stay visible from staging. *)
   let flush t =
     Obs.Counter.incr t.m.m_flushes;
-    let res =
-      Conc.Rwlock.with_write t.maint (fun () ->
-          let rec go i drained =
-            if i >= shards t then Ok drained
-            else
-              match flush_shard_exn t i with
-              | Ok n -> go (i + 1) (drained + n)
-              | Error e -> Error e
-          in
-          go 0 0)
-    in
+    let res = Protocol.flush t.p in
     mark_flush t;
     res
 
   let flush_shard t i =
     if i < 0 || i >= shards t then invalid_arg "Store.Shared.flush_shard: shard out of range";
     Obs.Counter.incr t.m.m_flushes;
-    let res = Conc.Rwlock.with_write t.maint (fun () -> flush_shard_exn t i) in
+    let res = Protocol.flush_shard t.p i in
     mark_flush t;
     res
 
-  (* Structural maintenance on the base store needs no shard lock —
-     staging is untouched, and the stack write lock alone orders it
-     against every foreground read of the base. *)
   let compact t =
     Obs.Counter.incr t.m.m_compacts;
-    Conc.Rwlock.with_write t.maint (fun () ->
-        Conc.Rwlock.with_write t.stack (fun () ->
-            Result.map (fun (_ : Dep.t) -> ()) (Default.compact t.base)))
+    Protocol.compact t.p
 
   let reclaim t =
     Obs.Counter.incr t.m.m_reclaims;
-    Conc.Rwlock.with_write t.maint (fun () ->
-        Conc.Rwlock.with_write t.stack (fun () ->
-            Result.map Option.is_some (Default.reclaim t.base ())))
+    Protocol.reclaim t.p
 
-  (* Drain every staged entry (an acked mutation must reach the disk),
-     then flush and drain the base store below. *)
-  let clean_shutdown t =
-    Conc.Rwlock.with_write t.maint (fun () ->
-        let ( let* ) = Result.bind in
-        let rec go i =
-          if i >= shards t then Ok ()
-          else match flush_shard_exn t i with Ok _ -> go (i + 1) | Error e -> Error e
-        in
-        let* () = go 0 in
-        Conc.Rwlock.with_write t.stack (fun () -> Default.clean_shutdown t.base))
+  let clean_shutdown t = Protocol.clean_shutdown t.p
 
   (* A dirty reboot models a crash: staged entries are volatile state and
      are DROPPED — acked-but-unflushed mutations are lost exactly like
      the memtable below loses its unflushed entries, which is why crash
      workloads sequence this after the racing domains have joined (or
-     account for the loss in their model). All shard write locks are
-     taken (ascending) around the stack write lock so no foreground op is
-     mid-flight when volatile state vanishes. *)
+     account for the loss in their model). *)
   let dirty_reboot t ~rng spec =
     Obs.Counter.incr t.m.m_reboots;
-    Conc.Rwlock.with_write t.maint (fun () ->
-        Conc.Shard_table.with_all_write t.staging (fun tables ->
-            Array.iter Hashtbl.reset tables;
-            Conc.Rwlock.with_write t.stack (fun () -> Default.dirty_reboot t.base ~rng spec)))
+    Protocol.dirty_reboot t.p (rng, spec)
 
   (* The dedicated maintenance domain: a [Conc.Domains.Worker] stepping
      round-robin shard flushes with periodic compact/reclaim, racing
@@ -1156,9 +1040,7 @@ module Shared = struct
         (* Cheap reader-side probe: skip clean shards without touching
            any write lock, and back off while the store stays idle so a
            busy foreground never contends with a no-op flush loop. *)
-        let staged =
-          Conc.Shard_table.with_shard_read t.staging shard (fun tbl -> Hashtbl.length tbl)
-        in
+        let staged = Protocol.staged_in t.p shard in
         if staged = 0 then begin
           idle := min (!idle + 1) 64;
           for _ = 1 to !idle * 64 do
@@ -1197,51 +1079,13 @@ module Shared = struct
       !(worker.stats)
   end
 
-  (* The staged overlay on a sorted base listing of elements keyed by
-     [key]: staged values (made elements by [staged]) shadow base elements
-     of the same key, staged tombstones hide them. Only staged keys inside
-     [lo, hi] apply. Each key lives in exactly one shard table, so the
-     staged keys are distinct. *)
-  let overlay tables ~lo ~hi ~key ~staged base =
-    let overrides =
-      Array.fold_left
-        (fun acc tbl ->
-          Util.Tbl.fold_sorted
-            (fun k v acc -> if Util.Key_range.mem ~lo ~hi k then (k, v) :: acc else acc)
-            tbl acc)
-        [] tables
-    in
-    let overridden = Hashtbl.create 16 in
-    List.iter (fun (k, _) -> Hashtbl.replace overridden k ()) overrides;
-    let kept = List.filter (fun x -> not (Hashtbl.mem overridden (key x))) base in
-    let adds = List.filter_map (fun (k, v) -> Option.map (staged k) v) overrides in
-    List.sort (fun a b -> String.compare (key a) (key b)) (adds @ kept)
+  let list t = Protocol.list t.p
 
-  (* Staged overlay on top of the base listing. All shard read locks are
-     held (ascending) around the stack read, so the overlay and the base
-     snapshot are mutually consistent. *)
-  let list t =
-    Conc.Shard_table.with_all_read t.staging (fun tables ->
-        Conc.Rwlock.with_read t.stack (fun () ->
-            Result.map
-              (overlay tables ~lo:None ~hi:None ~key:Fun.id ~staged:(fun k _ -> k))
-              (Default.list t.base)))
-
-  (* Materialized range scan with the staged overlay applied. Same lock
-     shape as [list] — all shard read locks (ascending) around the stack
-     read lock, the established shard < stack order — so the overlay and
-     the base scan are mutually consistent and the result equals what
-     [Store.Default.scan] would yield after a drain. *)
   let scan t ?lo ?hi () =
     Obs.Counter.incr t.m.m_scans;
     Tracecheck.Trace.Recorder.bracket t.trace ~src:"shared" (Tracecheck.Trace.Scan { lo; hi })
       ~outcome:(function
         | Ok items -> Tracecheck.Trace.Scanned { items; complete = true }
         | Error _ -> Tracecheck.Trace.Unavailable)
-    @@ fun () ->
-    Conc.Shard_table.with_all_read t.staging (fun tables ->
-        Conc.Rwlock.with_read t.stack (fun () ->
-            Result.map
-              (overlay tables ~lo ~hi ~key:fst ~staged:(fun k v -> (k, v)))
-              (Default.scan t.base ?lo ?hi ())))
+    @@ fun () -> Protocol.scan t.p ?lo ?hi ()
 end

@@ -33,9 +33,10 @@ module Default : S with type index_error = Lsm.Index.error
     {v maint lock < shard locks (ascending index) < stack lock < cache lock v}
 
     (with the [lsm_run] and [trace] leaf classes below), and every code
-    path acquires along it, so deadlock is impossible by construction —
-    {!Conc.Conc_shared} is the model-checked version of this argument
-    (maintenance-vs-foreground harnesses included), [bin/lint.exe]
+    path acquires along it, so deadlock is impossible by construction.
+    Every lock-taking path lives in {!Conc.Staging}, instantiated here
+    over {!Default}: {!Conc.Conc_shared} explores that same protocol under
+    [Smc] (maintenance-vs-foreground harnesses included), [bin/lint.exe]
     recomputes the acquisition graph statically from the sources, and
     the racing-domain conformance gate ([validate --shared]) checks
     per-key linearizability of real runs with a live maintenance

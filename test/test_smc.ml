@@ -309,8 +309,8 @@ let pinned_digests =
     ("correct #14", "e80500e6ea15e2e6356b0cd2027c21b6");
     ("detect #16", "fbb5af8dad5e229db4a60a171e734ae5");
     ("correct #16", "04fef364cb424ac518f05a2cc11692c7");
-    ("conc_shared", "570084f9da0581dbad1ebb9846462086");
-    ("rwlock model", "5f77c708e72a850d8400166a81d088fd");
+    ("conc_shared", "2dd6b3fb12041fd1d8f750646b0eca66");
+    ("rwlock model", "aeb2176b0ff5b4e2b8c1e021a4046231");
   ]
 
 let test_explorations_pinned () =
